@@ -8,7 +8,6 @@ experiment harness with a CSV/JSON/SVG command-line driver.
 __version__ = "0.1.0"
 
 from cuspsums.coeffs import (
-    COMPILED_AVAILABLE,
     CoefficientTable,
     deligne_check,
     generate_tau,
@@ -68,7 +67,6 @@ from cuspsums.weight import WeightProfile, build_weight, derivative_bound_report
 
 __all__ = [
     "BoundCertificate",
-    "COMPILED_AVAILABLE",
     "CacheFormatError",
     "CoefficientOverflowError",
     "CoefficientTable",

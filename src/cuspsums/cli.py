@@ -109,9 +109,9 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                      ("L4", l4_spec(m, n, point)),
                      ("L5", l5_spec(m, n, point)))
             for family, spec in specs:
+                value = abs(oscillatory_integral(
+                    weight, spec, node_budget=cfg.node_budget))
                 for p in (1, 2):
-                    value = abs(oscillatory_integral(
-                        weight, spec, node_budget=cfg.node_budget))
                     bound = stated_bound(spec, p, weight)
                     bound_rows.append((family, m, n, k, p, value, bound,
                                        value / bound))

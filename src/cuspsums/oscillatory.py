@@ -288,20 +288,9 @@ def lemma5_derivative_check(spec: PhaseSpec, grid) -> float:
     """min over the grid of |B'(x)| 4 k sqrt(x) / (3 |sqrt m - sqrt n|).
 
     >= 1 certifies the lower bound |B'| >= 3|sqrt m - sqrt n|/(4 k sqrt x)
-    on the grid. Only the n > m case is meaningful (the m > n phase is a
-    plain same-T difference), so anything else is rejected.
+    on the grid. Validation as in lemma5_ratio_profile.
     """
-    if spec.family != "L5":
-        raise ValueError("derivative check applies to family L5")
-    if spec.n <= spec.m:
-        raise ValueError(f"need n > m, got m={spec.m}, n={spec.n}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 1.0):
-        raise ValueError("need a non-empty grid with x >= 1")
-    _, bp_fun = build_phase(spec)
-    gap = abs(math.sqrt(spec.m) - math.sqrt(spec.n))
-    ratios = np.abs(bp_fun(grid)) * 4.0 * spec.point.k * np.sqrt(grid) / (3.0 * gap)
-    return float(np.min(ratios))
+    return float(lemma5_ratio_profile(spec, grid).ratios.min())
 
 
 @dataclass(frozen=True)
@@ -314,16 +303,20 @@ class DerivativeScan:
 
 
 def lemma5_ratio_profile(spec: PhaseSpec, grid) -> DerivativeScan:
-    """Ratio profile behind lemma5_derivative_check, for threshold reporting.
+    """|B'(x)| 4 k sqrt(x) / (3 |sqrt m - sqrt n|) at every grid point.
 
     first_ok is the smallest grid x from which the ratio stays >= 1 through
-    the end of the grid, or None if it never settles.
+    the end of the grid, or None if it never settles. Only the n > m case is
+    meaningful (the m > n phase is a plain same-T difference), so anything
+    else is rejected, as is an empty grid or one with x < 1.
     """
     if spec.family != "L5":
         raise ValueError("derivative check applies to family L5")
     if spec.n <= spec.m:
         raise ValueError(f"need n > m, got m={spec.m}, n={spec.n}")
     xs = np.asarray(grid, dtype=float)
+    if xs.size == 0 or np.any(xs < 1.0):
+        raise ValueError("need a non-empty grid with x >= 1")
     _, bp_fun = build_phase(spec)
     gap = abs(math.sqrt(spec.m) - math.sqrt(spec.n))
     ratios = np.abs(bp_fun(xs)) * 4.0 * spec.point.k * np.sqrt(xs) / (3.0 * gap)

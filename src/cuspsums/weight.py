@@ -27,7 +27,6 @@ class WeightProfile:
     m: float
     delta: float
     r: float
-    j_order: int = 4
 
     def __call__(self, x):
         return eval_weight(self, x)
@@ -49,8 +48,7 @@ def _psi(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_weight(m: float, delta: float, r: float | None = None,
-                 j_order: int = 4) -> WeightProfile:
+def build_weight(m: float, delta: float, r: float | None = None) -> WeightProfile:
     """Window on [m, m + delta] with rise/fall length r (default delta/4)."""
     m = float(m)
     delta = float(delta)
@@ -61,7 +59,7 @@ def build_weight(m: float, delta: float, r: float | None = None,
     r = delta / 4.0 if r is None else float(r)
     if not 0.0 < r <= delta / 2.0:
         raise ValueError(f"ramp length must satisfy 0 < r <= delta/2, got r={r}")
-    return WeightProfile(m, delta, r, int(j_order))
+    return WeightProfile(m, delta, r)
 
 
 def eval_weight(profile: WeightProfile, x):

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately naive: no recurrences, no pentagonal
-shortcuts, no shared code with the package internals beyond data types.
+Everything here is deliberately naive and shares no code with the package
+internals beyond data types. Most references are direct re-computations;
+tau_pentagonal is the one faster algorithm, an O(n^1.5) recurrence that
+shares no method with the package's FFT kernel either.
 """
 
 from __future__ import annotations
@@ -44,6 +46,40 @@ def tau_truncated_product(count: int) -> list[int]:
                     out[i + j] += c * p[j]
         p = out
     return p  # p[i] = tau(i+1)
+
+
+def tau_pentagonal(count: int) -> list[int]:
+    """tau(1..count) by the logarithmic-derivative recurrence.
+
+    Writing P(q) = prod(1-q^n)^24 = sum c(j) q^j and E = prod(1-q^n), the
+    identity 24 E'P = P'E against Euler's pentagonal expansion of E gives
+
+        n * c(n) = - sum over pentagonal g of s_g * (n - 25 g) * c(n - g),
+
+    with s_g the pentagonal sign, so each coefficient costs O(sqrt(n)) exact
+    integer operations and tau(n) = c(n-1).
+    """
+    if count <= 0:
+        return []
+    pent = []
+    k = 1
+    while k * (3 * k - 1) // 2 < count:
+        sign = -1 if k % 2 else 1
+        pent.append((k * (3 * k - 1) // 2, sign))
+        pent.append((k * (3 * k + 1) // 2, sign))
+        k += 1
+    c = [0] * count
+    c[0] = 1
+    for n in range(1, count):
+        s = 0
+        for g, sign in pent:
+            if g > n:
+                break
+            s += sign * (n - 25 * g) * c[n - g]
+        q, rem = divmod(-s, n)
+        assert rem == 0, f"recurrence gave a non-integer at n={n}"
+        c[n] = q
+    return c
 
 
 def window_sum_by_rescan(x: float, h: int, k: int, a_values) -> complex:

@@ -39,6 +39,7 @@ from cuspsums.oscillatory import (l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, lemma_bound_check,
                                   oscillatory_integral)
 from cuspsums.rational import make_rational_point
+from cuspsums.reporting import sha256_file
 from cuspsums.sums import long_sum
 from cuspsums.voronoi import VoronoiParams, voronoi_main_term
 from cuspsums.weight import build_weight
@@ -48,11 +49,17 @@ pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 _SEED = 20260815
 
 
+# sha256 of the 10^6 cache as the pentagonal recurrence (oracles.tau_pentagonal)
+# first built it
+TAU_1E6_CACHE_SHA256 = "97d87b4b3c47cc66874acb57edd8548d0b9198a68b49e1792f0613fcf9eadcf2"
+
+
 @pytest.fixture(scope="module")
 def table_1e6(tmp_path_factory):
     """The big table, written to and read back from its cache format."""
     cache = tmp_path_factory.mktemp("acceptance") / "tau1e6.cache"
     save_cache(generate_tau(1_000_000), cache)
+    assert sha256_file(cache) == TAU_1E6_CACHE_SHA256
     return load_cache(cache)
 
 

@@ -1,5 +1,6 @@
-"""Coefficient engine: exactness against the schoolbook oracle, Hecke
-relations, normalization, the divisor bound, overflow handling, cache I/O."""
+"""Coefficient engine: exactness against the schoolbook and pentagonal
+oracles, Hecke relations, normalization, the divisor bound, overflow
+handling, cache I/O."""
 
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspsums import coeffs
 from cuspsums.coeffs import (
-    COMPILED_AVAILABLE,
     CoefficientTable,
     deligne_check,
     divisor_counts,
@@ -24,13 +25,13 @@ from cuspsums.coeffs import (
 )
 from cuspsums.errors import CacheFormatError, CoefficientOverflowError
 
-from oracles import tau_truncated_product
+from oracles import tau_pentagonal, tau_truncated_product
 
 # first values of the oracle, frozen; they also match the classical listings
 TAU_FIRST_SIX = [1, -24, 252, -1472, 4830, -6048]
 
 # first n whose tau(n) falls outside a signed 64-bit integer, discovered by
-# running the 128-bit kernel and checking magnitudes; frozen here
+# running the kernel and checking magnitudes; frozen here
 FIRST_64BIT_OVERFLOW_N = 2563
 
 
@@ -43,13 +44,12 @@ def test_generate_matches_oracle_prefix():
     assert got == tau_truncated_product(300)
 
 
+def test_generate_matches_pentagonal_recurrence(table_2e4):
+    assert table_2e4.tau == tau_pentagonal(20_000)
+
+
 def test_engine_prefix_stable():
     assert tau_sequence(50) == tau_sequence(500)[:50]
-
-
-@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
-def test_backends_agree_exactly():
-    assert tau_sequence(600, backend="compiled") == tau_sequence(600, backend="python")
 
 
 def test_generate_validations():
@@ -59,19 +59,30 @@ def test_generate_validations():
         generate_tau(10, weight=16)
     with pytest.raises(ValueError):
         tau_sequence(10, max_bits=8)
-    with pytest.raises(ValueError):
-        tau_sequence(10, backend="fortran")
 
 
-@pytest.mark.parametrize("backend", ["python"] + (["compiled"] if COMPILED_AVAILABLE else []))
-def test_overflow_names_first_bad_index(backend):
+def test_overflow_names_first_bad_index():
     with pytest.raises(CoefficientOverflowError) as exc:
-        tau_sequence(5000, max_bits=64, backend=backend)
+        tau_sequence(5000, max_bits=64)
     assert exc.value.n == FIRST_64BIT_OVERFLOW_N
     assert exc.value.bits == 64
     # everything below the reported index is representable
-    tail = tau_sequence(FIRST_64BIT_OVERFLOW_N - 1, max_bits=64, backend=backend)
+    tail = tau_sequence(FIRST_64BIT_OVERFLOW_N - 1, max_bits=64)
     assert max(abs(t) for t in tail) < 2**63
+
+
+@pytest.mark.parametrize("n_max", [1, 2563, 30_000, 10**6, 10**7])
+def test_crt_modulus_covers_deligne_bound(n_max):
+    # |tau(n)| < 2 n^6, so residues modulo M > 4 n_max^6 never alias
+    primes = coeffs._crt_primes(n_max)
+    assert math.prod(primes) > 4 * n_max**6
+    assert all(p < 2**21 for p in primes) and len(set(primes)) == len(primes)
+
+
+def test_inexact_transform_raises():
+    assert coeffs._rounded(np.array([2.0, -3.24, 7.1])).tolist() == [2, -3, 7]
+    with pytest.raises(ArithmeticError, match="residual"):
+        coeffs._rounded(np.array([2.0, 1.25]))
 
 
 def test_normalize_values(table_2e4):
@@ -94,6 +105,8 @@ def test_hecke_relation_at_p2(table_2e4):
 
 def test_divisor_counts_small():
     assert list(divisor_counts(12)) == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+    brute = [sum(1 for i in range(1, n + 1) if n % i == 0) for n in range(1, 2001)]
+    assert list(divisor_counts(2000)) == brute
 
 
 def test_smallest_prime_factors():
