@@ -37,6 +37,8 @@ EXIT_IO = 3
 # to well-separated frequencies
 _LEMMA_PAIRS = ((1, 2), (2, 3), (1, 4), (3, 5), (4, 9), (9, 10))
 _LEMMA5_GRID = (1.0e3, 1.0e5, 129)
+# how meansquare rows measure I: summed over the exact step series
+_INTEGRAL_METHOD = "exact-step"
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -166,7 +168,7 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     results = run_sweep(table, ms, ks, cfg.delta_coeff, cfg.delta_exponent,
                         cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
-             float(r.diagonal), r.ratio, r.method) for r in results]
+             float(r.diagonal), r.ratio, _INTEGRAL_METHOD) for r in results]
     rows.sort(key=lambda r: (r[0], r[1]))
     n_rows = write_csv(out_dir / "meansquare.csv", (
         "m_window_start_index", "k_denominator", "h_numerator",
@@ -204,7 +206,7 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
             "rows": [{
                 "m": r.m, "k": r.point.k, "h": r.point.h, "delta": r.delta,
                 "integral": r.integral, "diagonal": float(r.diagonal),
-                "ratio": r.ratio, "method": r.method,
+                "ratio": r.ratio, "method": _INTEGRAL_METHOD,
             } for r in results],
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),

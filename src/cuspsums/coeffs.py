@@ -59,23 +59,6 @@ class CoefficientTable:
     tau: list[int]
     a: np.ndarray | None = field(default=None, repr=False)
 
-    def tau_of(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 1..{self.n_max}")
-        return self.tau[n - 1]
-
-    def a_of(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 1..{self.n_max}")
-        return float(self.a[n - 1])
-
-
-def _records_to_ints(buf: bytes) -> list[int]:
-    return [
-        int.from_bytes(buf[i: i + _RECORD_BYTES], "little", signed=True)
-        for i in range(0, len(buf), _RECORD_BYTES)
-    ]
-
 
 def _crt_primes(n_max: int) -> list[int]:
     """Largest primes below 2^21, as many as make their product exceed
@@ -223,8 +206,8 @@ def normalize(table: CoefficientTable) -> CoefficientTable:
     """
     n = table.n_max
     exponent = (table.weight - 1) / 2.0
-    tau_f = np.fromiter((float(t) for t in table.tau), dtype=float, count=n)
-    table.a = tau_f / np.arange(1, n + 1, dtype=float) ** exponent
+    table.a = (np.array(table.tau, dtype=float)
+               / np.arange(1, n + 1, dtype=float) ** exponent)
     return table
 
 
@@ -357,6 +340,8 @@ def load_cache(path, weight: int = 12) -> CoefficientTable:
         raise CacheFormatError(
             f"{path}: {len(data)} bytes, expected {expected} for {n} records"
         )
-    table = CoefficientTable(weight=int(kappa), n_max=int(n),
-                             tau=_records_to_ints(data[20:]))
-    return normalize(table)
+    # each record is a low unsigned and a high signed 64-bit word
+    tau = [lo + (hi << 64)
+           for lo, hi in struct.iter_unpack("<Qq", memoryview(data)[20:])]
+    del data  # release the raw records before a(n) is filled
+    return normalize(CoefficientTable(weight=int(kappa), n_max=int(n), tau=tau))

@@ -23,38 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.oscillatory import (T_SHIFTED, build_phase, derivative_certificate,
-                                  jm_bound, l3_spec)
+from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, make_rational_point
-from cuspsums.sums import short_sum, step_series, unweighted_window_sum
+from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.weight import WeightProfile, build_weight, eval_weight
 
-_METHODS = ("exact-step", "quadrature")
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUARTER_TURN = math.pi / 4.0
+_CROSSCHECK_NODE_BUDGET = 8_000_000
 
 SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
 SWEEP_KS = (1, 2, 3, 5, 7)
-
-
-@dataclass(frozen=True)
-class MeanSquareResult:
-    """One weighted mean-square evaluation and its diagonal prediction."""
-
-    m: float
-    delta: float
-    point: RationalPoint
-    integral: float
-    diagonal: float
-    ratio: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if not self.integral >= 0.0:
-            raise ValueError("the integrand |S|^2 w is nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,6 +56,26 @@ class DiagonalTerm:
         return self.value
 
 
+@dataclass(frozen=True)
+class MeanSquareResult:
+    """One measured weighted mean square beside its whole diagonal prediction."""
+
+    m: float
+    delta: float
+    point: RationalPoint
+    integral: float
+    diagonal: DiagonalTerm
+
+    def __post_init__(self) -> None:
+        if not self.integral >= 0.0:
+            raise ValueError("the integrand |S|^2 w is nonnegative")
+
+    @property
+    def ratio(self) -> float:
+        """I / (Δ √M), the mean square normalized by its expected order."""
+        return self.integral / (self.delta * math.sqrt(self.m))
+
+
 def _check_geometry(m: float, delta: float, weight: WeightProfile) -> None:
     if not (math.isclose(weight.m, m, rel_tol=1e-12)
             and math.isclose(weight.delta, delta, rel_tol=1e-12)):
@@ -94,31 +94,17 @@ def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray
 
 
 def theorem_integral(m: float, delta: float, point: RationalPoint,
-                     weight: WeightProfile, table: CoefficientTable,
-                     method: str = "exact-step") -> MeanSquareResult:
-    """I = ∫ w |S|² assembled piece by piece; S is constant between breakpoints.
+                     weight: WeightProfile, table: CoefficientTable) -> float:
+    """The measured I = ∫ w |S|², assembled piece by piece.
 
-    exact-step reads the piece values off the incremental step series;
-    quadrature re-evaluates S fresh at every piece midpoint, an independent
-    path through the same decomposition of [m, m+delta].
+    S is constant between breakpoints, so I is the sum of the squared piece
+    values of the step series times the weight mass of each piece. This
+    only measures I; diagonal_term predicts it.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
     _check_geometry(m, delta, weight)
     series = step_series(m, delta, point, table)
-    edges = series.breakpoints
-    if method == "exact-step":
-        squares = np.abs(series.values) ** 2
-    else:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        squares = np.array([abs(short_sum(float(x), point, table)) ** 2
-                            for x in mids])
-    integral = float(squares @ _piece_weight_masses(weight, edges))
-    diag = diagonal_term(m, delta, point.k, weight, table)
-    return MeanSquareResult(m=m, delta=delta, point=point, integral=integral,
-                            diagonal=diag.value,
-                            ratio=integral / (delta * math.sqrt(m)),
-                            method=method)
+    masses = _piece_weight_masses(weight, series.breakpoints)
+    return float(np.abs(series.values) ** 2 @ masses)
 
 
 def _weighted_nodes(weight: WeightProfile, panels: int):
@@ -132,14 +118,11 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
     return x, wts * eval_weight(weight, x) * np.sqrt(x)
 
 
-def _bracket_matrix(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
-    """(cos Φ₁' - cos Φ₂')² at each (n, x); phases carry the -π/4 offset."""
-    r_shift = np.sqrt(xs + np.sqrt(xs))
-    r_plain = np.sqrt(xs)
+def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
+    """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset."""
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    diff = (np.cos(np.outer(scale, r_shift) - _QUARTER_TURN)
-            - np.cos(np.outer(scale, r_plain) - _QUARTER_TURN))
-    return diff * diff
+    return (np.cos(np.outer(scale, np.sqrt(xs + np.sqrt(xs))) - _QUARTER_TURN)
+            - np.cos(np.outer(scale, np.sqrt(xs)) - _QUARTER_TURN))
 
 
 def diagonal_profile(ns, k: int, weight: WeightProfile,
@@ -164,14 +147,14 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
                  math.ceil(2.0 * delta / weight.r))
     xs, wsx = _weighted_nodes(weight, panels)
     tol = 1e-9 * float(np.sum(np.abs(wsx)))
-    values = _bracket_matrix(ns, k, xs) @ wsx
+    values = _cos_difference(ns, k, xs) ** 2 @ wsx
     nodes_used = xs.size
     settled = np.zeros(ns.size, dtype=bool)
     while nodes_used + 32 * panels <= node_budget:
         panels *= 2
         xs, wsx = _weighted_nodes(weight, panels)
         nodes_used += xs.size
-        refined = _bracket_matrix(ns, k, xs) @ wsx
+        refined = _cos_difference(ns, k, xs) ** 2 @ wsx
         settled |= np.abs(refined - values) <= tol
         values = refined
         if settled.all():
@@ -202,8 +185,8 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
 
 
 def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
-                  table: CoefficientTable, n_exact: int | None = None,
-                  node_budget: int = 2_000_000) -> DiagonalTerm:
+                  table: CoefficientTable,
+                  n_exact: int | None = None) -> DiagonalTerm:
     """(k/2π²) Σ_{n≤M} |a(n)|² n^(-3/2) × bracket, with certified tail.
 
     Brackets are exact up to n_exact (default max(256, 4k²), covering the
@@ -230,8 +213,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         * np.abs(table.a[:n_top]) ** 2 / np.arange(1, n_top + 1) ** 1.5
 
     exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
-    exact_vals, flagged = diagonal_profile(exact_ns, k, weight,
-                                           node_budget=node_budget)
+    exact_vals, flagged = diagonal_profile(exact_ns, k, weight)
     value = float(coeff[:n_exact] @ exact_vals)
 
     slack = 0.0
@@ -241,16 +223,17 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
         value += float(coeff[n_exact:] @ _slow_brackets(tail_ns, k, xs, wsx))
         # certify the three dropped oscillatory pieces at the cutoff
-        # frequency; their minimum phase slope scales exactly as sqrt(n)
+        # frequency; their minimum phase slope scales exactly as sqrt(n), and
+        # only that slope differs between their certificates, so the one
+        # with the smallest slope bounds every piece
         pt = make_rational_point(0, 1) if k == 1 else make_rational_point(1, k)
-        b1 = min(
-            derivative_certificate(weight, spec, p=1).b1
-            for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
-                         l3_spec(n_exact, n_exact, pt),
-                         l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))
-        )
-        cert = derivative_certificate(weight, l3_spec(n_exact, n_exact, pt), p=1)
-        per_piece = jm_bound(cert) * cert.b1 / b1  # rebased on the smallest slope
+        cert = min(
+            (derivative_certificate(weight, spec, p=1)
+             for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
+                          l3_spec(n_exact, n_exact, pt),
+                          l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))),
+            key=lambda c: c.b1)
+        per_piece = jm_bound(cert)
         slack = 2.0 * per_piece * float(
             coeff[n_exact:] @ np.sqrt(n_exact / tail_ns.astype(float)))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
@@ -332,8 +315,7 @@ def offdiagonal_majorant(n_trunc: int) -> float:
 
 def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
                            weight: WeightProfile, table: CoefficientTable,
-                           n_trunc: int,
-                           node_budget: int = 8_000_000) -> OffDiagonalReport:
+                           n_trunc: int) -> OffDiagonalReport:
     """Reconstruct I from the truncated dual expansion of S and compare.
 
     S is replaced by its n <= n_trunc main-term sum; |S|² then splits into
@@ -352,15 +334,13 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     peak = 4.0 * math.sqrt(float(n_trunc)) / (k * math.sqrt(lo))
     panels = max(8, math.ceil(1.25 * peak * delta),
                  math.ceil(2.0 * delta / weight.r))
-    if 48 * panels > node_budget:
+    if 48 * panels > _CROSSCHECK_NODE_BUDGET:
         raise ValueError("truncation level needs more nodes than budgeted")
     ns = np.arange(1, n_trunc + 1, dtype=np.int64)
 
     def pair_integrals(n_panels: int) -> np.ndarray:
         xs, wsx = _weighted_nodes(weight, n_panels)
-        scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-        diffs = (np.cos(np.outer(scale, np.sqrt(xs + np.sqrt(xs))) - _QUARTER_TURN)
-                 - np.cos(np.outer(scale, np.sqrt(xs)) - _QUARTER_TURN))
+        diffs = _cos_difference(ns, k, xs)
         return (diffs * wsx) @ diffs.T
 
     coarse = pair_integrals(panels)
@@ -373,7 +353,7 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     full = float(np.real(np.conj(z) @ pairs @ z))
     diag = float(np.abs(z) ** 2 @ np.diag(pairs))
     prefactor = k / (2.0 * math.pi ** 2)
-    theorem = theorem_integral(m, delta, point, weight, table).integral
+    theorem = theorem_integral(m, delta, point, weight, table)
     return OffDiagonalReport(
         diagonal=prefactor * diag,
         offdiagonal=prefactor * (full - diag),
@@ -465,9 +445,16 @@ def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS, delta_coeff: float = 4.0,
 def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
               delta_coeff: float = 4.0, delta_exponent: float = 0.55,
               rise_fraction: float = 0.25) -> list[MeanSquareResult]:
-    """theorem_integral across the default grid; results are independent."""
+    """The measured I beside its diagonal prediction across the sweep grid.
+
+    Each row holds one theorem_integral and one whole diagonal_term; rows
+    are independent.
+    """
     out = []
     for m, point, delta in sweep_grid(ms, ks, delta_coeff, delta_exponent):
         weight = build_weight(m, delta, rise_fraction * delta)
-        out.append(theorem_integral(m, delta, point, weight, table))
+        out.append(MeanSquareResult(
+            m=m, delta=delta, point=point,
+            integral=theorem_integral(m, delta, point, weight, table),
+            diagonal=diagonal_term(m, delta, point.k, weight, table)))
     return out

@@ -1,0 +1,88 @@
+"""The benchmark's traced run names package functions by string; these tests
+keep those names and the argument positions its hooks read in step with the
+package, so a rename fails here instead of zeroing a per-layer metric."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import math
+import textwrap
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(span):
+    layer, name = span.split(".")
+    module = importlib.import_module(f"cuspsums.{layer}")
+    return module, getattr(module, name, None)
+
+
+def _span_names(tracer):
+    names = {n for spans in tracer.TIME_METRICS.values() for n in spans}
+    names |= set(tracer.CALL_METRICS.values())
+    names |= {span for _, span in tracer.SHARE_METRICS.values()}
+    names |= set(tracer.HOOKS)
+    return names - {tracer.PROCESS_SPAN}
+
+
+def _hook_reads(hook):
+    """(index, name) of every argument the hook reads through _arg."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    return [tuple(ast.literal_eval(a) for a in node.args[2:4])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_arg"]
+
+
+def test_every_span_is_a_wrapped_package_function(tracer):
+    names = _span_names(tracer)
+    assert "meansquare.theorem_integral" in names
+    for span in sorted(names):
+        module, fn = _resolve(span)
+        # the tracer wraps exactly the functions a layer module defines
+        assert inspect.isfunction(fn), f"{span} is not a function"
+        assert fn.__module__ == module.__name__, f"{span} is imported, not defined"
+
+
+def test_hooks_read_arguments_at_their_positions(tracer):
+    # the parse must see the reads at all
+    assert (0, "m") in _hook_reads(tracer.HOOKS["meansquare.diagonal_term"])
+    for span, hook in tracer.HOOKS.items():
+        _, fn = _resolve(span)
+        params = list(inspect.signature(fn).parameters)
+        for index, name in _hook_reads(hook):
+            assert index < len(params) and params[index] == name, (
+                f"{span}: hook reads {name!r} at position {index}, "
+                f"signature is {params}")
+
+
+def test_traced_sweep_row_counts(tracer, table_2e4):
+    from cuspsums.meansquare import run_sweep
+
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        (row,) = run_sweep(table_2e4, ms=(1e4,), ks=(1,))
+    finally:
+        traced.remove()
+    assert traced.hook_errors == []
+    calls = {s["name"] for s in traced.spans}
+    assert {"meansquare.theorem_integral", "meansquare.diagonal_term",
+            "meansquare.diagonal_profile", "sums.step_series"} <= calls
+    assert traced.counts["meansquare.exact_brackets"] == row.diagonal.n_exact
+    assert traced.counts["meansquare.tail_brackets"] == \
+        math.floor(row.m) - row.diagonal.n_exact
+    assert traced.counts["meansquare.flagged"] == 0
+    assert traced.counts["sums.step_pieces"] > 0

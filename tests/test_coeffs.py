@@ -148,14 +148,15 @@ def test_multiplicativity_random_pairs(table_2e4, m, n):
 
 
 def test_cache_roundtrip(tmp_path, table_2e4):
-    path = tmp_path / "t100.cusp"
-    small = normalize(CoefficientTable(weight=12, n_max=100, tau=list(table_2e4.tau[:100])))
-    save_cache(small, path)
-    assert path.stat().st_size == 20 + 16 * 100
+    # values past 2^64 of both signs exercise the high word of the records
+    assert max(table_2e4.tau) > 2 ** 64 and min(table_2e4.tau) < -2 ** 64
+    path = tmp_path / "t20000.cusp"
+    save_cache(table_2e4, path)
+    assert path.stat().st_size == 20 + 16 * 20_000
     back = load_cache(path)
-    assert back.tau == small.tau
-    assert back.weight == 12 and back.n_max == 100
-    assert np.array_equal(back.a, small.a)  # recomputed, same doubles
+    assert back.tau == table_2e4.tau
+    assert back.weight == 12 and back.n_max == 20_000
+    assert back.a.tobytes() == table_2e4.a.tobytes()  # recomputed, same doubles
 
 
 def test_cache_file_size_example(tmp_path):

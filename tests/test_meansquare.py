@@ -36,49 +36,34 @@ def window_1e3():
 def test_zero_coefficients_give_zero_integral(window_1e3):
     zeros = CoefficientTable(weight=12, n_max=4000, tau=[0] * 4000,
                              a=np.zeros(4000))
-    res = msq.theorem_integral(1e3, 1e3, PT01, window_1e3, zeros)
-    assert res.integral == 0.0
-    assert res.diagonal == 0.0
-    assert res.ratio == 0.0
+    assert msq.theorem_integral(1e3, 1e3, PT01, window_1e3, zeros) == 0.0
+    assert msq.diagonal_term(1e3, 1e3, 1, window_1e3, zeros).value == 0.0
 
 
 def test_integral_matches_dense_riemann_oracle(table_2e4, window_1e4):
-    res = msq.theorem_integral(1e4, 2e3, PT01, window_1e4, table_2e4)
+    integral = msq.theorem_integral(1e4, 2e3, PT01, window_1e4, table_2e4)
     ref = riemann_mean_square(1e4, 2e3, 0, 1, table_2e4.a, window_1e4, 10 ** 6)
-    assert res.integral == pytest.approx(ref, rel=1e-4)
-    assert res.ratio == pytest.approx(res.integral / (2e3 * 100.0))
-    assert res.method == "exact-step"
-
-
-def test_methods_agree(table_2e4, window_1e4):
-    exact = msq.theorem_integral(1e4, 2e3, PT12, window_1e4, table_2e4)
-    redone = msq.theorem_integral(1e4, 2e3, PT12, window_1e4, table_2e4,
-                                  method="quadrature")
-    assert redone.method == "quadrature"
-    assert redone.integral == pytest.approx(exact.integral, rel=1e-6)
+    assert integral == pytest.approx(ref, rel=1e-4)
 
 
 def test_conjugate_twist_invariance(table_2e4, window_1e4):
     i15 = msq.theorem_integral(1e4, 2e3, make_rational_point(1, 5),
-                               window_1e4, table_2e4).integral
+                               window_1e4, table_2e4)
     i45 = msq.theorem_integral(1e4, 2e3, make_rational_point(4, 5),
-                               window_1e4, table_2e4).integral
+                               window_1e4, table_2e4)
     assert i15 == pytest.approx(i45, rel=1e-9)
 
 
 def test_smaller_weight_never_increases(table_2e4, window_1e4):
     wider_ramp = build_weight(1e4, 2e3, 1e3)  # pointwise below the r=delta/4 window
-    base = msq.theorem_integral(1e4, 2e3, PT12, window_1e4, table_2e4).integral
-    smaller = msq.theorem_integral(1e4, 2e3, PT12, wider_ramp, table_2e4).integral
+    base = msq.theorem_integral(1e4, 2e3, PT12, window_1e4, table_2e4)
+    smaller = msq.theorem_integral(1e4, 2e3, PT12, wider_ramp, table_2e4)
     assert smaller <= base
 
 
 def test_geometry_mismatch_rejected(table_2e4, window_1e4):
     with pytest.raises(ValueError):
         msq.theorem_integral(2e4, 2e3, PT01, window_1e4, table_2e4)
-    with pytest.raises(ValueError):
-        msq.theorem_integral(1e4, 2e3, PT01, window_1e4, table_2e4,
-                             method="midpoint")
 
 
 def test_diagonal_value_and_certificate(table_2e4, window_1e4):
@@ -109,8 +94,9 @@ def test_diagonal_below_trivial_bound(table_2e4, window_1e4):
 
 def test_diagonal_tracks_full_integral(table_2e4, window_1e4):
     for point in (PT01, make_rational_point(1, 3)):
-        res = msq.theorem_integral(1e4, 2e3, point, window_1e4, table_2e4)
-        assert res.diagonal == pytest.approx(res.integral, rel=0.10)
+        integral = msq.theorem_integral(1e4, 2e3, point, window_1e4, table_2e4)
+        diagonal = msq.diagonal_term(1e4, 2e3, point.k, window_1e4, table_2e4)
+        assert diagonal.value == pytest.approx(integral, rel=0.10)
 
 
 def test_diagonal_damping_below_k_squared(window_1e4):
@@ -238,8 +224,7 @@ def test_exponent_fit_recovers_synthetic_laws():
     def fake(m, k, delta, integral):
         return msq.MeanSquareResult(
             m=m, delta=delta, point=make_rational_point(1 if k > 1 else 0, k),
-            integral=integral, diagonal=integral,
-            ratio=integral / (delta * math.sqrt(m)), method="exact-step")
+            integral=integral, diagonal=msq.DiagonalTerm(integral, 0.0, 1, ()))
 
     sqrt_law = [fake(m, k, 2 * math.sqrt(m), 2 * m) for m in (1e3, 1e4, 1e5)
                 for k in (1, 2)]
@@ -287,14 +272,15 @@ def test_run_sweep_small(table_2e4):
     assert len(results) == 2
     for res in results:
         assert res.integral > 0.0
-        assert res.diagonal == pytest.approx(res.integral, rel=0.10)
-        assert res.method == "exact-step"
+        # each row carries the whole prediction, not just its value
+        assert res.diagonal.n_exact == 256
+        assert res.diagonal.flagged == ()
+        assert res.diagonal.slack > 0.0
+        assert float(res.diagonal) == pytest.approx(res.integral, rel=0.10)
+        assert res.ratio == res.integral / (res.delta * math.sqrt(res.m))
 
 
 def test_result_validation():
     with pytest.raises(ValueError):
         msq.MeanSquareResult(m=1e4, delta=1e3, point=PT01, integral=-1.0,
-                             diagonal=0.0, ratio=0.0, method="exact-step")
-    with pytest.raises(ValueError):
-        msq.MeanSquareResult(m=1e4, delta=1e3, point=PT01, integral=1.0,
-                             diagonal=0.0, ratio=0.0, method="other")
+                             diagonal=msq.DiagonalTerm(0.0, 0.0, 1, ()))
