@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrated import JM_RATIO_MAX, STATED_RATIO_MAX
+from .calibrated import STATED_RATIO_MAX
 from .coeffs import generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
 from .errors import ConfigError, NodeBudgetError
-from .meansquare import exponent_fit, omega_statistic, run_sweep, sweep_grid
+from .meansquare import (exponent_fit, omega_statistic, run_sweep, sweep_grid,
+                         window_length)
 from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
                           oscillatory_integral, stated_bound)
-from .rational import make_rational_point
+from .rational import unit_point
 from .reporting import (sha256_file, sha256_text, svg_line_plot, write_csv,
                         write_json, write_svg)
 from .voronoi import VoronoiParams, fit_error_envelope, voronoi_error_scan
@@ -71,10 +72,6 @@ def _require_coverage(table, needed: float, what: str) -> None:
         )
 
 
-def _delta(cfg: ExperimentConfig, m: float, k: int) -> float:
-    return min(max(cfg.delta_coeff * k * m ** cfg.delta_exponent, 1.0e3), m)
-
-
 def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table = generate_tau(cfg.n)
     save_cache(table, cfg.table)
@@ -103,9 +100,9 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
     bound_rows = []
     deriv_rows = []
     for k in sorted(set(cfg.ks)):
-        delta = _delta(cfg, m_scale, k)
+        delta = window_length(m_scale, k, cfg.delta_coeff, cfg.delta_exponent)
         weight = build_weight(m_scale, delta, cfg.rise_fraction * delta)
-        point = make_rational_point(0 if k == 1 else 1, k)
+        point = unit_point(k)
         for m, n in _LEMMA_PAIRS:
             specs = (("L3", l3_spec(m, n, point)),
                      ("L4", l4_spec(m, n, point)),
@@ -146,7 +143,6 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
             "rows": n_bounds,
             "max_ratio": worst,
             "stated_ratio_cap": STATED_RATIO_MAX,
-            "jm_ratio_cap": JM_RATIO_MAX,
             "min_derivative_ratio": deriv_min,
             "bounded": bool(bounded),
             "provenance": _provenance(cfg),
@@ -229,34 +225,32 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     pooled = {"xs": [], "errs0": [], "errs4": [], "ns": [], "ks": []}
     for m_scale in scales:
         for k in ks:
-            point = make_rational_point(0 if k == 1 else 1, k)
+            point = unit_point(k)
             xs = np.sort(rng.uniform(m_scale, 2.0 * m_scale,
                                      cfg.voronoi_samples))
             n_full = int(round(m_scale))
-            scan4 = voronoi_error_scan(
-                xs, VoronoiParams(point, n_full), table)
-            scan0 = voronoi_error_scan(
-                xs, VoronoiParams(point, n_full, phase_shift=0.0), table)
-            sixteenth = voronoi_error_scan(
-                xs, VoronoiParams(point, max(1, n_full // 4)), table)
+            # phase 0 at N, then phase -pi/4 at N, N/4 and N/16
+            errs0, errs4, errs_quarter, errs_sixteenth = voronoi_error_scan(
+                xs, [VoronoiParams(point, n_full, phase_shift=0.0)]
+                + [VoronoiParams(point, max(1, n_full // d)) for d in (1, 4, 16)],
+                table)
             for i, x in enumerate(xs):
                 rows.append((m_scale, k, point.h, float(x), n_full,
-                             scan0.errors[i], scan4.errors[i],
-                             scan4.errors_quarter[i],
-                             sixteenth.errors_quarter[i]))
-            med_full = scan4.median_error
-            med_quarter = float(np.median(scan4.errors_quarter))
-            med_sixteenth = float(np.median(sixteenth.errors_quarter))
+                             errs0[i], errs4[i], errs_quarter[i],
+                             errs_sixteenth[i]))
+            med_full = float(np.median(errs4))
+            med_quarter = float(np.median(errs_quarter))
+            med_sixteenth = float(np.median(errs_sixteenth))
             summaries.append({
                 "m_scale": m_scale, "k": k, "n_trunc": n_full,
-                "median_err_phase0": scan0.median_error,
+                "median_err_phase0": float(np.median(errs0)),
                 "median_err_phase_pi4": med_full,
                 "decay_sixteenth_to_quarter": med_sixteenth / med_quarter,
                 "decay_quarter_to_full": med_quarter / med_full,
             })
             pooled["xs"].extend(xs.tolist())
-            pooled["errs0"].extend(scan0.errors.tolist())
-            pooled["errs4"].extend(scan4.errors.tolist())
+            pooled["errs0"].extend(errs0.tolist())
+            pooled["errs4"].extend(errs4.tolist())
             pooled["ns"].extend([n_full] * len(xs))
             pooled["ks"].extend([k] * len(xs))
 

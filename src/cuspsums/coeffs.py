@@ -39,6 +39,7 @@ from cuspsums.errors import CacheFormatError, CoefficientOverflowError
 
 CACHE_MAGIC = b"CUSP"
 CACHE_VERSION = 1
+_WEIGHT = 12            # the only form generated and cached
 _RECORD_BYTES = 16
 _SAVE_BLOCK = 4096
 
@@ -181,20 +182,18 @@ def tau_sequence(n_max: int, max_bits: int = 128) -> list[int]:
     return tau
 
 
-def generate_tau(n_max: int, weight: int = 12, max_bits: int = 128) -> CoefficientTable:
+def generate_tau(n_max: int) -> CoefficientTable:
     """Generate and normalize a table of the first n_max coefficients.
 
     Cost is O(n_max log n_max) floating-point work plus one exact integer
-    reconstruction per coefficient. Coefficients outside the signed max_bits
-    range raise CoefficientOverflowError naming the first offending n;
-    nothing ever wraps.
+    reconstruction per coefficient. Coefficients outside the signed 128-bit
+    record range raise CoefficientOverflowError naming the first offending
+    n; nothing ever wraps.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if weight != 12:
-        raise ValueError(f"only the weight-12 form is generated, got weight={weight}")
-    table = CoefficientTable(weight=weight, n_max=int(n_max),
-                             tau=tau_sequence(int(n_max), max_bits))
+    table = CoefficientTable(weight=_WEIGHT, n_max=int(n_max),
+                             tau=tau_sequence(int(n_max)))
     return normalize(table)
 
 
@@ -323,7 +322,7 @@ def save_cache(table: CoefficientTable, path) -> None:
                 for t in table.tau[start:start + _SAVE_BLOCK]))
 
 
-def load_cache(path, weight: int = 12) -> CoefficientTable:
+def load_cache(path) -> CoefficientTable:
     """Read a cache written by save_cache and recompute the normalized a(n)."""
     data = Path(path).read_bytes()
     if len(data) < 20:
@@ -333,8 +332,8 @@ def load_cache(path, weight: int = 12) -> CoefficientTable:
         raise CacheFormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
     if version != CACHE_VERSION:
         raise CacheFormatError(f"{path}: format version {version}, expected {CACHE_VERSION}")
-    if kappa != weight:
-        raise CacheFormatError(f"{path}: cache holds weight {kappa}, expected {weight}")
+    if kappa != _WEIGHT:
+        raise CacheFormatError(f"{path}: cache holds weight {kappa}, expected {_WEIGHT}")
     expected = 20 + _RECORD_BYTES * n
     if len(data) != expected:
         raise CacheFormatError(

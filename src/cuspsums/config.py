@@ -27,7 +27,6 @@ class ExperimentConfig:
     n            coefficient count used when (re)building the cache
     ms           window starts M for the mean-square sweep
     ks           denominators k for the mean-square sweep
-    h_policy     twist rule; "unit" means h = 1, untwisted at k = 1
     delta_coeff  c in the window rule Delta = c k M^p
     delta_exponent  p in the window rule, admissible range (1/2, 1]
     rise_fraction   weight ramp width as a fraction of Delta
@@ -40,7 +39,6 @@ class ExperimentConfig:
     n: int = 1_000_000
     ms: tuple = (1.0e4, 3.0e4, 1.0e5, 3.0e5)
     ks: tuple = (1, 2, 3, 5, 7)
-    h_policy: str = "unit"
     delta_coeff: float = 4.0
     delta_exponent: float = 0.55
     rise_fraction: float = 0.25
@@ -61,10 +59,6 @@ class ExperimentConfig:
             raise ConfigError(f"ms must be window starts >= 2, got {self.ms}")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError(f"ks must be denominators >= 1, got {self.ks}")
-        if self.h_policy != "unit":
-            raise ConfigError(
-                f"unknown h_policy {self.h_policy!r}; only 'unit' is defined"
-            )
         if self.delta_coeff <= 0.0:
             raise ConfigError(f"delta_coeff must be > 0, got {self.delta_coeff}")
         if not 0.5 < self.delta_exponent <= 1.0:
@@ -134,7 +128,6 @@ _SCHEMA = {
     "n": _parse_int,
     "ms": lambda k, v: _parse_list(k, v, _parse_float),
     "ks": lambda k, v: _parse_list(k, v, _parse_int),
-    "h_policy": lambda k, v: v,
     "delta_coeff": _parse_float,
     "delta_exponent": _parse_float,
     "rise_fraction": _parse_float,
@@ -186,12 +179,14 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
 def config_lines(cfg: ExperimentConfig) -> Sequence[str]:
     """Render a configuration back to canonical key = value lines.
 
-    The output directory is skipped: it says where artifacts land, not
-    what was computed, and reports must not change bytes when it moves.
+    The output directory and the cache path are skipped: they say where
+    artifacts land and where the coefficients are read from, not what was
+    computed, and reports must not change bytes when either moves. The
+    cache's contents are identified by the provenance's table_sha256.
     """
     out = []
     for f in fields(ExperimentConfig):
-        if f.name == "out":
+        if f.name in ("out", "table"):
             continue
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):

@@ -24,7 +24,7 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
-from cuspsums.rational import RationalPoint, make_rational_point
+from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.weight import WeightProfile, build_weight, eval_weight
 
@@ -226,7 +226,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         # frequency; their minimum phase slope scales exactly as sqrt(n), and
         # only that slope differs between their certificates, so the one
         # with the smallest slope bounds every piece
-        pt = make_rational_point(0, 1) if k == 1 else make_rational_point(1, k)
+        pt = unit_point(k)
         cert = min(
             (derivative_certificate(weight, spec, p=1)
              for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
@@ -422,12 +422,18 @@ def exponent_fit(results) -> ExponentFit:
                        rms_residual=float(np.sqrt(np.mean(residual ** 2))))
 
 
+def window_length(m: float, k: int, delta_coeff: float,
+                  delta_exponent: float) -> float:
+    """The window rule Δ = c k M^p, clipped to [1e3, M]."""
+    return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
+
+
 def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS, delta_coeff: float = 4.0,
                delta_exponent: float = 0.55):
     """(M, point, Δ) combinations inside the theorem regime.
 
-    Δ = c k M^p clipped to [1e3, M]; h = 1 except at k = 1 where the point
-    is untwisted; combinations violating k <= M^(1/4) are dropped.
+    Δ follows window_length and the point is unit_point(k); combinations
+    violating k <= M^(1/4) are dropped.
     """
     if not 0.5 < delta_exponent <= 1.0:
         raise ValueError("the Δ-rule exponent must lie in (0.5, 1]")
@@ -436,9 +442,8 @@ def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS, delta_coeff: float = 4.0,
         for k in ks:
             if k > m ** 0.25:
                 continue
-            point = make_rational_point(0 if k == 1 else 1, k)
-            delta = min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
-            combos.append((float(m), point, float(delta)))
+            delta = window_length(m, k, delta_coeff, delta_exponent)
+            combos.append((float(m), unit_point(k), float(delta)))
     return combos
 
 

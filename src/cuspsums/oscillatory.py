@@ -208,8 +208,7 @@ def jm_bound(cert: BoundCertificate) -> float:
 
 
 def derivative_certificate(profile: WeightProfile, spec: PhaseSpec,
-                           p: int = 1,
-                           scan_points: int = _SCAN_POINTS) -> BoundCertificate:
+                           p: int = 1) -> BoundCertificate:
     """Certificate for A(x) = w(x) x^(1/2) against the given phase.
 
     a0 is the amplitude sup sqrt(M+delta); a1 comes from the frozen ramp
@@ -231,7 +230,7 @@ def derivative_certificate(profile: WeightProfile, spec: PhaseSpec,
         a1 = 1.0 / max(c ** (1.0 / nu) / profile.r + amp_rate
                        for nu, c in enumerate(WEIGHT_DERIVATIVE_SUPS[:p], start=1))
     _, bp_fun = build_phase(spec)
-    b1 = float(np.min(np.abs(bp_fun(np.linspace(lo, hi, scan_points)))))
+    b1 = float(np.min(np.abs(bp_fun(np.linspace(lo, hi, _SCAN_POINTS)))))
     if b1 <= 0.0:
         raise ValueError("phase derivative vanishes on the support; "
                          "no first-derivative certificate exists")
@@ -258,11 +257,10 @@ def stated_bound(spec: PhaseSpec, p: int, profile: WeightProfile) -> float:
     return root ** -p * profile.delta ** (1 - p) * k ** p * profile.m ** (p / 2.0)
 
 
-def lemma_bound_check(spec: PhaseSpec, p: int, weight: WeightProfile,
-                      node_budget: int = 2_000_000) -> float:
+def lemma_bound_check(spec: PhaseSpec, p: int, weight: WeightProfile) -> float:
     """|integral| / stated family bound; bounded ratios validate the bound."""
     bound = stated_bound(spec, p, weight)
-    value = oscillatory_integral(weight, spec, node_budget=node_budget)
+    value = oscillatory_integral(weight, spec)
     return abs(value) / bound
 
 

@@ -20,10 +20,6 @@ class RationalPoint:
     k: int
     h_bar: int
 
-    @property
-    def alpha(self) -> float:
-        return self.h / self.k
-
     def __str__(self) -> str:
         return f"{self.h}/{self.k}"
 
@@ -45,6 +41,11 @@ def make_rational_point(h: int, k: int) -> RationalPoint:
         k //= g
     h_bar = 0 if k == 1 else pow(h, -1, k)
     return RationalPoint(h, k, h_bar)
+
+
+def unit_point(k: int) -> RationalPoint:
+    """The point every experiment twists by at denominator k: 1/k, or 0/1 at k = 1."""
+    return make_rational_point(0 if k == 1 else 1, k)
 
 
 def e(x: float) -> complex:

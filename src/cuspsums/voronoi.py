@@ -5,8 +5,9 @@ through the resonance frequencies sqrt(n x): an amplitude
 (pi sqrt(2))^{-1} k^{1/2} x^{1/4} times a dual sum of N terms
 a(n) e_k(-n hbar) n^{-3/4} cos(4 pi sqrt(n x)/k + phase). The truncation
 error obeys an N^{-1/2} law, so quadrupling N should halve it; that decay
-is how voronoi_error_scan validates the approximation against direct
-summation, which stays the ground truth throughout.
+is how the approximation is validated against direct summation, which
+stays the ground truth throughout. voronoi_error_scan sums each x directly
+once and measures the error of every truncation and phase against it.
 
 Two phase conventions circulate for the cosine argument, 0 and -pi/4.
 Rather than fix one by fiat, both are legal VoronoiParams values and the
@@ -22,7 +23,8 @@ error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,48 +124,31 @@ def short_sum_main_term(x: float, params: VoronoiParams,
     return complex(_AMPLITUDE * math.sqrt(k) * np.sum(terms))
 
 
-@dataclass(frozen=True)
-class VoronoiScan:
-    """Per-x truncation errors at N and N//4, with their decay ratios.
+def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
+                       table: CoefficientTable) -> np.ndarray:
+    """|long_sum(x) - voronoi_main_term(x, p)| for every p in params and x in xs.
 
-    decay_ratios[i] = errors_quarter[i] / errors[i]; the N^(-1/2) law
-    predicts values near 2 on average.
+    All params share one point, so each long_sum(x) is computed once and
+    compared with every truncation and phase; row i of the result holds
+    the errors of params[i].
     """
-
-    xs: np.ndarray
-    n_trunc: int
-    errors: np.ndarray
-    errors_quarter: np.ndarray
-    decay_ratios: np.ndarray
-
-    @property
-    def median_error(self) -> float:
-        return float(np.median(self.errors))
-
-    @property
-    def median_ratio(self) -> float:
-        return float(np.median(self.decay_ratios))
-
-
-def voronoi_error_scan(xs, params: VoronoiParams,
-                       table: CoefficientTable) -> VoronoiScan:
-    """|long_sum(x) - voronoi_main_term(x)| over a grid, at N and N//4."""
     xs = np.asarray(xs, dtype=float)
+    params = tuple(params)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("need a non-empty 1-d grid of x values")
-    if params.n_trunc < 1:
+    if not params:
+        raise ValueError("error scan needs at least one VoronoiParams")
+    if any(p.n_trunc < 1 for p in params):
         raise ValueError("error scan needs n_trunc >= 1")
-    quarter = replace(params, n_trunc=max(1, params.n_trunc // 4))
-    errors = np.empty(xs.size)
-    errors_quarter = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        direct = long_sum(float(x), params.point, table)
-        errors[i] = abs(direct - voronoi_main_term(float(x), params, table))
-        errors_quarter[i] = abs(direct - voronoi_main_term(float(x), quarter, table))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(errors > 0.0, errors_quarter / errors, np.nan)
-    return VoronoiScan(xs=xs, n_trunc=params.n_trunc, errors=errors,
-                       errors_quarter=errors_quarter, decay_ratios=ratios)
+    point = params[0].point
+    if any(p.point != point for p in params):
+        raise ValueError("error scan params must share one point")
+    errors = np.empty((len(params), xs.size))
+    for j, x in enumerate(xs):
+        direct = long_sum(float(x), point, table)
+        for i, p in enumerate(params):
+            errors[i, j] = abs(direct - voronoi_main_term(float(x), p, table))
+    return errors
 
 
 @dataclass(frozen=True)

@@ -86,3 +86,29 @@ def test_traced_sweep_row_counts(tracer, table_2e4):
         math.floor(row.m) - row.diagonal.n_exact
     assert traced.counts["meansquare.flagged"] == 0
     assert traced.counts["sums.step_pieces"] > 0
+
+
+def test_traced_voronoi_sums_each_sample_once(tracer, tmp_path):
+    from cuspsums.cli import main
+    from cuspsums.coeffs import generate_tau, save_cache
+
+    cache = tmp_path / "tau.cache"
+    save_cache(generate_tau(21_000), cache)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"table = {cache}\nvoronoi_ms = 1e4\nvoronoi_ks = 1, 3\n"
+                   "voronoi_samples = 4\n", encoding="utf-8")
+    samples = 2 * 4  # one scale, two denominators, four samples each
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert main(["voronoi", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        traced.remove()
+    assert traced.hook_errors == []
+    metrics = tracer.layer_metrics(
+        traced.spans, traced.counts,
+        {k: len(v) for k, v in traced.keys.items()})
+    assert metrics["sums.long_sum_calls"] == samples
+    assert metrics["sums.long_sum_unique_share"] == 1.0
+    assert metrics["voronoi.main_term_calls"] == 4 * samples

@@ -148,6 +148,22 @@ def test_voronoi_columns_and_reproducibility(workspace):
         "coeff", "exponent", "rms_residual", "points"}
 
 
+def test_reports_do_not_depend_on_cache_location(workspace):
+    root, cfg, table = workspace
+    moved = root / "elsewhere" / "copy.cache"
+    moved.parent.mkdir()
+    moved.write_bytes(table.read_bytes())
+    for command, report in (("meansquare", "meansquare.json"),
+                            ("voronoi", "voronoi.json")):
+        payloads = []
+        for cache in (table, moved):
+            out = root / f"loc_{command}_{cache.stem}"
+            assert main([command, "--config", str(cfg), "--table", str(cache),
+                         "--out", str(out), "--json"]) == 0
+            payloads.append((out / report).read_bytes())
+        assert payloads[0] == payloads[1]
+
+
 def test_omega_threshold_and_seed(workspace, capsys):
     root, cfg, table = workspace
     out = root / "om1"

@@ -56,8 +56,6 @@ def test_generate_validations():
     with pytest.raises(ValueError):
         generate_tau(0)
     with pytest.raises(ValueError):
-        generate_tau(10, weight=16)
-    with pytest.raises(ValueError):
         tau_sequence(10, max_bits=8)
 
 

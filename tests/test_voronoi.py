@@ -112,24 +112,31 @@ def test_phase_discrimination_at_k1(table_1e5):
     assert errs[0.0] > 1.5 * errs[-math.pi / 4.0]
 
 
-def test_error_scan_shapes_and_ratios(table_2e4):
+def test_error_scan_rows_match_direct_errors(table_2e4):
     pt = make_rational_point(2, 7)
     xs = np.array([4000.25, 5000.75, 6000.5, 7000.125])
-    scan = voronoi_error_scan(xs, VoronoiParams(pt, 400), table_2e4)
-    assert scan.n_trunc == 400
-    assert scan.errors.shape == xs.shape
-    assert np.all(np.isfinite(scan.errors))
-    assert np.all(scan.errors >= 0.0)
-    assert np.allclose(scan.decay_ratios, scan.errors_quarter / scan.errors)
-    assert scan.median_error == pytest.approx(float(np.median(scan.errors)))
-    assert scan.median_ratio > 0.0
+    params = [VoronoiParams(pt, 400, phase_shift=0.0), VoronoiParams(pt, 400),
+              VoronoiParams(pt, 100), VoronoiParams(pt, 25)]
+    errors = voronoi_error_scan(xs, params, table_2e4)
+    assert errors.shape == (len(params), xs.size)
+    for row, p in zip(errors, params):
+        for err, x in zip(row, xs):
+            assert err == abs(long_sum(float(x), pt, table_2e4)
+                              - voronoi_main_term(float(x), p, table_2e4))
 
 
 def test_error_scan_validation(table_2e4):
     with pytest.raises(ValueError):
-        voronoi_error_scan(np.array([]), VoronoiParams(K1, 10), table_2e4)
+        voronoi_error_scan(np.array([]), [VoronoiParams(K1, 10)], table_2e4)
     with pytest.raises(ValueError):
-        voronoi_error_scan(np.array([100.5]), VoronoiParams(K1, 0), table_2e4)
+        voronoi_error_scan(np.array([100.5]), [VoronoiParams(K1, 0)], table_2e4)
+    with pytest.raises(ValueError):
+        voronoi_error_scan(np.array([100.5]), [], table_2e4)
+    with pytest.raises(ValueError, match="one point"):
+        voronoi_error_scan(np.array([100.5]),
+                           [VoronoiParams(K1, 10),
+                            VoronoiParams(make_rational_point(1, 3), 10)],
+                           table_2e4)
 
 
 def test_envelope_fit_recovers_synthetic_law():
