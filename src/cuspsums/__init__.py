@@ -47,7 +47,7 @@ from cuspsums.oscillatory import (
     oscillatory_integral,
     stated_bound,
 )
-from cuspsums.rational import RationalPoint, e, e_k, make_rational_point
+from cuspsums.rational import RationalPoint, e_k, make_rational_point
 from cuspsums.sums import (
     StepSeries,
     long_sum,
@@ -87,7 +87,6 @@ __all__ = [
     "derivative_certificate",
     "diag_identity_check",
     "diagonal_term",
-    "e",
     "e_k",
     "eval_weight",
     "exponent_fit",

@@ -55,7 +55,6 @@ class CoefficientTable:
     Treat as immutable once built; every consumer shares it read-only.
     """
 
-    weight: int
     n_max: int
     tau: list[int]
     a: np.ndarray | None = field(default=None, repr=False)
@@ -192,19 +191,18 @@ def generate_tau(n_max: int) -> CoefficientTable:
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    table = CoefficientTable(weight=_WEIGHT, n_max=int(n_max),
-                             tau=tau_sequence(int(n_max)))
+    table = CoefficientTable(n_max=int(n_max), tau=tau_sequence(int(n_max)))
     return normalize(table)
 
 
 def normalize(table: CoefficientTable) -> CoefficientTable:
-    """Fill a(n) = tau(n) / n^{(weight-1)/2} in double precision.
+    """Fill a(n) = tau(n) / n^{11/2} in double precision.
 
     Each entry is one correctly rounded integer-to-double conversion, one
     power, and one division: well under the 4-ulp contract.
     """
     n = table.n_max
-    exponent = (table.weight - 1) / 2.0
+    exponent = (_WEIGHT - 1) / 2.0
     table.a = (np.array(table.tau, dtype=float)
                / np.arange(1, n + 1, dtype=float) ** exponent)
     return table
@@ -289,11 +287,11 @@ def hecke_multiplicativity_check(table: CoefficientTable) -> HeckeReport:
 
 
 def hecke_prime_power_check(table: CoefficientTable) -> HeckeReport:
-    """tau(p^{r+1}) = tau(p) tau(p^r) - p^{weight-1} tau(p^{r-1}) for all
+    """tau(p^{r+1}) = tau(p) tau(p^r) - p^11 tau(p^{r-1}) for all
     prime powers in the table. Exact integer comparison."""
     spf = smallest_prime_factors(table.n_max)
     tau = table.tau
-    pk = table.weight - 1
+    pk = _WEIGHT - 1
     checks = 0
     for p in range(2, table.n_max + 1):
         if int(spf[p]) != p:
@@ -312,7 +310,7 @@ def hecke_prime_power_check(table: CoefficientTable) -> HeckeReport:
 
 def save_cache(table: CoefficientTable, path) -> None:
     """Write magic | version u32 | weight u32 | N u64 | N 16-byte records."""
-    header = struct.pack("<4sIIQ", CACHE_MAGIC, CACHE_VERSION, table.weight, table.n_max)
+    header = struct.pack("<4sIIQ", CACHE_MAGIC, CACHE_VERSION, _WEIGHT, table.n_max)
     with open(path, "wb") as handle:
         handle.write(header)
         # a block at a time, so the records never exist twice in memory
@@ -343,4 +341,4 @@ def load_cache(path) -> CoefficientTable:
     tau = [lo + (hi << 64)
            for lo, hi in struct.iter_unpack("<Qq", memoryview(data)[20:])]
     del data  # release the raw records before a(n) is filled
-    return normalize(CoefficientTable(weight=int(kappa), n_max=int(n), tau=tau))
+    return normalize(CoefficientTable(n_max=int(n), tau=tau))

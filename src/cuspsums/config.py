@@ -33,6 +33,12 @@ class ExperimentConfig:
     node_budget  quadrature node ceiling per oscillatory integral
     out          output directory for CSV / JSON / SVG artifacts
     seed         RNG seed; fixing it pins every sampled x to the byte
+    omega_delta      window length Delta of the omega command's sums
+    omega_windows    number of sampled window starts for the omega command
+    omega_threshold  max |sum| / sqrt(Delta) the omega command must reach
+    voronoi_ms       scales M of the voronoi scan; x is sampled in [M, 2M]
+    voronoi_ks       denominators k of the voronoi scan, twisted by 1/k
+    voronoi_samples  sampled x per (M, k) of the voronoi scan
     """
 
     table: str = "tau.cache"

@@ -24,7 +24,7 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
-from cuspsums.rational import RationalPoint, unit_point
+from cuspsums.rational import RationalPoint, e_k, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.weight import WeightProfile, build_weight, eval_weight
 
@@ -257,7 +257,10 @@ class DiagIdentityCheck:
 
 
 def diag_identity_check(n: int, k: int, xs) -> DiagIdentityCheck:
-    """Pointwise check of the product form of the squared cosine difference."""
+    """Pointwise check of the product form of the squared cosine difference.
+
+    No command calls it; it backs the acceptance check diagonal-domination.
+    """
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     xs = np.asarray(xs, dtype=float)
@@ -302,7 +305,11 @@ class OffDiagonalReport:
 
 
 def offdiagonal_majorant(n_trunc: int) -> float:
-    """Σ_{m<n≤N} n^(-1/4) m^(-3/4) (n-m)^(-1), the ε=0 dominating sum."""
+    """Σ_{m<n≤N} n^(-1/4) m^(-3/4) (n-m)^(-1), the ε=0 dominating sum.
+
+    No command calls it; it is offdiagonal_crosscheck's majorant and backs
+    the test_majorant_* tests of tests/test_meansquare.py.
+    """
     if n_trunc < 2:
         return 0.0
     ns = np.arange(1, n_trunc + 1, dtype=float)
@@ -321,7 +328,9 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     S is replaced by its n <= n_trunc main-term sum; |S|² then splits into
     the diagonal (squared brackets) and the off-diagonal double sum, both
     integrated on one shared grid that resolves the fastest cross phase.
-    Quadratic cost in n_trunc keeps this a small-M instrument.
+    Quadratic cost in n_trunc keeps this a small-M instrument. No command
+    calls it: it is the only numerical check of the diagonal/off-diagonal
+    split, in the test_crosscheck_* tests of tests/test_meansquare.py.
     """
     if m > 2e3:
         raise ValueError(f"crosscheck is restricted to m <= 2e3, got {m}")
@@ -348,8 +357,7 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     if float(np.max(np.abs(pairs - coarse))) > 1e-9 * (hi - lo) * math.sqrt(hi):
         raise ValueError("pair integrals did not settle under panel doubling")
 
-    z = (table.a[:n_trunc] * ns ** -0.75
-         * np.exp(-2j * np.pi * ((ns * point.h_bar) % k) / k))
+    z = table.a[:n_trunc] * ns ** -0.75 * e_k(-ns * point.h_bar, k)
     full = float(np.real(np.conj(z) @ pairs @ z))
     diag = float(np.abs(z) ** 2 @ np.diag(pairs))
     prefactor = k / (2.0 * math.pi ** 2)

@@ -258,55 +258,24 @@ def stated_bound(spec: PhaseSpec, p: int, profile: WeightProfile) -> float:
 
 
 def lemma_bound_check(spec: PhaseSpec, p: int, weight: WeightProfile) -> float:
-    """|integral| / stated family bound; bounded ratios validate the bound."""
+    """|integral| / stated family bound; bounded ratios validate the bound.
+
+    No command calls it: verify-lemmas forms the same ratio from its one
+    oscillatory_integral per spec. It backs the acceptance check
+    bound-certificates.
+    """
     bound = stated_bound(spec, p, weight)
     value = oscillatory_integral(weight, spec)
     return abs(value) / bound
-
-
-def bprime_two_term(spec: PhaseSpec, x):
-    """Two-term expansion of the L5 phase derivative.
-
-    sign * ((sqrt m - sqrt n)/(k sqrt x) + sqrt m/(8 k sqrt x (x + sqrt x)));
-    the residual against the exact B' scales like x^(-5/2). The shorter
-    one-term form would leave an x^(-2) residual, which is why this compact
-    grouping of the second term is the one worth checking against.
-    """
-    if spec.family != "L5":
-        raise ValueError("two-term derivative expansion applies to family L5")
-    x = np.asarray(x, dtype=float)
-    k = spec.point.k
-    rm, rn = math.sqrt(spec.m), math.sqrt(spec.n)
-    out = spec.sign * ((rm - rn) / (k * np.sqrt(x))
-                       + rm / (8.0 * k * np.sqrt(x) * (x + np.sqrt(x))))
-    return out if out.ndim else float(out)
 
 
 def lemma5_derivative_check(spec: PhaseSpec, grid) -> float:
     """min over the grid of |B'(x)| 4 k sqrt(x) / (3 |sqrt m - sqrt n|).
 
     >= 1 certifies the lower bound |B'| >= 3|sqrt m - sqrt n|/(4 k sqrt x)
-    on the grid. Validation as in lemma5_ratio_profile.
-    """
-    return float(lemma5_ratio_profile(spec, grid).ratios.min())
-
-
-@dataclass(frozen=True)
-class DerivativeScan:
-    """Per-x normalized |B'| ratios and where the proof bound first holds."""
-
-    xs: np.ndarray
-    ratios: np.ndarray
-    first_ok: float | None
-
-
-def lemma5_ratio_profile(spec: PhaseSpec, grid) -> DerivativeScan:
-    """|B'(x)| 4 k sqrt(x) / (3 |sqrt m - sqrt n|) at every grid point.
-
-    first_ok is the smallest grid x from which the ratio stays >= 1 through
-    the end of the grid, or None if it never settles. Only the n > m case is
-    meaningful (the m > n phase is a plain same-T difference), so anything
-    else is rejected, as is an empty grid or one with x < 1.
+    on the grid. Only the n > m case is meaningful (the m > n phase is a
+    plain same-T difference), so anything else is rejected, as is an empty
+    grid or one with x < 1.
     """
     if spec.family != "L5":
         raise ValueError("derivative check applies to family L5")
@@ -318,12 +287,4 @@ def lemma5_ratio_profile(spec: PhaseSpec, grid) -> DerivativeScan:
     _, bp_fun = build_phase(spec)
     gap = abs(math.sqrt(spec.m) - math.sqrt(spec.n))
     ratios = np.abs(bp_fun(xs)) * 4.0 * spec.point.k * np.sqrt(xs) / (3.0 * gap)
-    ok = ratios >= 1.0
-    first: float | None = None
-    if ok.all():
-        first = float(xs[0])
-    elif ok.any():
-        bad_last = int(np.max(np.nonzero(~ok)))
-        if bad_last + 1 < xs.size:
-            first = float(xs[bad_last + 1])
-    return DerivativeScan(xs=xs, ratios=ratios, first_ok=first)
+    return float(ratios.min())

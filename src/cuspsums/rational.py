@@ -1,12 +1,11 @@
-"""Rational points h/k and the additive characters e(x), e_k(a)."""
+"""Rational points h/k and the additive character e_k(a) = exp(2 pi i a/k)."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,15 @@ def unit_point(k: int) -> RationalPoint:
     return make_rational_point(0 if k == 1 else 1, k)
 
 
-def e(x: float) -> complex:
-    """The additive character exp(2*pi*i*x).
+def e_k(a, k: int) -> np.ndarray:
+    """exp(2 pi i a/k) for an integer array a, looked up by the exact residue a mod k.
 
-    The argument is reduced mod 1 before exponentiation so accuracy does not
-    degrade for large x.
+    Every phase at a rational point is taken from its exact integer residue
+    here, never from a rounded n*h/k. k = 1 gives ones.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"e() requires a finite argument, got {x!r}")
-    return cmath.exp(complex(0.0, TWO_PI * (x - math.floor(x))))
-
-
-def e_k(a: int, k: int) -> complex:
-    """exp(2*pi*i*a/k), computed from the exact residue a mod k."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    return e((a % k) / k)
+    a = np.asarray(a)
+    if k == 1:
+        return np.ones(a.shape, dtype=complex)
+    return np.exp((2j * np.pi / k) * np.arange(k))[a % k]

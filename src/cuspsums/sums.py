@@ -9,8 +9,8 @@ O(delta) coefficient updates instead of O(delta * sqrt(m)) re-summations,
 re-anchoring against a directly computed window sum every ~1000 events so
 rounding drift cannot accumulate across tens of thousands of updates.
 
-Phases at a rational point h/k are evaluated from exact residues n*h mod k;
-phases at a generic real alpha are reduced mod 1 in double precision.
+Every sum is taken at a rational point h/k, its phases looked up from the
+exact residues n*h mod k (rational.e_k).
 """
 
 from __future__ import annotations
@@ -21,24 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.rational import RationalPoint
+from cuspsums.rational import RationalPoint, e_k
 
 _BREAKPOINT_TOL = 1e-9
 _ANCHOR_EVERY = 1024
-
-
-def _phase_factors(ns: np.ndarray, alpha) -> np.ndarray:
-    """e(n*alpha) for an integer array; exact residue arithmetic when rational."""
-    if isinstance(alpha, RationalPoint):
-        k = alpha.k
-        if k == 1:
-            return np.ones(ns.shape, dtype=complex)
-        roots = np.exp((2j * np.pi / k) * np.arange(k))
-        return roots[(ns.astype(np.int64) * alpha.h) % k]
-    a = float(alpha)
-    if not math.isfinite(a):
-        raise ValueError(f"phase point must be finite, got {alpha!r}")
-    return np.exp(2j * np.pi * np.mod(ns * a, 1.0))
 
 
 def _require_table(table: CoefficientTable, n_needed: int, what: str) -> None:
@@ -56,18 +42,18 @@ def window_bounds(x: float) -> tuple[int, int]:
     return math.ceil(x), math.floor(x + math.sqrt(x))
 
 
-def short_sum(x: float, alpha, table: CoefficientTable) -> complex:
-    """S(x) = sum_{x <= n <= x + sqrt(x)} a(n) e(n alpha), summed pairwise."""
+def short_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex:
+    """S(x) = sum_{x <= n <= x + sqrt(x)} a(n) e(n h/k), alpha = h/k, summed pairwise."""
     lo, hi = window_bounds(x)
     _require_table(table, hi, f"short_sum at x={x}")
     if hi < lo:
         return 0j
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    return complex(np.sum(table.a[lo - 1: hi] * _phase_factors(ns, alpha)))
+    return complex(np.sum(table.a[lo - 1: hi] * e_k(ns * alpha.h, alpha.k)))
 
 
-def long_sum(x: float, alpha, table: CoefficientTable) -> complex:
-    """sum_{1 <= n <= x} a(n) e(n alpha)."""
+def long_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex:
+    """sum_{1 <= n <= x} a(n) e(n h/k) at alpha = h/k."""
     if not math.isfinite(x):
         raise ValueError(f"need finite x, got {x}")
     hi = math.floor(x)
@@ -75,7 +61,7 @@ def long_sum(x: float, alpha, table: CoefficientTable) -> complex:
         return 0j
     _require_table(table, hi, f"long_sum at x={x}")
     ns = np.arange(1, hi + 1, dtype=np.int64)
-    return complex(np.sum(table.a[:hi] * _phase_factors(ns, alpha)))
+    return complex(np.sum(table.a[:hi] * e_k(ns * alpha.h, alpha.k)))
 
 
 def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> complex:
@@ -162,7 +148,7 @@ def step_series(m: float, delta: float, point: RationalPoint,
         for mask, sign, cand in ((is_entry, -1.0, n_cand), (is_exit, +1.0, j_cand)):
             if mask.any():
                 js = cand[mask].astype(np.int64)
-                deltas[mask] += sign * table.a[js - 1] * _phase_factors(js, point)
+                deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
         piece_delta[1:] = deltas
 
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -177,12 +163,3 @@ def step_series(m: float, delta: float, point: RationalPoint,
     return StepSeries(m=float(m), delta=float(delta), point=point,
                       breakpoints=edges, values=values)
 
-
-def eval_step(series: StepSeries, x: float) -> complex:
-    """Value of the piece containing x; breakpoints take the right-hand piece."""
-    if not series.m <= x <= series.m + series.delta:
-        raise ValueError(f"x={x} outside step series domain "
-                         f"[{series.m}, {series.m + series.delta}]")
-    i = int(np.searchsorted(series.breakpoints, x, side="right")) - 1
-    i = min(max(i, 0), series.values.size - 1)
-    return complex(series.values[i])

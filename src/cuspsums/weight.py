@@ -93,6 +93,8 @@ def derivative_bound_report(profile: WeightProfile, n_max: int = 4) -> Derivativ
     Differences are taken in ramp units t = (x - m)/r, where w^(n) * r^n is
     the plain n-th derivative, so the reported constants are scale-free by
     construction up to the floating-point error of forming x = m + t*r.
+    No command calls it: it re-measures the frozen calibrated.WEIGHT_C*
+    constants (tests/test_weight.py).
     """
     if not 0 <= n_max <= 6:
         raise ValueError("finite differences are reliable only for orders 0..6")

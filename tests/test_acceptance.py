@@ -34,14 +34,14 @@ from cuspsums.coeffs import (deligne_check, generate_tau,
                              hecke_multiplicativity_check,
                              hecke_prime_power_check, load_cache, save_cache)
 from cuspsums.meansquare import (diag_identity_check, exponent_fit,
-                                 omega_statistic, run_sweep, theorem_integral)
+                                 omega_statistic, run_sweep, theorem_integral,
+                                 window_length)
 from cuspsums.oscillatory import (l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, lemma_bound_check,
                                   oscillatory_integral)
-from cuspsums.rational import make_rational_point
+from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.reporting import sha256_file
-from cuspsums.sums import long_sum
-from cuspsums.voronoi import VoronoiParams, voronoi_main_term
+from cuspsums.voronoi import VoronoiParams, voronoi_error_scan
 from cuspsums.weight import build_weight
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
@@ -101,20 +101,19 @@ def test_truncation_decay_and_phase(table_1e6):
     rng = np.random.default_rng(_SEED)
     decay_ratios = []
     full = {0.0: [], -math.pi / 4.0: []}   # (x, k, n, err) at N = x
+    cases = [(phase, div) for phase in full for div in (16, 4, 1)]
     for m_scale in (1.0e4, 1.0e5):
         for k in (1, 3, 5):
-            point = make_rational_point(0 if k == 1 else 1, k)
+            point = unit_point(k)
             xs = np.sort(rng.uniform(m_scale, 2.0 * m_scale, 50))
             errs = {phase: {16: [], 4: [], 1: []} for phase in full}
             for x in xs:
                 x = float(x)
-                direct = long_sum(x, point, table_1e6)
-                for phase in full:
-                    for div in (16, 4, 1):
-                        n = max(1, int(x / div))
-                        approx = voronoi_main_term(
-                            x, VoronoiParams(point, n, phase), table_1e6)
-                        errs[phase][div].append(abs(direct - approx))
+                params = [VoronoiParams(point, max(1, int(x / div)), phase)
+                          for phase, div in cases]
+                row = voronoi_error_scan([x], params, table_1e6)[:, 0]
+                for (phase, div), err in zip(cases, row):
+                    errs[phase][div].append(float(err))
             good = errs[-math.pi / 4.0]
             decay_ratios.append(np.median(good[16]) / np.median(good[4]))
             decay_ratios.append(np.median(good[4]) / np.median(good[1]))
@@ -204,9 +203,9 @@ def test_bound_certificates():
     deriv_min = math.inf
     grid_x = np.geomspace(1.0e3, 1.0e5, 129)
     for k in (1, 2, 3, 4, 5):
-        delta = min(max(4.0 * k * m_scale ** 0.55, 1.0e3), m_scale)
+        delta = window_length(m_scale, k, 4.0, 0.55)
         weight = build_weight(m_scale, delta, 0.25 * delta)
-        point = make_rational_point(0 if k == 1 else 1, k)
+        point = unit_point(k)
         for i, m in enumerate(grid):
             for n in grid[i:]:
                 specs = [("L3", l3_spec(m, n, point))]
@@ -263,7 +262,7 @@ def test_structural_identity(table_2e4):
     weight = build_weight(m_scale, delta)
     worst_rel = 0.0
     for k in (1, 2, 3):
-        point = make_rational_point(0 if k == 1 else 1, k)
+        point = unit_point(k)
         got = theorem_integral(m_scale, delta, point, weight, table_2e4)
         ref = riemann_mean_square(m_scale, delta, point.h, k, table_2e4.a,
                                   weight, 10 ** 6)

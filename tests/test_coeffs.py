@@ -131,7 +131,7 @@ def test_hecke_checks_pass(table_2e4):
 
 
 def test_hecke_checks_catch_corruption(table_2e4):
-    bad = CoefficientTable(weight=12, n_max=100, tau=list(table_2e4.tau[:100]))
+    bad = CoefficientTable(n_max=100, tau=list(table_2e4.tau[:100]))
     bad.tau[59] = bad.tau[59] + 1  # corrupt tau(60) = tau(4)tau(15)
     assert hecke_multiplicativity_check(bad).first_failure == 60
 
@@ -153,7 +153,7 @@ def test_cache_roundtrip(tmp_path, table_2e4):
     assert path.stat().st_size == 20 + 16 * 20_000
     back = load_cache(path)
     assert back.tau == table_2e4.tau
-    assert back.weight == 12 and back.n_max == 20_000
+    assert back.n_max == 20_000
     assert back.a.tobytes() == table_2e4.a.tobytes()  # recomputed, same doubles
 
 
@@ -167,7 +167,7 @@ def test_cache_file_size_example(tmp_path):
 
 def test_cache_rejects_bad_magic(tmp_path, table_2e4):
     path = tmp_path / "bad.cusp"
-    small = normalize(CoefficientTable(weight=12, n_max=10, tau=list(table_2e4.tau[:10])))
+    small = normalize(CoefficientTable(n_max=10, tau=list(table_2e4.tau[:10])))
     save_cache(small, path)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XUSP"
@@ -178,7 +178,7 @@ def test_cache_rejects_bad_magic(tmp_path, table_2e4):
 
 def test_cache_rejects_wrong_version_weight_truncation(tmp_path, table_2e4):
     path = tmp_path / "v.cusp"
-    small = normalize(CoefficientTable(weight=12, n_max=10, tau=list(table_2e4.tau[:10])))
+    small = normalize(CoefficientTable(n_max=10, tau=list(table_2e4.tau[:10])))
     save_cache(small, path)
     good = path.read_bytes()
 

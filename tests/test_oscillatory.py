@@ -178,20 +178,15 @@ def test_lemma5_sweep_over_pairs_and_levels():
     assert max(ratios) <= 4.0 / 3.0 + 1e-9
 
 
-def test_lemma5_ratio_profile_finds_recovery_point():
+def test_lemma5_derivative_check_finds_recovery_point():
     # B' of the pair (9999, 10000) vanishes near x = 2450 and the
     # normalized ratio only clears 1 again once x + sqrt(x) >= 1e4
     spec = osc.l5_spec(9999, 10000, PT1)
     grid = np.geomspace(1e3, 2e4, 200)
-    prof = osc.lemma5_ratio_profile(spec, grid)
-    assert prof.ratios.min() < 0.01
-    assert prof.first_ok is not None
-    assert 9.0e3 < prof.first_ok < 1.1e4
-    assert np.all(prof.ratios[prof.xs >= prof.first_ok] >= 1.0)
-    truncated = osc.lemma5_ratio_profile(spec, np.geomspace(1e3, 9e3, 50))
-    assert truncated.first_ok is None
-    early = osc.lemma5_ratio_profile(osc.l5_spec(1, 4, PT1), grid)
-    assert early.first_ok == grid[0]
+    assert osc.lemma5_derivative_check(spec, grid) < 0.01
+    assert osc.lemma5_derivative_check(spec, grid[(grid >= 9e3) & (grid < 1.1e4)]) < 1.0
+    assert osc.lemma5_derivative_check(spec, grid[grid >= 1.1e4]) >= 1.0
+    assert osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), grid) >= 1.0
 
 
 def test_lemma5_rejections():
@@ -206,16 +201,6 @@ def test_lemma5_rejections():
         osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), np.array([]))
     with pytest.raises(ValueError):
         osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), np.array([0.5, 2e3]))
-
-
-def test_two_term_derivative_residual_contracts_like_x_to_minus_5_halves():
-    spec = osc.l5_spec(4, 9, PT1)
-    _, bp = osc.build_phase(spec)
-    res = [abs(bp(x) - osc.bprime_two_term(spec, x)) for x in (1e4, 4e4, 16e4)]
-    assert 25.0 <= res[0] / res[1] <= 40.0
-    assert 25.0 <= res[1] / res[2] <= 40.0
-    with pytest.raises(ValueError):
-        osc.bprime_two_term(osc.l4_spec(4, 9, PT1), 1e4)
 
 
 def test_budget_refusals(window):

@@ -3,11 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspsums.rational import e, e_k, make_rational_point
+from cuspsums.rational import e_k, make_rational_point
 
 
 def test_examples():
@@ -53,47 +54,37 @@ def test_inverse_sampled_large_k(k):
         assert (p.h * p.h_bar) % p.k == 1
 
 
-def test_e_special_values():
-    assert e(0.0) == 1.0 + 0.0j
-    assert abs(e(0.5) - (-1.0)) <= 1e-15
-    assert abs(e(0.25) - 1j) <= 1e-15
-    # argument reduction keeps accuracy for large x
-    assert abs(e(1e9 + 0.25) - 1j) <= 1e-12
-
-
-def test_e_rejects_nonfinite():
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            e(bad)
-
-
 def test_e_k_examples():
-    assert abs(e_k(1, 2) - (-1.0)) <= 1e-15
-    assert e_k(7, 7) == 1.0 + 0.0j
-    assert e_k(0, 5) == 1.0 + 0.0j
+    assert np.allclose(e_k(np.arange(5), 4), [1, 1j, -1, -1j, 1],
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(e_k(np.array([7, 0, -14]), 7), np.ones(3))
+    assert np.array_equal(e_k(np.array([[5, -3], [0, 2]]), 1), np.ones((2, 2)))
     # reduction of a negative twisted argument: -15 = -3*5 with h_bar(3,7)=5
-    assert abs(e_k(-15, 7) - e(6 / 7)) <= 1e-15
+    assert abs(e_k(np.array([-15]), 7)[0] - cmath.exp(2j * math.pi * 6 / 7)) <= 1e-15
     with pytest.raises(ValueError):
-        e_k(1, 0)
+        e_k(np.array([1]), 0)
 
 
 def test_e_k_periodicity_exact():
-    for a in range(-20, 20):
-        assert e_k(a, 6) == e_k(a + 6, 6)
+    a = np.arange(-20, 20)
+    assert np.array_equal(e_k(a, 6), e_k(a + 6, 6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 5000))
-def test_character_property(a, b, k):
-    assert abs(e_k(a, k) * e_k(b, k) - e_k(a + b, k)) <= 1e-12
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                min_size=1, max_size=20),
+       st.integers(1, 5000))
+def test_character_property(pairs, k):
+    a, b = np.array(pairs, dtype=np.int64).T
+    ea = e_k(a, k)
+    assert np.all(np.abs(np.abs(ea) - 1.0) <= 1e-15)
+    assert np.all(np.abs(ea - np.exp(2j * np.pi * (a % k) / k)) <= 1e-12)
+    assert np.all(np.abs(ea * e_k(b, k) - e_k(a + b, k)) <= 1e-12)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(1, 5000))
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=20),
+       st.integers(1, 5000))
 def test_conjugation(a, k):
-    assert abs(e_k(-a, k) - e_k(a, k).conjugate()) <= 1e-12
-
-
-def test_unit_modulus():
-    for x in (0.1, 0.37, 123456.789, -9876.001):
-        assert abs(abs(e(x)) - 1.0) <= 1e-15
+    a = np.array(a, dtype=np.int64)
+    assert np.all(np.abs(e_k(-a, k) - np.conj(e_k(a, k))) <= 1e-12)

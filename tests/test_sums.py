@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cuspsums.rational import make_rational_point
 from cuspsums.sums import (
     breakpoints,
-    eval_step,
     long_sum,
     short_sum,
     step_series,
@@ -19,6 +18,8 @@ from cuspsums.sums import (
 )
 
 from oracles import window_sum_by_rescan
+
+K1 = make_rational_point(0, 1)
 
 
 def test_window_bounds():
@@ -31,7 +32,7 @@ def test_window_bounds():
 
 def test_short_sum_untwisted(table_2e4):
     a = table_2e4.a
-    got = short_sum(4.0, 0.0, table_2e4)
+    got = short_sum(4.0, K1, table_2e4)
     assert got == pytest.approx(a[3] + a[4] + a[5], abs=1e-15)
 
 
@@ -48,13 +49,6 @@ def test_short_sum_matches_rescan_oracle(table_2e4):
     assert abs(got - want) <= 1e-12
 
 
-def test_short_sum_rational_equals_real_alpha(table_2e4):
-    point = make_rational_point(2, 5)
-    got_exact = short_sum(1234.0, point, table_2e4)
-    got_float = short_sum(1234.0, 2.0 / 5.0, table_2e4)
-    assert abs(got_exact - got_float) <= 1e-9
-
-
 def test_summation_order_insensitive(table_2e4):
     # ascending pairwise vs explicit compensated re-summation
     x = 15_000.0
@@ -69,17 +63,17 @@ def test_summation_order_insensitive(table_2e4):
 
 def test_table_too_short(table_2e4):
     with pytest.raises(ValueError, match="table"):
-        short_sum(20_000.0, 0.0, table_2e4)
+        short_sum(20_000.0, K1, table_2e4)
     with pytest.raises(ValueError, match="table"):
-        long_sum(30_000.0, 0.0, table_2e4)
+        long_sum(30_000.0, K1, table_2e4)
 
 
 def test_long_sum_values(table_2e4):
-    assert long_sum(1.0, 0.37, table_2e4) == pytest.approx(
-        complex(np.exp(2j * np.pi * 0.37)), abs=1e-14)
-    assert long_sum(2.0, 0.0, table_2e4) == pytest.approx(
+    assert long_sum(1.0, make_rational_point(3, 8), table_2e4) == pytest.approx(
+        complex(np.exp(2j * np.pi * 3 / 8)), abs=1e-14)
+    assert long_sum(2.0, K1, table_2e4) == pytest.approx(
         1.0 + table_2e4.a[1], abs=1e-14)
-    assert long_sum(0.2, 0.0, table_2e4) == 0j
+    assert long_sum(0.2, K1, table_2e4) == 0j
 
 
 def test_long_short_telescoping(table_2e4):
@@ -153,10 +147,11 @@ def test_step_series_random_positions(table_2e4):
     series = step_series(m, delta, point, table_2e4)
     rng = np.random.default_rng(7)
     for x in rng.uniform(m, m + delta, size=1000):
-        direct = short_sum(float(x), point, table_2e4)
-        got = eval_step(series, float(x))
         if min(np.abs(series.breakpoints - x)) < 1e-9:
             continue  # on a breakpoint the one-sided convention may differ
+        direct = short_sum(float(x), point, table_2e4)
+        # the piece holding x, found independently of the piece midpoints
+        got = series.values[np.searchsorted(series.breakpoints, x) - 1]
         assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -167,14 +162,6 @@ def test_step_series_covers_square_collision(table_2e4):
     for i, x in enumerate(mids):
         direct = short_sum(float(x), make_rational_point(1, 4), table_2e4)
         assert abs(series.values[i] - direct) <= 1e-10
-
-
-def test_eval_step_domain(table_2e4):
-    series = step_series(100.0, 10.0, make_rational_point(0, 1), table_2e4)
-    with pytest.raises(ValueError):
-        eval_step(series, 99.0)
-    with pytest.raises(ValueError):
-        eval_step(series, 111.0)
 
 
 @settings(max_examples=60, deadline=None)
