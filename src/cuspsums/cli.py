@@ -164,13 +164,14 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     results = run_sweep(table, ms, ks, cfg.delta_coeff, cfg.delta_exponent,
                         cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
-             float(r.diagonal), r.ratio, _INTEGRAL_METHOD) for r in results]
+             float(r.diagonal), r.ratio, _INTEGRAL_METHOD, r.diagonal.slack,
+             r.diagonal.n_exact, len(r.diagonal.flagged)) for r in results]
     rows.sort(key=lambda r: (r[0], r[1]))
     n_rows = write_csv(out_dir / "meansquare.csv", (
         "m_window_start_index", "k_denominator", "h_numerator",
         "delta_window_length_index_units", "integral_weighted_index_units",
         "diagonal_term_index_units", "ratio_integral_over_delta_sqrt_m",
-        "method",
+        "method", "diagonal_slack", "diagonal_n_exact", "diagonal_flagged",
     ), rows)
 
     try:
@@ -196,6 +197,12 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     print(f"sweep rows: {n_rows}")
     print(fit_line)
     print(f"ratio range: [{min(ratios):.6e}, {max(ratios):.6e}]")
+    for r in results:
+        flagged = r.diagonal.flagged
+        if flagged:
+            print(f"diagonal flagged at M={r.m:.6e} k={r.point.k}: "
+                  f"{len(flagged)} of {r.diagonal.n_exact} exact brackets "
+                  f"at the trivial bound (n = {', '.join(map(str, flagged))})")
     if emit_json:
         write_json(out_dir / "meansquare.json", {
             "config": list(config_lines(cfg)),
@@ -203,6 +210,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
                 "m": r.m, "k": r.point.k, "h": r.point.h, "delta": r.delta,
                 "integral": r.integral, "diagonal": float(r.diagonal),
                 "ratio": r.ratio, "method": _INTEGRAL_METHOD,
+                "diagonal_slack": r.diagonal.slack,
+                "diagonal_n_exact": r.diagonal.n_exact,
+                "diagonal_flagged": len(r.diagonal.flagged),
             } for r in results],
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),

@@ -8,11 +8,22 @@ diagonal term
     (k/2π²) Σ_{n≤M} |a(n)|² n^(-3/2) ∫ w(x) √x (cos Φ₁' - cos Φ₂')² dx
 
 with Φ' the shifted/plain phases carrying the -π/4 offset, and the
-off-diagonal double sum of cross integrals. The diagonal splits each
-squared difference into one non-oscillatory part, evaluated for every n
-on a shared coarse grid, and three oscillatory parts, evaluated exactly
-for small n and certified (not evaluated) past a cutoff where their
-first-derivative-test bounds fall off like n^(-1/2).
+off-diagonal double sum of cross integrals.
+
+The cosine difference is evaluated in product form,
+cos(A - π/4) - cos(B - π/4) = -2 sin((A+B)/2 - π/4) sin((A-B)/2), with
+A - B = s·g, s = 4π√n/k and g = √(x+√x) - √x computed without
+cancellation as √x / (√(x+√x) + √x). Nothing is subtracted at arguments
+near 4π√(nx)/k, so a grid of Gauss-16 panels holding about three cycles
+of the squared integrand each settles to 1e-9 on its first doubling.
+
+The diagonal splits each squared difference into one non-oscillatory
+part, 1 - cos(s g), and three oscillatory parts. The oscillatory parts
+are evaluated exactly for small n and certified (not evaluated) past a
+cutoff where their first-derivative-test bounds fall off like n^(-1/2).
+The non-oscillatory part is evaluated for every n from a fixed number of
+moments of w√x (g - g₀)^j, because s·g moves by well under one radian
+across a window; the Taylor remainder of that series joins the slack.
 """
 
 from __future__ import annotations
@@ -32,6 +43,10 @@ _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUARTER_TURN = math.pi / 4.0
 _CROSSCHECK_NODE_BUDGET = 8_000_000
+# terms of the moment series of the slow brackets; for n <= M and Δ <= M,
+# s·max|g - g₀| <= 0.23/k, so the first dropped term is below 1e-16 of the
+# weight mass
+_MOMENT_ORDER = 12
 
 SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
 SWEEP_KS = (1, 2, 3, 5, 7)
@@ -42,7 +57,8 @@ class DiagonalTerm:
     """Diagonal value with its certified error budget.
 
     value carries the computed sum, slack the certified bound on every
-    oscillatory piece that was bounded instead of evaluated, n_exact the
+    oscillatory piece that was bounded instead of evaluated and on the
+    truncation of the slow brackets' moment series, n_exact the
     cutoff below which brackets are exact, and flagged any n whose
     evaluation hit the node budget and fell back to the trivial bound.
     """
@@ -90,7 +106,7 @@ def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = mid[:, None] + half[:, None] * _GAUSS8_NODES[None, :]
-    return half * (eval_weight(weight, x) @ _GAUSS8_WEIGHTS)
+    return half * (eval_weight(weight, x) * _GAUSS8_WEIGHTS).sum(axis=1)
 
 
 def theorem_integral(m: float, delta: float, point: RationalPoint,
@@ -104,7 +120,7 @@ def theorem_integral(m: float, delta: float, point: RationalPoint,
     _check_geometry(m, delta, weight)
     series = step_series(m, delta, point, table)
     masses = _piece_weight_masses(weight, series.breakpoints)
-    return float(np.abs(series.values) ** 2 @ masses)
+    return float(np.sum(np.abs(series.values) ** 2 * masses))
 
 
 def _weighted_nodes(weight: WeightProfile, panels: int):
@@ -118,22 +134,39 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
     return x, wts * eval_weight(weight, x) * np.sqrt(x)
 
 
+def _gap(xs: np.ndarray) -> np.ndarray:
+    """g = √(x+√x) - √x without cancellation, as √x / (√(x+√x) + √x)."""
+    root = np.sqrt(xs)
+    return root / (np.sqrt(xs + root) + root)
+
+
 def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
-    """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset."""
+    """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
+
+    Product form -2 sin((A+B)/2 - π/4) sin(s g / 2) with A = s√(x+√x),
+    B = s√x and s = 4π√n/k: only the rounding of the argument (A+B)/2
+    itself is left, not a difference of two cosines near it.
+    """
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    return (np.cos(np.outer(scale, np.sqrt(xs + np.sqrt(xs))) - _QUARTER_TURN)
-            - np.cos(np.outer(scale, np.sqrt(xs)) - _QUARTER_TURN))
+    root = np.sqrt(xs)
+    mean = 0.5 * (np.sqrt(xs + root) + root)
+    return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
+            * np.sin(np.outer(0.5 * scale, _gap(xs))))
 
 
 def diagonal_profile(ns, k: int, weight: WeightProfile,
                      node_budget: int = 2_000_000):
     """Exact per-n brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx, one shared grid.
 
-    The grid resolves the fastest requested frequency, so one evaluation
-    covers every n at once; panel doubling must agree to 1e-9 relative to
-    the weight mass. Returns (brackets, flagged) where flagged lists the n
-    whose rows never converged inside the budget and were replaced by the
-    trivial bound 4 ∫ w √x.
+    The integrand is the squared product form of _cos_difference. The
+    first grid gives each Gauss-16 panel about three cycles of the
+    squared integrand at the fastest requested frequency (0.15625 panels
+    per unit of the peak rate 4√n/(k√x) over the window), and at least
+    8 panels and 2Δ/r panels so the weight's ramps are resolved. One
+    evaluation covers every n at once; panel doubling must agree to 1e-9
+    relative to the weight mass. Returns (brackets, flagged) where flagged
+    lists the n whose rows never converged inside the budget and were
+    replaced by the trivial bound 4 ∫ w √x.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -143,18 +176,18 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
     lo, hi = weight.support
     delta = hi - lo
     peak = 4.0 * math.sqrt(float(ns.max())) / (k * math.sqrt(lo))
-    panels = max(8, math.ceil(1.25 * peak * delta),
+    panels = max(8, math.ceil(0.15625 * peak * delta),
                  math.ceil(2.0 * delta / weight.r))
     xs, wsx = _weighted_nodes(weight, panels)
     tol = 1e-9 * float(np.sum(np.abs(wsx)))
-    values = _cos_difference(ns, k, xs) ** 2 @ wsx
+    values = (_cos_difference(ns, k, xs) ** 2 * wsx).sum(axis=1)
     nodes_used = xs.size
     settled = np.zeros(ns.size, dtype=bool)
     while nodes_used + 32 * panels <= node_budget:
         panels *= 2
         xs, wsx = _weighted_nodes(weight, panels)
         nodes_used += xs.size
-        refined = _cos_difference(ns, k, xs) ** 2 @ wsx
+        refined = (_cos_difference(ns, k, xs) ** 2 * wsx).sum(axis=1)
         settled |= np.abs(refined - values) <= tol
         values = refined
         if settled.all():
@@ -166,22 +199,30 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
 
 
 def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
-                   wsx: np.ndarray) -> np.ndarray:
-    """Non-oscillatory part ∫ w √x (1 - cos 2π(Φ₁-Φ₂)) dx for many n.
+                   wsx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Non-oscillatory part ∫ w √x (1 - cos s g) dx for many n, by moments.
 
-    Φ₁-Φ₂ = (2√n/k)(√(x+√x) - √x) moves well under one cycle across any
-    window with delta <= M, so a weight-resolving grid is enough. Chunked
-    so the (n, x) matrix never exceeds a few million entries.
+    With s = 4π√n/k, g = _gap(x) and g₀ the midpoint of g's range,
+    cos s g = Re e^(i s g₀) Σ_j (i s)^j/j! (g - g₀)^j, so every bracket
+    follows from the _MOMENT_ORDER moments Σ w√x (g - g₀)^j on a
+    weight-resolving grid. The Taylor remainder of e^(iy) bounds each
+    bracket's truncation error by (s_max·max|g - g₀|)^J/J! · Σ|w√x|,
+    J = _MOMENT_ORDER; returns (brackets, that bound).
     """
-    g = np.sqrt(xs + np.sqrt(xs)) - np.sqrt(xs)
-    mass = float(np.sum(wsx))
-    out = np.empty(ns.size)
+    g = _gap(xs)
+    g0 = 0.5 * (float(g.min()) + float(g.max()))
+    offset = g - g0
+    moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    step = max(1, 4_000_000 // max(1, xs.size))
-    for start in range(0, ns.size, step):
-        block = scale[start:start + step]
-        out[start:start + step] = mass - np.cos(np.outer(block, g)) @ wsx
-    return out
+    # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
+    series = np.full(ns.size, moments[-1], dtype=complex)
+    for j in range(_MOMENT_ORDER - 1, 0, -1):
+        series = moments[j - 1] + (1j * scale / j) * series
+    brackets = float(np.sum(wsx)) - np.real(np.exp(1j * g0 * scale) * series)
+    reach = float(scale.max()) * float(np.max(np.abs(offset)))
+    bound = (reach ** _MOMENT_ORDER / math.factorial(_MOMENT_ORDER)
+             * float(np.sum(np.abs(wsx))))
+    return brackets, bound
 
 
 def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
@@ -191,10 +232,11 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
 
     Brackets are exact up to n_exact (default max(256, 4k²), covering the
     damped range n <= k² and the first oscillatory stretch). Past the
-    cutoff only the non-oscillatory part is evaluated; the three dropped
-    oscillatory pieces are bounded by first-derivative certificates whose
-    minimum phase slope grows like √n, and the summed bound is returned as
-    slack rather than folded into the value.
+    cutoff only the non-oscillatory part is evaluated, by _slow_brackets'
+    moment series; the three dropped oscillatory pieces are bounded by
+    first-derivative certificates whose minimum phase slope grows like √n.
+    Those bounds and the series' truncation bound are summed and returned
+    as slack rather than folded into the value.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -214,14 +256,16 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
 
     exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
     exact_vals, flagged = diagonal_profile(exact_ns, k, weight)
-    value = float(coeff[:n_exact] @ exact_vals)
+    value = float(np.sum(coeff[:n_exact] * exact_vals))
 
     slack = 0.0
     if n_exact < n_top:
         panels = max(8, math.ceil(2.0 * delta / weight.r))
         xs, wsx = _weighted_nodes(weight, panels)
         tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
-        value += float(coeff[n_exact:] @ _slow_brackets(tail_ns, k, xs, wsx))
+        tail_coeff = coeff[n_exact:]
+        brackets, truncation = _slow_brackets(tail_ns, k, xs, wsx)
+        value += float(np.sum(tail_coeff * brackets))
         # certify the three dropped oscillatory pieces at the cutoff
         # frequency; their minimum phase slope scales exactly as sqrt(n), and
         # only that slope differs between their certificates, so the one
@@ -235,7 +279,8 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
             key=lambda c: c.b1)
         per_piece = jm_bound(cert)
         slack = 2.0 * per_piece * float(
-            coeff[n_exact:] @ np.sqrt(n_exact / tail_ns.astype(float)))
+            np.sum(tail_coeff * np.sqrt(n_exact / tail_ns.astype(float))))
+        slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
                         flagged=flagged)
 

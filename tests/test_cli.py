@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: exit codes, artifact formats, reproducibility.
 
 Each test drives cuspsums.cli.main in-process against a small cached
-table; absolute paths in the config keep the tests independent of cwd.
+table, except the BLAS-thread test, which needs one fresh process per
+thread count; absolute paths in the config keep the tests independent of
+cwd.
 """
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -101,22 +107,83 @@ def test_verify_lemmas_row_count_and_verdict(workspace, capsys):
     assert payload["min_derivative_ratio"] >= 1.0
 
 
-def test_meansquare_artifacts(workspace):
+def test_meansquare_artifacts(workspace, capsys):
     root, cfg, table = workspace
     out = root / "ms_out"
     assert main(["meansquare", "--config", str(cfg), "--out", str(out),
                  "--json"]) == 0
+    # no flagged row, so the summary is its three fixed lines
+    assert len(capsys.readouterr().out.splitlines()) == 3
     lines = (out / "meansquare.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2
     header = lines[0].split(",")
     assert "ratio_integral_over_delta_sqrt_m" in header
-    m, k, h, delta, integral, diag, ratio, method = lines[1].split(",")
+    (m, k, h, delta, integral, diag, ratio, method,
+     slack, n_exact, flagged) = lines[1].split(",")
     assert int(k) == 1 and int(h) == 0
     assert abs(float(ratio) - float(integral)
                / (float(delta) * float(m) ** 0.5)) < 1e-12
     assert method == "exact-step"
+    assert 0.0 < float(slack) < 0.005 * float(diag)
+    assert int(n_exact) == 256 and int(flagged) == 0
+    row = json.loads((out / "meansquare.json").read_text())["rows"][0]
+    assert row["diagonal_slack"] == pytest.approx(float(slack), rel=1e-12)
+    assert (row["diagonal_n_exact"], row["diagonal_flagged"]) == (256, 0)
     svg = (out / "meansquare.svg").read_text()
     assert svg.startswith("<svg") and "script" not in svg
+
+
+def test_meansquare_prints_flagged_rows(workspace, capsys, monkeypatch):
+    import cuspsums.cli as cli
+
+    real_sweep = cli.run_sweep
+
+    def sweep_with_flags(*args):
+        first, *rest = real_sweep(*args)
+        return [replace(first, diagonal=replace(first.diagonal,
+                                                flagged=(1, 50))), *rest]
+
+    monkeypatch.setattr(cli, "run_sweep", sweep_with_flags)
+    root, cfg, table = workspace
+    out = root / "ms_flagged"
+    assert main(["meansquare", "--config", str(cfg), "--out", str(out),
+                 "--json"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[3:] == ["diagonal flagged at M=1.000000e+04 k=1: 2 of 256 "
+                           "exact brackets at the trivial bound (n = 1, 50)"]
+    lines = (out / "meansquare.csv").read_text().strip().splitlines()
+    assert [line.split(",")[-1] for line in lines] == [
+        "diagonal_flagged", "2", "0"]
+    rows = json.loads((out / "meansquare.json").read_text())["rows"]
+    assert [r["diagonal_flagged"] for r in rows] == [2, 0]
+
+
+def test_meansquare_report_ignores_blas_threads(tmp_path):
+    # one k = 7 row on 2e4: its sums are long enough for a threaded BLAS
+    # to split them, so a report built on BLAS reductions moves with the
+    # thread count
+    import cuspsums
+    from cuspsums.coeffs import generate_tau, save_cache
+
+    cache = tmp_path / "tau.cache"
+    save_cache(generate_tau(27_000), cache)
+    cfg = tmp_path / "ms.cfg"
+    cfg.write_text(f"table = {cache}\nms = 2e4\nks = 7\n", encoding="utf-8")
+    src = str(Path(cuspsums.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspsums.cli", "meansquare", "--config",
+             str(cfg), "--out", str(out), "--json"],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append((proc.stdout, _read_dir(out)))
+    assert reports[0] == reports[1]
 
 
 def test_meansquare_byte_reproducible(workspace):
