@@ -4,15 +4,18 @@ Run from the repository root, with a second checkout of the commit to
 compare against (made with ``git clone`` or ``git archive``):
 
     python3 benchmarks/record.py --parent ../parent --change . \\
-        --pairs 10 --workloads sweep --out BENCH_diagonal.json
+        --pairs 10 --out BENCH_diagonal.json
 
-For each workload the script runs each checkout's own, unchanged
-``perfbench/run.py --trace 0`` once per pair, alternating which side goes
-first, and reads the end-to-end metrics from the JSON object on the last
-line of its stdout. It writes, per side and workload, every run's values
-and their median and quartiles, and per workload how many pairs the change
-won on each metric (ties count for neither side). An existing output file
-keeps the workloads this invocation does not run.
+The workloads, the run length, the command and the end-to-end metrics with
+their ``better`` directions come from the change checkout's BENCHMARK.json.
+For each workload the script runs each checkout's own, unchanged benchmark
+command with ``--trace 0`` once per pair, alternating which side goes
+first; pair i uses seed FIRST_SEED + i on both sides. It reads the metrics
+from the JSON object on the last line of the command's stdout and writes a
+new output file holding both commits, the environment, and per side and
+workload every run's values with their median and quartiles, and per
+workload how many pairs the change won on each metric (ties count for
+neither side).
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("cold-table", "sweep", "scan")
-# metric -> True when a lower value is better
-BETTER_LOWER = {"wall_s": True, "setup_s": True, "cpu_s": True,
-                "peak_rss_mb": True, "success_rate": False}
 SIDES = ("parent", "change")
+FIRST_SEED = 101
 
 
 def commit_of(checkout: Path) -> str:
@@ -42,11 +42,11 @@ def commit_of(checkout: Path) -> str:
     return head.strip() + ("+edits" if dirty.strip() else "")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """End-to-end metrics of one perfbench run in the checkout."""
+def run_once(bench: dict, checkout: Path, workload: str, seed: int) -> dict:
+    """End-to-end metrics of one benchmark run in the checkout."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        bench["command"] + ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(bench["run_seconds"]), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} {workload} exited {proc.returncode}:\n"
@@ -64,26 +64,25 @@ def summary(values: list[float]) -> dict:
             "runs": values}
 
 
-def record(checkouts: dict, workload: str, pairs: int, seconds: float,
-           seed: int) -> tuple[dict, dict]:
+def record(bench: dict, checkouts: dict, workload: str,
+           pairs: int) -> tuple[dict, dict]:
     """(per-side summaries, change wins per metric) over alternating pairs."""
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            metrics = run_once(checkouts[side], workload, seed + i, seconds)
+            metrics = run_once(bench, checkouts[side], workload, FIRST_SEED + i)
             runs[side].append(metrics)
             print(f"{workload} pair {i} {side}: " + " ".join(
                 f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
     sides = {side: {name: summary([r[name] for r in runs[side]])
-                    for name in BETTER_LOWER} for side in SIDES}
+                    for name in better} for side in SIDES}
     wins = {}
-    for name, lower in BETTER_LOWER.items():
-        won = 0
-        for old, new in zip(runs["parent"], runs["change"]):
-            if new[name] != old[name] and (new[name] < old[name]) == lower:
-                won += 1
-        wins[name] = won
+    for name, direction in better.items():
+        wins[name] = sum(1 for old, new in zip(runs["parent"], runs["change"])
+                         if new[name] != old[name]
+                         and (new[name] < old[name]) == (direction == "lower"))
     return sides, wins
 
 
@@ -93,48 +92,46 @@ def main(argv=None) -> int:
                         help="checkout of the commit compared against")
     parser.add_argument("--change", type=Path, default=Path("."),
                         help="checkout holding the change (default: here)")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+",
+                        help="subset of BENCHMARK.json's workloads (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0,
-                        help="--seconds of each perfbench run")
-    parser.add_argument("--seed", type=int, default=41,
-                        help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", type=Path, default=Path("BENCH_diagonal.json"))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    payload = (json.loads(args.out.read_text(encoding="utf-8"))
-               if args.out.is_file() else {})
-    payload["environment"] = {"python": platform.python_version(),
-                              "machine": platform.machine()}
+    checkouts = {side: getattr(args, side).resolve() for side in SIDES}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json")
+                       .read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads or names
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; BENCHMARK.json has {names}")
+
+    payload = {"environment": {"python": platform.python_version(),
+                               "machine": platform.machine()},
+               "settings": {"pairs": args.pairs,
+                            "run_seconds": bench["run_seconds"],
+                            "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1]},
+               "change_wins": {}}
     for side in SIDES:
-        payload.setdefault(side, {})
-        payload[side]["commit"] = commit_of(checkouts[side])
-    payload.setdefault("change_wins", {})
-    payload.setdefault("settings", {})
-    for workload in args.workloads:
-        sides, wins = record(checkouts, workload, args.pairs, args.seconds,
-                             args.seed)
+        payload[side] = {"commit": commit_of(checkouts[side])}
+    for workload in workloads:
+        sides, wins = record(bench, checkouts, workload, args.pairs)
         for side in SIDES:
             payload[side][workload] = sides[side]
         payload["change_wins"][workload] = wins
-        payload["settings"][workload] = {"pairs": args.pairs,
-                                         "seconds": args.seconds,
-                                         "seeds": [args.seed, args.seed + args.pairs - 1]}
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    for workload in args.workloads:
-        for name in BETTER_LOWER:
+    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    for workload in workloads:
+        for name, wins in payload["change_wins"][workload].items():
             old = payload["parent"][workload][name]
             new = payload["change"][workload][name]
             print(f"{workload} {name}: parent median {old['median']:.4g} "
                   f"[{old['q1']:.4g}, {old['q3']:.4g}], change median "
                   f"{new['median']:.4g} [{new['q1']:.4g}, {new['q3']:.4g}], "
-                  f"change won {payload['change_wins'][workload][name]}"
-                  f"/{args.pairs}")
+                  f"change won {wins}/{args.pairs}")
     return 0
 
 

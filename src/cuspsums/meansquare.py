@@ -47,6 +47,9 @@ _CROSSCHECK_NODE_BUDGET = 8_000_000
 # s·max|g - g₀| <= 0.23/k, so the first dropped term is below 1e-16 of the
 # weight mass
 _MOMENT_ORDER = 12
+# first-grid Gauss-16 panels per unit of the peak rate 4√n/(k√x) over the
+# window: about three cycles of the squared product form per panel
+_PANELS_PER_RATE = 0.15625
 
 SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
 SWEEP_KS = (1, 2, 3, 5, 7)
@@ -150,8 +153,23 @@ def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
     root = np.sqrt(xs)
     mean = 0.5 * (np.sqrt(xs + root) + root)
+    gap = 0.5 * root / mean  # = _gap(xs), from the roots already taken
     return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
-            * np.sin(np.outer(0.5 * scale, _gap(xs))))
+            * np.sin(np.outer(0.5 * scale, gap)))
+
+
+def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
+    """Panels of diagonal_profile's first grid for frequencies up to n_max.
+
+    _PANELS_PER_RATE panels per unit of the peak rate 4√n_max/(k√x) over
+    the window, and at least 8 panels and 2Δ/r panels so the weight's
+    ramps are resolved.
+    """
+    lo, hi = weight.support
+    delta = hi - lo
+    peak = 4.0 * math.sqrt(float(n_max)) / (k * math.sqrt(lo))
+    return max(8, math.ceil(_PANELS_PER_RATE * peak * delta),
+               math.ceil(2.0 * delta / weight.r))
 
 
 def diagonal_profile(ns, k: int, weight: WeightProfile,
@@ -159,10 +177,10 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
     """Exact per-n brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx, one shared grid.
 
     The integrand is the squared product form of _cos_difference. The
-    first grid gives each Gauss-16 panel about three cycles of the
-    squared integrand at the fastest requested frequency (0.15625 panels
-    per unit of the peak rate 4√n/(k√x) over the window), and at least
-    8 panels and 2Δ/r panels so the weight's ramps are resolved. One
+    first grid (_first_panels) gives each Gauss-16 panel about three
+    cycles of the squared integrand at the fastest requested frequency,
+    and at least 8 panels and 2Δ/r panels so the weight's ramps are
+    resolved. One
     evaluation covers every n at once; panel doubling must agree to 1e-9
     relative to the weight mass. Returns (brackets, flagged) where flagged
     lists the n whose rows never converged inside the budget and were
@@ -173,11 +191,7 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
         return np.zeros(0), ()
     if np.any(ns < 1):
         raise ValueError("frequencies must satisfy n >= 1")
-    lo, hi = weight.support
-    delta = hi - lo
-    peak = 4.0 * math.sqrt(float(ns.max())) / (k * math.sqrt(lo))
-    panels = max(8, math.ceil(0.15625 * peak * delta),
-                 math.ceil(2.0 * delta / weight.r))
+    panels = _first_panels(int(ns.max()), k, weight)
     xs, wsx = _weighted_nodes(weight, panels)
     tol = 1e-9 * float(np.sum(np.abs(wsx)))
     values = (_cos_difference(ns, k, xs) ** 2 * wsx).sum(axis=1)

@@ -69,10 +69,7 @@ def test_profile_settles_on_first_doubling(window_1e4):
     # the first grid of the panel rule, then a budget that allows exactly
     # one doubling: every row must settle there
     ns = np.arange(1, 257)
-    lo, hi = window_1e4.support
-    peak = 4.0 * math.sqrt(256.0) / math.sqrt(lo)
-    panels = max(8, math.ceil(0.15625 * peak * (hi - lo)),
-                 math.ceil(2.0 * (hi - lo) / window_1e4.r))
+    panels = msq._first_panels(256, 1, window_1e4)
     once, flagged = msq.diagonal_profile(ns, 1, window_1e4,
                                          node_budget=48 * panels)
     assert flagged == ()
