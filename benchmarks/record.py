@@ -8,7 +8,7 @@ compare against (made with ``git clone`` or ``git archive``):
 
 The workloads, the run length, the command and the end-to-end metrics with
 their ``better`` directions come from the change checkout's BENCHMARK.json.
-For each workload the script runs each checkout's own, unchanged benchmark
+For every workload the script runs each checkout's own, unchanged benchmark
 command with ``--trace 0`` once per pair, alternating which side goes
 first; pair i uses seed FIRST_SEED + i on both sides. It reads the metrics
 from the JSON object on the last line of the command's stdout and writes a
@@ -92,8 +92,6 @@ def main(argv=None) -> int:
                         help="checkout of the commit compared against")
     parser.add_argument("--change", type=Path, default=Path("."),
                         help="checkout holding the change (default: here)")
-    parser.add_argument("--workloads", nargs="+",
-                        help="subset of BENCHMARK.json's workloads (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, default=Path("BENCH_diagonal.json"))
     args = parser.parse_args(argv)
@@ -103,11 +101,7 @@ def main(argv=None) -> int:
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json")
                        .read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = args.workloads or names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown:
-        parser.error(f"unknown workloads {unknown}; BENCHMARK.json has {names}")
+    workloads = [w["name"] for w in bench["workloads"]]
 
     payload = {"environment": {"python": platform.python_version(),
                                "machine": platform.machine()},
