@@ -232,7 +232,6 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     summaries = []
-    pooled = {"xs": [], "errs0": [], "errs4": [], "ns": [], "ks": []}
     for m_scale in scales:
         for k in ks:
             point = unit_point(k)
@@ -258,11 +257,6 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
                 "decay_sixteenth_to_quarter": med_sixteenth / med_quarter,
                 "decay_quarter_to_full": med_quarter / med_full,
             })
-            pooled["xs"].extend(xs.tolist())
-            pooled["errs0"].extend(errs0.tolist())
-            pooled["errs4"].extend(errs4.tolist())
-            pooled["ns"].extend([n_full] * len(xs))
-            pooled["ks"].extend([k] * len(xs))
 
     n_rows = write_csv(out_dir / "voronoi.csv", (
         "m_scale_index_units", "k_denominator", "h_numerator",
@@ -271,10 +265,9 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
         "err_phase_pi4_sixteenth_terms",
     ), rows)
 
-    env4 = fit_error_envelope(pooled["xs"], pooled["errs4"], pooled["ns"],
-                              pooled["ks"])
-    env0 = fit_error_envelope(pooled["xs"], pooled["errs0"], pooled["ns"],
-                              pooled["ks"])
+    _, k_col, _, x_col, n_col, err0_col, err4_col, _, _ = zip(*rows)
+    env4 = fit_error_envelope(x_col, err4_col, n_col, k_col)
+    env0 = fit_error_envelope(x_col, err0_col, n_col, k_col)
     # per-scale slope of log median error against log k
     slopes = {}
     for m_scale in scales:

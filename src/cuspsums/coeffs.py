@@ -59,6 +59,14 @@ class CoefficientTable:
     tau: list[int]
     a: np.ndarray | None = field(default=None, repr=False)
 
+    def require(self, n_needed: int, what: str) -> None:
+        """Raise ValueError unless the table reaches n = n_needed."""
+        if n_needed > self.n_max:
+            raise ValueError(
+                f"{what} needs coefficients up to n={n_needed}, "
+                f"table holds {self.n_max}"
+            )
+
 
 def _crt_primes(n_max: int) -> list[int]:
     """Largest primes below 2^21, as many as make their product exceed

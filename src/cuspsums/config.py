@@ -15,6 +15,8 @@ from typing import Sequence
 
 from .calibrated import OMEGA_THRESHOLD
 from .errors import ConfigError
+from .meansquare import (SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT, SWEEP_KS,
+                         SWEEP_MS, SWEEP_RISE_FRACTION)
 
 _MAX_SEED = 2 ** 64 - 1
 
@@ -43,11 +45,11 @@ class ExperimentConfig:
 
     table: str = "tau.cache"
     n: int = 1_000_000
-    ms: tuple = (1.0e4, 3.0e4, 1.0e5, 3.0e5)
-    ks: tuple = (1, 2, 3, 5, 7)
-    delta_coeff: float = 4.0
-    delta_exponent: float = 0.55
-    rise_fraction: float = 0.25
+    ms: tuple = SWEEP_MS
+    ks: tuple = SWEEP_KS
+    delta_coeff: float = SWEEP_DELTA_COEFF
+    delta_exponent: float = SWEEP_DELTA_EXPONENT
+    rise_fraction: float = SWEEP_RISE_FRACTION
     node_budget: int = 2_000_000
     out: str = "out"
     seed: int = 20260815

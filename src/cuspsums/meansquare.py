@@ -35,12 +35,12 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
-from cuspsums.rational import RationalPoint, e_k, unit_point
+from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
+from cuspsums.voronoi import VoronoiParams
 from cuspsums.weight import WeightProfile, build_weight, eval_weight
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUARTER_TURN = math.pi / 4.0
 _CROSSCHECK_NODE_BUDGET = 8_000_000
 # terms of the moment series of the slow brackets; for n <= M and Δ <= M,
@@ -51,8 +51,12 @@ _MOMENT_ORDER = 12
 # window: about three cycles of the squared product form per panel
 _PANELS_PER_RATE = 0.15625
 
+# the default sweep; the CLI's configuration defaults read these too
 SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
 SWEEP_KS = (1, 2, 3, 5, 7)
+SWEEP_DELTA_COEFF = 4.0
+SWEEP_DELTA_EXPONENT = 0.55
+SWEEP_RISE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,7 @@ def theorem_integral(m: float, delta: float, point: RationalPoint,
 
 def _weighted_nodes(weight: WeightProfile, panels: int):
     """Gauss-16 abscissae over the support plus w(x)·√x·quadrature weights."""
-    lo, hi = weight.support
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GAUSS16_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GAUSS16_WEIGHTS[None, :]).ravel()
+    x, wts = weight.gauss_panels(panels)
     return x, wts * eval_weight(weight, x) * np.sqrt(x)
 
 
@@ -256,9 +255,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         raise ValueError(f"need k >= 1, got {k}")
     _check_geometry(m, delta, weight)
     n_top = math.floor(m)
-    if table.n_max < n_top:
-        raise ValueError(
-            f"table holds {table.n_max} coefficients, diagonal needs {n_top}")
+    table.require(n_top, "diagonal_term")
     if n_exact is None:
         n_exact = max(256, 4 * k * k)
     n_exact = min(int(n_exact), n_top)
@@ -404,7 +401,7 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
                  math.ceil(2.0 * delta / weight.r))
     if 48 * panels > _CROSSCHECK_NODE_BUDGET:
         raise ValueError("truncation level needs more nodes than budgeted")
-    ns = np.arange(1, n_trunc + 1, dtype=np.int64)
+    ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
 
     def pair_integrals(n_panels: int) -> np.ndarray:
         xs, wsx = _weighted_nodes(weight, n_panels)
@@ -416,7 +413,6 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     if float(np.max(np.abs(pairs - coarse))) > 1e-9 * (hi - lo) * math.sqrt(hi):
         raise ValueError("pair integrals did not settle under panel doubling")
 
-    z = table.a[:n_trunc] * ns ** -0.75 * e_k(-ns * point.h_bar, k)
     full = float(np.real(np.conj(z) @ pairs @ z))
     diag = float(np.abs(z) ** 2 @ np.diag(pairs))
     prefactor = k / (2.0 * math.pi ** 2)
@@ -495,8 +491,9 @@ def window_length(m: float, k: int, delta_coeff: float,
     return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
 
 
-def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS, delta_coeff: float = 4.0,
-               delta_exponent: float = 0.55):
+def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS,
+               delta_coeff: float = SWEEP_DELTA_COEFF,
+               delta_exponent: float = SWEEP_DELTA_EXPONENT):
     """(M, point, Δ) combinations inside the theorem regime.
 
     Δ follows window_length and the point is unit_point(k); combinations
@@ -515,8 +512,10 @@ def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS, delta_coeff: float = 4.0,
 
 
 def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
-              delta_coeff: float = 4.0, delta_exponent: float = 0.55,
-              rise_fraction: float = 0.25) -> list[MeanSquareResult]:
+              delta_coeff: float = SWEEP_DELTA_COEFF,
+              delta_exponent: float = SWEEP_DELTA_EXPONENT,
+              rise_fraction: float = SWEEP_RISE_FRACTION
+              ) -> list[MeanSquareResult]:
     """The measured I beside its diagonal prediction across the sweep grid.
 
     Each row holds one theorem_integral and one whole diagonal_term; rows

@@ -3,11 +3,13 @@
 Three phase families cover every integral that appears in the mean-square
 decomposition (names are part of the public interface):
 
-  L3: B(x) = s (2 sqrt(n T1(x))/k + 2 sqrt(m T2(x))/k), T1, T2 free
-  L4: B(x) = s (2 sqrt(n T(x))/k - 2 sqrt(m T(x))/k), one common T
-  L5: B(x) = s (2 sqrt(m (x+sqrt x))/k - 2 sqrt(n x)/k), T fixed per radical
+  L3: B(x) = 2 sqrt(n T1(x))/k + 2 sqrt(m T2(x))/k, T1, T2 free
+  L4: B(x) = 2 sqrt(n T(x))/k - 2 sqrt(m T(x))/k, one common T
+  L5: B(x) = 2 sqrt(m (x+sqrt x))/k - 2 sqrt(n x)/k, T fixed per radical
 
-with T drawn from {x, x + sqrt(x)} and s a single overall sign. Quadrature
+with T drawn from {x, x + sqrt(x)}; the difference families subtract the
+second-listed radical. The opposite sign would only conjugate the
+integral and leave every |integral|, |B'| and bound unchanged. Quadrature
 is adaptive Gauss-16 panels sized so no panel spans more than one
 oscillation (16 nodes per cycle); successive doublings must agree to 1e-8
 absolute or the evaluation refuses with NodeBudgetError rather than return
@@ -38,24 +40,21 @@ _FAMILIES = ("L3", "L4", "L5")
 MAX_CYCLES = 1.0e6
 _REFINE_TOL = 1e-8
 _SCAN_POINTS = 4097
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One oscillatory phase: family, frequencies m and n, point, signs.
+    """One oscillatory phase: family, frequencies m and n, point, T-assignments.
 
-    sign applies to the whole phase for L3 and to the first-listed radical
-    for the difference families (n-radical in L4, the shifted m-radical in
-    L5); the other radical gets the opposite sign. Whether m, n fit a
-    particular coefficient table is the caller's concern.
+    L3 adds its two radicals; the difference families subtract the
+    second-listed one (the m-radical in L4, the plain n-radical in L5).
+    Whether m, n fit a particular coefficient table is the caller's concern.
     """
 
     family: str
     m: int
     n: int
     point: RationalPoint
-    sign: int = 1
     t_n: str = T_PLAIN
     t_m: str = T_PLAIN
 
@@ -64,8 +63,6 @@ class PhaseSpec:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need m, n >= 1, got m={self.m}, n={self.n}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         for t in (self.t_n, self.t_m):
             if t not in (T_PLAIN, T_SHIFTED):
                 raise ValueError(f"T-assignment must be {T_PLAIN!r} or {T_SHIFTED!r}")
@@ -75,30 +72,29 @@ class PhaseSpec:
             raise ValueError("family L5 fixes t_m=x+sqrt(x) and t_n=x")
 
 
-def l3_spec(m: int, n: int, point: RationalPoint, sign: int = 1,
+def l3_spec(m: int, n: int, point: RationalPoint,
             t_n: str = T_PLAIN, t_m: str = T_PLAIN) -> PhaseSpec:
-    return PhaseSpec("L3", m, n, point, sign, t_n, t_m)
+    return PhaseSpec("L3", m, n, point, t_n, t_m)
 
 
-def l4_spec(m: int, n: int, point: RationalPoint, sign: int = 1,
+def l4_spec(m: int, n: int, point: RationalPoint,
             t: str = T_PLAIN) -> PhaseSpec:
-    return PhaseSpec("L4", m, n, point, sign, t, t)
+    return PhaseSpec("L4", m, n, point, t, t)
 
 
-def l5_spec(m: int, n: int, point: RationalPoint, sign: int = 1) -> PhaseSpec:
-    return PhaseSpec("L5", m, n, point, sign, t_n=T_PLAIN, t_m=T_SHIFTED)
+def l5_spec(m: int, n: int, point: RationalPoint) -> PhaseSpec:
+    return PhaseSpec("L5", m, n, point, t_n=T_PLAIN, t_m=T_SHIFTED)
 
 
 def _radicals(spec: PhaseSpec) -> list[tuple[int, int, bool]]:
     """(coefficient sign, frequency, shifted?) per radical."""
-    s = spec.sign
     if spec.family == "L3":
-        return [(s, spec.n, spec.t_n == T_SHIFTED),
-                (s, spec.m, spec.t_m == T_SHIFTED)]
+        return [(1, spec.n, spec.t_n == T_SHIFTED),
+                (1, spec.m, spec.t_m == T_SHIFTED)]
     if spec.family == "L4":
-        return [(s, spec.n, spec.t_n == T_SHIFTED),
-                (-s, spec.m, spec.t_m == T_SHIFTED)]
-    return [(s, spec.m, True), (-s, spec.n, False)]
+        return [(1, spec.n, spec.t_n == T_SHIFTED),
+                (-1, spec.m, spec.t_m == T_SHIFTED)]
+    return [(1, spec.m, True), (-1, spec.n, False)]
 
 
 def build_phase(spec: PhaseSpec):
@@ -127,17 +123,6 @@ def build_phase(spec: PhaseSpec):
         return total if total.ndim else float(total)
 
     return b, b_prime
-
-
-def _panel_quadrature(profile: WeightProfile, b_fun, lo: float, hi: float,
-                      panels: int) -> complex:
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = eval_weight(profile, x) * np.sqrt(x) \
-        * np.exp(2j * np.pi * b_fun(x))
-    return complex(np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * vals))
 
 
 def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
@@ -174,7 +159,9 @@ def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
                 f"refinement to {panels} panels would pass the node budget "
                 f"{node_budget} without reaching {_REFINE_TOL:.0e} agreement"
             )
-        cur = _panel_quadrature(profile, b_fun, lo, hi, panels)
+        x, wts = profile.gauss_panels(panels)
+        cur = complex(np.sum(wts * (eval_weight(profile, x) * np.sqrt(x)
+                                    * np.exp(2j * np.pi * b_fun(x)))))
         nodes_used += 16 * panels
         if prev is not None and abs(cur - prev) <= _REFINE_TOL:
             return cur

@@ -27,14 +27,6 @@ _BREAKPOINT_TOL = 1e-9
 _ANCHOR_EVERY = 1024
 
 
-def _require_table(table: CoefficientTable, n_needed: int, what: str) -> None:
-    if n_needed > table.n_max:
-        raise ValueError(
-            f"{what} needs coefficients up to n={n_needed}, "
-            f"table holds {table.n_max}"
-        )
-
-
 def window_bounds(x: float) -> tuple[int, int]:
     """Integer window [ceil(x), floor(x + sqrt(x))]; both ends closed."""
     if not math.isfinite(x) or x < 1.0:
@@ -45,7 +37,7 @@ def window_bounds(x: float) -> tuple[int, int]:
 def short_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex:
     """S(x) = sum_{x <= n <= x + sqrt(x)} a(n) e(n h/k), alpha = h/k, summed pairwise."""
     lo, hi = window_bounds(x)
-    _require_table(table, hi, f"short_sum at x={x}")
+    table.require(hi, f"short_sum at x={x}")
     if hi < lo:
         return 0j
     ns = np.arange(lo, hi + 1, dtype=np.int64)
@@ -59,7 +51,7 @@ def long_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex
     hi = math.floor(x)
     if hi < 1:
         return 0j
-    _require_table(table, hi, f"long_sum at x={x}")
+    table.require(hi, f"long_sum at x={x}")
     ns = np.arange(1, hi + 1, dtype=np.int64)
     return complex(np.sum(table.a[:hi] * e_k(ns * alpha.h, alpha.k)))
 
@@ -72,7 +64,7 @@ def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> co
     hi = math.floor(m + delta)
     if lo < 1:
         raise ValueError(f"window must start at m >= 1, got m={m}")
-    _require_table(table, hi, f"window sum at m={m}")
+    table.require(hi, f"window sum at m={m}")
     if hi < lo:
         return 0j
     return complex(np.sum(table.a[lo - 1: hi]))
@@ -121,17 +113,13 @@ def step_series(m: float, delta: float, point: RationalPoint,
                 table: CoefficientTable) -> StepSeries:
     """Build the step structure with O(delta) single-term updates."""
     hi = m + delta
-    _require_table(table, math.floor(hi + math.sqrt(hi)), "step_series")
+    table.require(math.floor(hi + math.sqrt(hi)), "step_series")
+    # breakpoints are merged already; the ends are m and m + delta exactly,
+    # replacing the breakpoint either lands on
     inner = breakpoints(m, delta)
-    edges = [float(m)]
-    for x in inner:
-        if x - edges[-1] > _BREAKPOINT_TOL:
-            edges.append(float(x))
-    if hi - edges[-1] > _BREAKPOINT_TOL:
-        edges.append(float(hi))
-    else:
-        edges[-1] = float(hi)
-    edges = np.asarray(edges)
+    inner = inner[(inner - m > _BREAKPOINT_TOL) & (hi - inner > _BREAKPOINT_TOL)]
+    head = [float(m)] if hi - m > _BREAKPOINT_TOL else []
+    edges = np.concatenate([head, inner, [float(hi)]])
 
     xs = edges[1:-1]
     n_piece = edges.size - 1

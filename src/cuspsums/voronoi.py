@@ -54,19 +54,19 @@ class VoronoiParams:
                 f"phase_shift must be 0 or -pi/4, got {self.phase_shift!r}"
             )
 
+    def dual_coefficients(self, table: CoefficientTable
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """(n, a(n) e_k(-n hbar) n^(-3/4)) for n = 1..n_trunc; empty at n_trunc = 0."""
+        table.require(self.n_trunc, "dual sum")
+        ns = np.arange(1, self.n_trunc + 1)
+        phases = e_k(-ns * self.point.h_bar, self.point.k)
+        return ns, table.a[:self.n_trunc] * phases * ns ** -0.75
+
 
 def _check_x(x: float) -> float:
     if not math.isfinite(x) or x < 1.0:
         raise ValueError(f"need finite x >= 1, got {x}")
     return float(x)
-
-
-def _check_table(params: VoronoiParams, table: CoefficientTable) -> None:
-    if params.n_trunc > table.n_max:
-        raise ValueError(
-            f"truncation n_trunc={params.n_trunc} exceeds table length "
-            f"{table.n_max}"
-        )
 
 
 def voronoi_main_term(x: float, params: VoronoiParams,
@@ -77,15 +77,10 @@ def voronoi_main_term(x: float, params: VoronoiParams,
     empty sum and returns 0.
     """
     x = _check_x(x)
-    _check_table(params, table)
-    n = params.n_trunc
-    if n == 0:
-        return 0j
+    ns, coeffs = params.dual_coefficients(table)
     k = params.point.k
-    ns = np.arange(1, n + 1)
     args = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
-    phases = e_k(-ns * params.point.h_bar, k)
-    terms = table.a[:n] * phases * ns ** -0.75 * np.cos(args)
+    terms = coeffs * np.cos(args)
     return complex(_AMPLITUDE * math.sqrt(k) * x ** 0.25 * np.sum(terms))
 
 
@@ -99,18 +94,13 @@ def short_sum_main_term(x: float, params: VoronoiParams,
     difference (tests/test_voronoi.py, test_short_window_*).
     """
     x = _check_x(x)
-    _check_table(params, table)
-    n = params.n_trunc
-    if n == 0:
-        return 0j
+    ns, coeffs = params.dual_coefficients(table)
     k = params.point.k
     top = x + math.sqrt(x)
-    ns = np.arange(1, n + 1)
     args_top = (4.0 * np.pi / k) * np.sqrt(ns * top) + params.phase_shift
     args_bot = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
     diff = (np.cos(args_top) - np.cos(args_bot)) * x ** 0.25
-    phases = e_k(-ns * params.point.h_bar, k)
-    terms = table.a[:n] * phases * ns ** -0.75 * diff
+    terms = coeffs * diff
     return complex(_AMPLITUDE * math.sqrt(k) * np.sum(terms))
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -34,6 +36,19 @@ class WeightProfile:
     @property
     def support(self) -> tuple[float, float]:
         return (self.m, self.m + self.delta)
+
+    def gauss_panels(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-16 abscissae and quadrature weights on equal panels of the support.
+
+        Both arrays are flat, panel by panel; callers multiply in their own
+        integrand, w(x) included.
+        """
+        lo, hi = self.support
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        x = (mid[:, None] + half[:, None] * _GAUSS16_NODES[None, :]).ravel()
+        return x, (half[:, None] * _GAUSS16_WEIGHTS[None, :]).ravel()
 
 
 def _psi(t: np.ndarray) -> np.ndarray:

@@ -98,6 +98,24 @@ def window_sum_by_rescan(x: float, h: int, k: int, a_values) -> complex:
     return total
 
 
+def step_edges_by_loop(m: float, delta: float, inner) -> list[float]:
+    """Piece edges of the step series by the per-breakpoint merge loop.
+
+    Starts at m, keeps each breakpoint more than 1e-9 past the last kept
+    edge, and ends at m + delta, which replaces a last edge within 1e-9.
+    """
+    hi = m + delta
+    edges = [float(m)]
+    for x in inner:
+        if x - edges[-1] > 1e-9:
+            edges.append(float(x))
+    if hi - edges[-1] > 1e-9:
+        edges.append(float(hi))
+    else:
+        edges[-1] = float(hi)
+    return edges
+
+
 def j_bessel_12(z):
     """J_12(z) for z >= 100, without special-function libraries.
 

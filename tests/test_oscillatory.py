@@ -67,15 +67,6 @@ def test_refinement_is_stable_under_forced_subdivision(window):
     assert abs(base - forced) <= 2e-8
 
 
-def test_sign_flip_conjugates_exactly(window):
-    for make, args in [(osc.l3_spec, (2, 3)), (osc.l4_spec, (4, 9)),
-                       (osc.l5_spec, (1, 4))]:
-        plus = osc.oscillatory_integral(window, make(*args, PT1, 1))
-        minus = osc.oscillatory_integral(window, make(*args, PT1, -1))
-        # same real quadrature nodes, conjugate phases: equality is exact
-        assert plus == minus.conjugate()
-
-
 def test_jm_bound_closed_forms():
     unit = osc.BoundCertificate(a0=1.0, a1=1.0, b1=2.0, rho=1.0, p=1, length=1.0)
     assert osc.jm_bound(unit) == 1.0
@@ -218,8 +209,6 @@ def test_phase_spec_validation():
         osc.PhaseSpec("L6", 1, 1, PT1)
     with pytest.raises(ValueError):
         osc.PhaseSpec("L3", 0, 1, PT1)
-    with pytest.raises(ValueError):
-        osc.PhaseSpec("L3", 1, 1, PT1, sign=2)
     with pytest.raises(ValueError):
         osc.PhaseSpec("L3", 1, 1, PT1, t_n="sqrt(x)")
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspsums.rational import make_rational_point
@@ -17,7 +17,7 @@ from cuspsums.sums import (
     window_bounds,
 )
 
-from oracles import window_sum_by_rescan
+from oracles import step_edges_by_loop, window_sum_by_rescan
 
 K1 = make_rational_point(0, 1)
 
@@ -162,6 +162,34 @@ def test_step_series_covers_square_collision(table_2e4):
     for i, x in enumerate(mids):
         direct = short_sum(float(x), make_rational_point(1, 4), table_2e4)
         assert abs(series.values[i] - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("m, delta", [
+    (4.0, 2.0), (30.0, 10.0), (5035.0, 12.0), (5041.0, 0.0),
+    (5035.5, 1e-10), (4000.25, 80.75)])
+def test_step_edges_match_merge_loop(table_2e4, m, delta):
+    # integer ends, a square collision and degenerate windows
+    series = step_series(m, delta, make_rational_point(1, 3), table_2e4)
+    want = step_edges_by_loop(m, delta, breakpoints(m, delta))
+    assert series.breakpoints.tolist() == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=100, max_value=15_000),
+       st.floats(min_value=0.01, max_value=0.99),
+       st.floats(min_value=1.0, max_value=300.0))
+def test_step_series_ends_off_breakpoints(table_2e4, base, frac, delta):
+    m = base + frac
+    assume(abs(m + delta - round(m + delta)) > 1e-6)
+    point = make_rational_point(2, 5)
+    series = step_series(m, delta, point, table_2e4)
+    edges = series.breakpoints
+    assert edges[0] == m and edges[-1] == m + delta
+    assert np.all(np.diff(edges) > 1e-9)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    for value, x in zip(series.values, mids):
+        direct = short_sum(float(x), point, table_2e4)
+        assert abs(value - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
 @settings(max_examples=60, deadline=None)
