@@ -19,7 +19,9 @@ In each checkout the script runs the command line from that checkout's
   checkout's perfbench/configs/sweep.cfg.
 
 It compares every output file, stdout and exit code, prints each one that
-differs and exits 1 if any does, 0 otherwise.
+differs and exits 1 if any does, 0 otherwise. For a CSV file present on
+both sides it also prints the numbers of the differing data rows, counted
+from 1 after the header, at most ten of them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 COEFFS_CACHE = "tau30000.cache"
+ROWS_SHOWN = 10
 
 
 def commands(checkout: Path, table: Path) -> dict:
@@ -70,6 +73,17 @@ def run_side(side: str, checkout: Path, table: Path, work: Path) -> dict:
     return results
 
 
+def differing_rows(old: bytes, new: bytes) -> str:
+    """The numbers of the CSV data rows that differ, header excluded."""
+    rows0 = old.decode().splitlines()[1:]
+    rows1 = new.decode().splitlines()[1:]
+    rows = [i + 1 for i in range(max(len(rows0), len(rows1)))
+            if rows0[i:i + 1] != rows1[i:i + 1]]
+    more = ", ..." if len(rows) > ROWS_SHOWN else ""
+    return (f"{len(rows)} data rows differ: "
+            f"{', '.join(map(str, rows[:ROWS_SHOWN]))}{more}")
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """One line per exit code, stdout or output file that differs."""
     out = []
@@ -80,10 +94,15 @@ def differences(parent: dict, change: dict) -> list[str]:
         if stdout0 != stdout1:
             out.append(f"{name}: stdout differs")
         for path in sorted(set(files0) | set(files1)):
-            if files0.get(path) != files1.get(path):
-                out.append(f"{name}: {path} differs" if path in files0 and path in files1
-                           else f"{name}: {path} only on the "
-                                f"{'parent' if path in files0 else 'change'} side")
+            if files0.get(path) == files1.get(path):
+                continue
+            if path in files0 and path in files1:
+                rows = (f" ({differing_rows(files0[path], files1[path])})"
+                        if path.endswith(".csv") else "")
+                out.append(f"{name}: {path} differs{rows}")
+            else:
+                out.append(f"{name}: {path} only on the "
+                           f"{'parent' if path in files0 else 'change'} side")
     return out
 
 

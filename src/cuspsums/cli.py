@@ -18,7 +18,7 @@ from . import __version__
 from .calibrated import STATED_RATIO_MAX
 from .coeffs import generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
-from .errors import ConfigError, NodeBudgetError
+from .errors import CoefficientOverflowError, ConfigError, NodeBudgetError
 from .meansquare import (exponent_fit, omega_statistic, run_sweep, sweep_grid,
                          window_length)
 from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
@@ -226,8 +226,7 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table = _load_table(cfg)
     scales = tuple(sorted(cfg.voronoi_ms))
     ks = tuple(sorted(set(cfg.voronoi_ks)))
-    top = 2.0 * max(scales)
-    _require_coverage(table, top + top ** 0.5 + 1.0, "voronoi scan")
+    _require_coverage(table, 2.0 * max(scales), "voronoi scan")
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
     except NodeBudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, CoefficientOverflowError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -130,10 +130,15 @@ def theorem_integral(m: float, delta: float, point: RationalPoint,
     return float(np.sum(np.abs(series.values) ** 2 * masses))
 
 
+def _root_weighted(weight: WeightProfile, x: np.ndarray, wts: np.ndarray):
+    """Quadrature weights times w(x)·√x at the abscissae x."""
+    return wts * eval_weight(weight, x) * np.sqrt(x)
+
+
 def _weighted_nodes(weight: WeightProfile, panels: int):
     """Gauss-16 abscissae over the support plus w(x)·√x·quadrature weights."""
     x, wts = weight.gauss_panels(panels)
-    return x, wts * eval_weight(weight, x) * np.sqrt(x)
+    return x, _root_weighted(weight, x, wts)
 
 
 def _gap(xs: np.ndarray) -> np.ndarray:
@@ -160,15 +165,12 @@ def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
 def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
     """Panels of diagonal_profile's first grid for frequencies up to n_max.
 
-    _PANELS_PER_RATE panels per unit of the peak rate 4√n_max/(k√x) over
-    the window, and at least 8 panels and 2Δ/r panels so the weight's
-    ramps are resolved.
+    WeightProfile.first_panels of _PANELS_PER_RATE panels per unit of the
+    peak rate 4√n_max/(k√x) over the window.
     """
     lo, hi = weight.support
-    delta = hi - lo
     peak = 4.0 * math.sqrt(float(n_max)) / (k * math.sqrt(lo))
-    return max(8, math.ceil(_PANELS_PER_RATE * peak * delta),
-               math.ceil(2.0 * delta / weight.r))
+    return weight.first_panels(_PANELS_PER_RATE * peak * (hi - lo))
 
 
 def diagonal_profile(ns, k: int, weight: WeightProfile,
@@ -177,13 +179,11 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
 
     The integrand is the squared product form of _cos_difference. The
     first grid (_first_panels) gives each Gauss-16 panel about three
-    cycles of the squared integrand at the fastest requested frequency,
-    and at least 8 panels and 2Δ/r panels so the weight's ramps are
-    resolved. One
-    evaluation covers every n at once; panel doubling must agree to 1e-9
-    relative to the weight mass. Returns (brackets, flagged) where flagged
-    lists the n whose rows never converged inside the budget and were
-    replaced by the trivial bound 4 ∫ w √x.
+    cycles of the squared integrand at the fastest requested frequency.
+    One evaluation covers every n at once; WeightProfile.refine settles
+    each row to 1e-9 of the first grid's weight mass ∫ w √x. Returns
+    (brackets, flagged) where flagged lists the n whose rows never settled
+    inside the budget and were replaced by the trivial bound 4 ∫ w √x.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -191,24 +191,12 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
     if np.any(ns < 1):
         raise ValueError("frequencies must satisfy n >= 1")
     panels = _first_panels(int(ns.max()), k, weight)
-    xs, wsx = _weighted_nodes(weight, panels)
-    tol = 1e-9 * float(np.sum(np.abs(wsx)))
-    values = (_cos_difference(ns, k, xs) ** 2 * wsx).sum(axis=1)
-    nodes_used = xs.size
-    settled = np.zeros(ns.size, dtype=bool)
-    while nodes_used + 32 * panels <= node_budget:
-        panels *= 2
-        xs, wsx = _weighted_nodes(weight, panels)
-        nodes_used += xs.size
-        refined = (_cos_difference(ns, k, xs) ** 2 * wsx).sum(axis=1)
-        settled |= np.abs(refined - values) <= tol
-        values = refined
-        if settled.all():
-            return values, ()
-    flagged = tuple(int(n) for n in ns[~settled])
-    trivial = 4.0 * float(np.sum(wsx))
-    values[~settled] = trivial
-    return values, flagged
+    mass = float(np.sum(_weighted_nodes(weight, panels)[1]))
+    values, settled = weight.refine(panels, lambda xs, wts: (
+        _cos_difference(ns, k, xs) ** 2 * _root_weighted(weight, xs, wts)
+    ).sum(axis=1), 1e-9 * mass, node_budget)
+    values[~settled] = 4.0 * mass
+    return values, tuple(int(n) for n in ns[~settled])
 
 
 def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
@@ -271,8 +259,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
 
     slack = 0.0
     if n_exact < n_top:
-        panels = max(8, math.ceil(2.0 * delta / weight.r))
-        xs, wsx = _weighted_nodes(weight, panels)
+        xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
         tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
         tail_coeff = coeff[n_exact:]
         brackets, truncation = _slow_brackets(tail_ns, k, xs, wsx)
@@ -397,20 +384,18 @@ def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
     lo, hi = weight.support
     # fastest phase among all cross terms: both radicals at n_trunc, summed
     peak = 4.0 * math.sqrt(float(n_trunc)) / (k * math.sqrt(lo))
-    panels = max(8, math.ceil(1.25 * peak * delta),
-                 math.ceil(2.0 * delta / weight.r))
+    panels = weight.first_panels(1.25 * peak * delta)
     if 48 * panels > _CROSSCHECK_NODE_BUDGET:
         raise ValueError("truncation level needs more nodes than budgeted")
     ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
 
-    def pair_integrals(n_panels: int) -> np.ndarray:
-        xs, wsx = _weighted_nodes(weight, n_panels)
+    def pair_integrals(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
         diffs = _cos_difference(ns, k, xs)
-        return (diffs * wsx) @ diffs.T
+        return (diffs * _root_weighted(weight, xs, wts)) @ diffs.T
 
-    coarse = pair_integrals(panels)
-    pairs = pair_integrals(2 * panels)
-    if float(np.max(np.abs(pairs - coarse))) > 1e-9 * (hi - lo) * math.sqrt(hi):
+    pairs, settled = weight.refine(panels, pair_integrals, 1e-9 * (hi - lo)
+                                   * math.sqrt(hi), _CROSSCHECK_NODE_BUDGET)
+    if not settled.all():
         raise ValueError("pair integrals did not settle under panel doubling")
 
     full = float(np.real(np.conj(z) @ pairs @ z))

@@ -10,10 +10,9 @@ decomposition (names are part of the public interface):
 with T drawn from {x, x + sqrt(x)}; the difference families subtract the
 second-listed radical. The opposite sign would only conjugate the
 integral and leave every |integral|, |B'| and bound unchanged. Quadrature
-is adaptive Gauss-16 panels sized so no panel spans more than one
-oscillation (16 nodes per cycle); successive doublings must agree to 1e-8
-absolute or the evaluation refuses with NodeBudgetError rather than return
-a value it cannot defend.
+is WeightProfile.refine on Gauss-16 panels of under one oscillation each;
+successive doublings must agree to 1e-8 absolute or the evaluation
+refuses with NodeBudgetError rather than return a value it cannot defend.
 
 The first-derivative-test bound A0 (A1 B1)^(-P) (1 + A1/rho)^P (b - a) is
 computed from BoundCertificate records whose amplitude scales come from the
@@ -126,14 +125,13 @@ def build_phase(spec: PhaseSpec):
 
 
 def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
-                         node_budget: int = 2_000_000,
-                         min_panels: int | None = None) -> complex:
+                         node_budget: int = 2_000_000) -> complex:
     """∫ w(x) x^(1/2) e(B(x)) dx over the weight support, or refuse loudly.
 
-    Initial panel count keeps every panel under one cycle of the densest
-    local oscillation and under half the ramp width; doubling repeats until
-    two successive values agree to 1e-8 absolute. Exceeding the cycle guard
-    or the node budget raises NodeBudgetError, never a silent bad value.
+    The first grid keeps every panel under 0.8 of a cycle of the densest
+    local oscillation; WeightProfile.refine doubles it until two
+    successive values agree to 1e-8 absolute. Exceeding the cycle guard or
+    the node budget raises NodeBudgetError, never a silent bad value.
     """
     b_fun, bp_fun = build_phase(spec)
     lo, hi = profile.support
@@ -143,30 +141,18 @@ def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
             f"phase sweeps {variation:.3e} cycles over [{lo}, {hi}]; "
             f"refusing evaluations beyond {MAX_CYCLES:.0e} cycles"
         )
-    scan = np.linspace(lo, hi, _SCAN_POINTS)
-    peak = float(np.max(np.abs(bp_fun(scan))))
-    panels = max(8,
-                 math.ceil(1.25 * peak * (hi - lo)),
-                 math.ceil(2.0 * (hi - lo) / profile.r))
-    if min_panels is not None:
-        panels = max(panels, int(min_panels))
-
-    nodes_used = 0
-    prev: complex | None = None
-    while True:
-        if nodes_used + 16 * panels > node_budget:
-            raise NodeBudgetError(
-                f"refinement to {panels} panels would pass the node budget "
-                f"{node_budget} without reaching {_REFINE_TOL:.0e} agreement"
-            )
-        x, wts = profile.gauss_panels(panels)
-        cur = complex(np.sum(wts * (eval_weight(profile, x) * np.sqrt(x)
-                                    * np.exp(2j * np.pi * b_fun(x)))))
-        nodes_used += 16 * panels
-        if prev is not None and abs(cur - prev) <= _REFINE_TOL:
-            return cur
-        prev = cur
-        panels *= 2
+    peak = float(np.max(np.abs(bp_fun(np.linspace(lo, hi, _SCAN_POINTS)))))
+    panels = profile.first_panels(1.25 * peak * (hi - lo))
+    if 16 * panels <= node_budget:
+        value, settled = profile.refine(panels, lambda x, wts: complex(np.sum(
+            wts * (eval_weight(profile, x) * np.sqrt(x)
+                   * np.exp(2j * np.pi * b_fun(x))))), _REFINE_TOL, node_budget)
+        if settled:
+            return value
+    raise NodeBudgetError(
+        f"{panels} first-grid panels and their doublings pass the node "
+        f"budget {node_budget} before {_REFINE_TOL:.0e} agreement"
+    )
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,35 @@ class WeightProfile:
         x = (mid[:, None] + half[:, None] * _GAUSS16_NODES[None, :]).ravel()
         return x, (half[:, None] * _GAUSS16_WEIGHTS[None, :]).ravel()
 
+    def first_panels(self, cycles: float) -> int:
+        """Panels of the first grid of every weighted integral on the window.
+
+        max(8, ⌈cycles⌉, ⌈2Δ/r⌉): the caller's panel count for its
+        integrand, but at least 8 and two per ramp width.
+        """
+        return max(8, math.ceil(cycles), math.ceil(2.0 * self.delta / self.r))
+
+    def refine(self, panels: int, evaluate, tol: float, node_budget: int):
+        """Gauss-16 integrals evaluate(x, wts), refined by panel doubling.
+
+        Evaluates the first grid of `panels` panels, then doubles while the
+        nodes so far plus the next grid fit in node_budget. An entry settles
+        once two successive grids agree to tol, and stays settled; refinement
+        stops when all have. Returns (last-grid values, settled).
+        """
+        x, wts = self.gauss_panels(panels)
+        values = evaluate(x, wts)
+        nodes_used = x.size
+        settled = np.zeros(np.shape(values), dtype=bool)
+        while not settled.all() and nodes_used + 32 * panels <= node_budget:
+            panels *= 2
+            x, wts = self.gauss_panels(panels)
+            nodes_used += x.size
+            refined = evaluate(x, wts)
+            settled |= np.abs(refined - values) <= tol
+            values = refined
+        return values, settled
+
 
 def _psi(t: np.ndarray) -> np.ndarray:
     # exact 0 below the ramp and exact 1 above it; smooth in between

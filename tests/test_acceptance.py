@@ -36,7 +36,7 @@ from cuspsums.coeffs import (deligne_check, generate_tau,
 from cuspsums.meansquare import (diag_identity_check, exponent_fit,
                                  omega_statistic, run_sweep, theorem_integral,
                                  window_length)
-from cuspsums.oscillatory import (l3_spec, l4_spec, l5_spec,
+from cuspsums.oscillatory import (build_phase, l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, lemma_bound_check,
                                   oscillatory_integral)
 from cuspsums.rational import make_rational_point, unit_point
@@ -236,14 +236,17 @@ def test_bound_certificates():
         detail_bits.append(f"{family} max {values.max():.3g} "
                            f"slope {slope:+.2f}")
 
-    # accepted integrals agree with a forced finer partition to 1e-8
+    # accepted integrals agree with a forced fine grid of 4096 panels
     weight = build_weight(m_scale, 2.0e3)
+    x, wts = weight.gauss_panels(4096)
     self_ok = True
     for spec in (l3_spec(4, 9, make_rational_point(1, 2)),
                  l4_spec(2, 3, make_rational_point(1, 5)),
                  l5_spec(9, 10, make_rational_point(1, 3))):
         base = oscillatory_integral(weight, spec)
-        forced = oscillatory_integral(weight, spec, min_panels=4096)
+        b, _ = build_phase(spec)
+        forced = complex(np.sum(wts * weight(x) * np.sqrt(x)
+                                * np.exp(2j * np.pi * b(x))))
         self_ok &= abs(base - forced) <= 2e-8
 
     passed = bounded and no_growth and deriv_min >= 1.0 and self_ok

@@ -91,6 +91,52 @@ def test_node_budget_refusal_exits_two(workspace, capsys):
     assert "budget refused:" in capsys.readouterr().err
 
 
+def _short_cache_cfg(root, table, name, body):
+    path = root / f"{name}.cfg"
+    path.write_text(f"table = {table}\nout = {root / (name + '_out')}\n"
+                    "voronoi_ks = 1, 3\nvoronoi_samples = 6\n" + body,
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command, body", [
+    ("meansquare", "ms = 2e4\nks = 1\n"),
+    ("voronoi", "voronoi_ms = 10600\n"),
+    ("omega", "omega_delta = 7000\n"),
+])
+def test_short_cache_refusal_exits_one(workspace, capsys, command, body):
+    # the cache holds 21000 coefficients, fewer than each run reads
+    root, cfg, table = workspace
+    path = _short_cache_cfg(root, table, f"short_{command}", body)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:")
+    assert "rebuild with a larger n" in err
+
+
+def test_voronoi_coverage_is_twice_the_largest_scale(workspace, capsys):
+    # samples x < 2M read a(n) up to floor(x), so 2M = 21000 is enough
+    root, cfg, table = workspace
+    path = _short_cache_cfg(root, table, "edge_voronoi", "voronoi_ms = 10500\n")
+    assert main(["voronoi", "--config", str(path)]) == 0
+    assert "scan rows: 12" in capsys.readouterr().out
+
+
+def test_coefficient_overflow_exits_one(workspace, capsys, monkeypatch):
+    import cuspsums.cli as cli
+    from cuspsums.errors import CoefficientOverflowError
+
+    def overflowing(n):
+        raise CoefficientOverflowError(n, 128)
+
+    monkeypatch.setattr(cli, "generate_tau", overflowing)
+    root, cfg, table = workspace
+    out = root / "overflow_out"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: tau(21000) does not fit")
+
+
 def test_verify_lemmas_row_count_and_verdict(workspace, capsys):
     root, cfg, table = workspace
     out = root / "lem_out"

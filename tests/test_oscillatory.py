@@ -62,8 +62,11 @@ def test_l5_derivative_matches_finite_difference():
 def test_refinement_is_stable_under_forced_subdivision(window):
     spec = osc.l3_spec(2, 3, PT1)
     base = osc.oscillatory_integral(window, spec)
-    forced = osc.oscillatory_integral(window, spec, min_panels=5000)
-    # two independently converged runs, each within 1e-8 of the limit
+    # a fixed grid of 5000 Gauss-16 panels, far finer than refinement needs
+    b, _ = osc.build_phase(spec)
+    x, wts = window.gauss_panels(5000)
+    forced = complex(np.sum(wts * eval_weight(window, x) * np.sqrt(x)
+                            * np.exp(2j * np.pi * b(x))))
     assert abs(base - forced) <= 2e-8
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspsums.meansquare import window_length
 from cuspsums.weight import build_weight, derivative_bound_report, eval_weight
 
 # dense-grid values of sup|w^(n)| * r^n, frozen from the finite-difference
@@ -102,3 +103,62 @@ def test_quarter_ramp_delta_scaling():
     rep = derivative_bound_report(p, n_max=2)
     sup_w1 = rep.orders[1] / p.r
     assert sup_w1 <= C1_FROZEN * 4 / p.delta * 1.0001
+
+
+def test_first_panels_ramp_floor_reads_stored_delta():
+    # the k = 7 verify-lemmas window: 2Δ/r is exactly 8 from the stored Δ,
+    # but 8.000000000000002 from the support width (M + Δ) - M
+    delta = window_length(1e4, 7, 4.0, 0.55)
+    p = build_weight(1e4, delta, 0.25 * delta)
+    lo, hi = p.support
+    assert 2.0 * (hi - lo) / p.r > 8.0
+    assert p.first_panels(0.0) == 8
+    assert p.first_panels(8.5) == 9
+    assert build_weight(1e4, 2e3, 100.0).first_panels(3.0) == 40
+
+
+_SMOOTH = build_weight(100.0, 80.0, 20.0)
+
+
+def _moments(x, wts):
+    # ∫ u^j and ∫ cos(3u) over the support, u = (x - 100)/80 in [0, 1]
+    u = (x - 100.0) / 80.0
+    return np.array([np.sum(wts * u ** 0), np.sum(wts * u ** 25),
+                     np.sum(wts * np.cos(3.0 * u))])
+
+
+def test_refine_settles_smooth_integrand_on_first_doubling():
+    calls = []
+
+    def evaluate(x, wts):
+        calls.append(x.size)
+        return _moments(x, wts)
+
+    values, settled = _SMOOTH.refine(8, evaluate, 1e-10, 10 ** 6)
+    assert settled.all()
+    assert calls == [16 * 8, 16 * 16]
+    assert values == pytest.approx(_moments(*_SMOOTH.gauss_panels(256)), abs=1e-12)
+
+
+def test_refine_keeps_settled_entries_settled():
+    # entry 0 agrees between the first two grids only; entry 1 only between
+    # the last two; both count as settled at the end
+    script = iter([np.array([1.0, 0.0]), np.array([1.0, 5.0]),
+                   np.array([9.0, 7.0]), np.array([3.0, 7.0])])
+    values, settled = _SMOOTH.refine(8, lambda x, wts: next(script), 1e-9, 10 ** 6)
+    assert settled.tolist() == [True, True]
+    assert values.tolist() == [3.0, 7.0]
+
+
+def test_refine_under_one_doubling_of_budget_settles_nothing():
+    calls = []
+
+    def evaluate(x, wts):
+        calls.append(x.size)
+        return _moments(x, wts)
+
+    # the first grid takes 128 nodes; its doubling would need 256 more
+    values, settled = _SMOOTH.refine(8, evaluate, 1.0, 128 + 255)
+    assert calls == [128]
+    assert not settled.any()
+    assert values == pytest.approx(_moments(*_SMOOTH.gauss_panels(8)), abs=0.0)
