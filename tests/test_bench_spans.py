@@ -112,3 +112,24 @@ def test_traced_voronoi_sums_each_sample_once(tracer, tmp_path):
     assert metrics["sums.long_sum_calls"] == samples
     assert metrics["sums.long_sum_unique_share"] == 1.0
     assert metrics["voronoi.main_term_calls"] == 4 * samples
+
+
+def test_traced_load_normalizes_inside_load_cache(tracer, tmp_path):
+    from cuspsums import coeffs
+
+    cache = tmp_path / "tau.cache"
+    coeffs.save_cache(coeffs.generate_tau(1000), cache)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        coeffs.load_cache(cache)  # looked up after install: the wrapper
+    finally:
+        traced.remove()
+    assert traced.hook_errors == []
+    (load,) = [s for s in traced.spans if s["name"] == "coeffs.load_cache"]
+    (norm,) = [s for s in traced.spans if s["name"] == "coeffs.normalize"]
+    # a load that bypassed normalize would read 0 in coeffs.normalize_s
+    assert norm["parent"] == load["id"]
+    metrics = tracer.layer_metrics(traced.spans, traced.counts, {})
+    assert metrics["coeffs.normalize_s"] > 0
+    assert metrics["coeffs.cache_bytes_read"] == cache.stat().st_size

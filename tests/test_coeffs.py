@@ -18,7 +18,6 @@ from cuspsums.coeffs import (
     hecke_multiplicativity_check,
     hecke_prime_power_check,
     load_cache,
-    normalize,
     save_cache,
     smallest_prime_factors,
     tau_sequence,
@@ -131,7 +130,7 @@ def test_hecke_checks_pass(table_2e4):
 
 
 def test_hecke_checks_catch_corruption(table_2e4):
-    bad = CoefficientTable(n_max=100, tau=list(table_2e4.tau[:100]))
+    bad = CoefficientTable.from_tau(list(table_2e4.tau[:100]))
     bad.tau[59] = bad.tau[59] + 1  # corrupt tau(60) = tau(4)tau(15)
     assert hecke_multiplicativity_check(bad).first_failure == 60
 
@@ -157,6 +156,53 @@ def test_cache_roundtrip(tmp_path, table_2e4):
     assert back.a.tobytes() == table_2e4.a.tobytes()  # recomputed, same doubles
 
 
+def test_loaded_tau_is_decoded_on_first_read(tmp_path, table_2e4):
+    path = tmp_path / "t20000.cusp"
+    save_cache(table_2e4, path)
+    back = load_cache(path)
+    assert "tau" not in vars(back)  # a(n) came straight from the records
+    assert back.tau == tau_pentagonal(20_000)
+    assert "tau" in vars(back)
+
+
+@st.composite
+def _int128(draw):
+    """A signed 128-bit integer of any bit width; above 54 bits, often an
+    exact halfway case between two doubles or one of its neighbours."""
+    width = draw(st.integers(1, 127))
+    value = draw(st.integers(1 << (width - 1), (1 << width) - 1))
+    if width > 54 and draw(st.booleans()):
+        dropped = width - 53  # bits below a double's 53-bit significand
+        value = (value >> dropped << dropped) | (1 << (dropped - 1))
+        value += draw(st.sampled_from((-1, 0, 1)))
+    return -value if draw(st.booleans()) else value
+
+
+# fixed edge cases: word boundaries, the record range, and 2^k - 1, whose
+# high word rounds up to the next power of two as a float once k >= 118
+_EDGE_INT128 = ([0, 1, -1, 2**64 - 1, -(2**64 - 1), 2**64, -2**64,
+                 2**127 - 1, -2**127]
+                + [sign * (2**k - 1) for k in range(1, 128) for sign in (1, -1)])
+
+
+def _assert_records_round_like_float(values):
+    records = CoefficientTable.from_tau(values).records
+    got = coeffs._record_doubles(records)
+    expected = np.array([float(v) for v in values])
+    assert got.tobytes() == expected.tobytes(), [
+        v for v, g, e in zip(values, got, expected) if g != e]
+
+
+def test_record_conversion_edge_cases():
+    _assert_records_round_like_float(_EDGE_INT128)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_int128(), min_size=1, max_size=64))
+def test_record_conversion_rounds_like_float(values):
+    _assert_records_round_like_float(values)
+
+
 def test_cache_file_size_example(tmp_path):
     table = generate_tau(1000)
     path = tmp_path / "t1000.cusp"
@@ -165,9 +211,9 @@ def test_cache_file_size_example(tmp_path):
     assert load_cache(path).tau[5] == -6048
 
 
-def test_cache_rejects_bad_magic(tmp_path, table_2e4):
+def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.cusp"
-    small = normalize(CoefficientTable(n_max=10, tau=list(table_2e4.tau[:10])))
+    small = generate_tau(10)
     save_cache(small, path)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XUSP"
@@ -176,9 +222,9 @@ def test_cache_rejects_bad_magic(tmp_path, table_2e4):
         load_cache(path)
 
 
-def test_cache_rejects_wrong_version_weight_truncation(tmp_path, table_2e4):
+def test_cache_rejects_wrong_version_weight_truncation(tmp_path):
     path = tmp_path / "v.cusp"
-    small = normalize(CoefficientTable(n_max=10, tau=list(table_2e4.tau[:10])))
+    small = generate_tau(10)
     save_cache(small, path)
     good = path.read_bytes()
 

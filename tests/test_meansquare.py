@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cuspsums import meansquare as msq
-from cuspsums.coeffs import CoefficientTable
+from cuspsums.coeffs import CoefficientTable, normalize
 from cuspsums.rational import make_rational_point
 from cuspsums.weight import build_weight
 
@@ -34,8 +34,7 @@ def window_1e3():
 
 
 def test_zero_coefficients_give_zero_integral(window_1e3):
-    zeros = CoefficientTable(n_max=4000, tau=[0] * 4000,
-                             a=np.zeros(4000))
+    zeros = normalize(CoefficientTable.from_tau([0] * 4000))
     assert msq.theorem_integral(1e3, 1e3, PT01, window_1e3, zeros) == 0.0
     assert msq.diagonal_term(1e3, 1e3, 1, window_1e3, zeros).value == 0.0
 
@@ -127,8 +126,7 @@ def test_diagonal_profile_flags_on_tiny_budget(window_1e3):
 def test_diagonal_validation(table_2e4, window_1e4):
     with pytest.raises(ValueError):
         msq.diagonal_term(1e4, 2e3, 0, window_1e4, table_2e4)
-    short = CoefficientTable(n_max=100, tau=[0] * 100,
-                             a=np.zeros(100))
+    short = normalize(CoefficientTable.from_tau([0] * 100))
     with pytest.raises(ValueError):
         msq.diagonal_term(1e4, 2e3, 1, window_1e4, short)
     with pytest.raises(ValueError):
@@ -165,7 +163,8 @@ def test_crosscheck_reconstructs_integral(table_2e4, window_1e3):
 def test_crosscheck_single_coefficient_is_purely_diagonal(window_1e3):
     a = np.zeros(4000)
     a[4] = 1.0
-    table = CoefficientTable(n_max=4000, tau=[0] * 4000, a=a)
+    table = CoefficientTable.from_tau([0] * 4000)
+    table.a = a
     rep = msq.offdiagonal_crosscheck(1e3, 1e3, PT01, window_1e3, table, 50)
     assert rep.offdiagonal == 0.0
     assert rep.diagonal > 0.0

@@ -168,7 +168,8 @@ def test_short_window_term_cancels_at_matched_frequencies():
 
     a = np.zeros(12)
     a[n0 - 1] = 1.0
-    fake = CoefficientTable(n_max=12, tau=[0] * 12, a=a)
+    fake = CoefficientTable.from_tau([0] * 12)
+    fake.a = a
     p = VoronoiParams(make_rational_point(1, 3), 12)
     assert abs(short_sum_main_term(xstar, p, fake)) < 1e-12
     nearby = max(abs(short_sum_main_term(xstar + dx, p, fake))
