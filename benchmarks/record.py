@@ -4,7 +4,7 @@ Run from the repository root, with a second checkout of the commit to
 compare against (made with ``git clone`` or ``git archive``):
 
     python3 benchmarks/record.py --parent ../parent --change . \\
-        --pairs 10 --out BENCH_diagonal.json
+        --pairs 10 --out BENCH_kernel.json
 
 The workloads, the run length, the command and the end-to-end metrics with
 their ``better`` directions come from the change checkout's BENCHMARK.json.
@@ -93,7 +93,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, default=Path("."),
                         help="checkout holding the change (default: here)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_diagonal.json"))
+    parser.add_argument("--out", type=Path, required=True,
+                        help="new BENCH_*.json to write; required, so no "
+                             "committed record is overwritten by default")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -12,15 +12,21 @@ E = prod(1 - q^n) is the sparse series
 
     E^3 = sum_{j >= 0} (-1)^j (2j + 1) q^{j(j+1)/2},
 
-so tau(n) = [q^{n-1}] (E^3)^8 takes three truncated squarings. Each squaring
-runs modulo a few primes below 2^21 as floating-point FFT convolutions of
-11-bit limbs; every inverse transform must land within 0.25 of integers or
-the kernel raises. The primes multiply to M > 4 n_max^6, and Deligne's bound
-|tau(n)| <= d(n) n^{11/2} < 2 n^6 then makes the Chinese remainder
-reconstruction exact (Garner's mixed-radix form, Knuth TAOCP vol. 2,
-4.3.2). At n_max = 10^6 it takes about 10 s on one Xeon core. Exactness is
-pinned by tests against a schoolbook truncated product and an independent
-pentagonal recurrence.
+so tau(n) = [q^{n-1}] (E^3)^8. The kernel forms E^6 = (E^3)^2 exactly in
+int64, one sparse pair sum per nonzero term of E^3, then E^12 and E^24 by
+two truncated squarings in exact integer arithmetic on balanced 10-bit
+limbs (Knuth, TAOCP vol. 2, 4.3.3). The limb products whose indices add
+up to g form group g; their spectra are summed, so each group takes one
+inverse FFT. Exactness rests on three things: every limb product is an
+exact integer convolution; before a squaring the kernel raises unless the
+bound on every group, limb count x length x max|limb|^2, is below 2^52,
+where doubles lie at most 1/2 apart; and every inverse transform must land
+within 0.25 of integers, or the kernel raises (Percival, Math. Comp. 72,
+2003, bounds that rounding error a priori). A carry pass in int64 turns
+each exact group into the next squaring's limbs and, after the last, into
+the cache records. At n_max = 10^6 that is 25 transforms and about 2 s on
+one Xeon core. Tests pin exactness against a schoolbook truncated product
+and an independent pentagonal recurrence.
 
 A table holds tau as the 16-byte records of its cache file (see
 save_cache), so load_cache reads one numpy array and builds no Python int
@@ -31,9 +37,9 @@ floating-point arithmetic", 1991, 1.4; long double is avoided because its
 width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
 Loading the 10^6 cache takes 0.12 s instead of 0.38 s through Python ints,
 and a load-only process peaks at 69 MB instead of 107 MB (2-core Xeon,
-median of 7). tau as Python ints, which only the coeffs command and the
-Hecke checks read, is decoded from the records on first use. Normalized
-values are always recomputed on load, never stored.
+median of 7). tau as Python ints, which only the Hecke checks read, is
+decoded from the records on first use. Normalized values are always
+recomputed on load, never stored.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,8 +64,9 @@ _RECORD = np.dtype([("lo", "<u8"), ("hi", "<i8")])
 _LOW_WORD = (1 << 64) - 1
 _BLOCK = 1 << 16        # records converted at a time, to keep temporaries small
 
-_LIMB_BITS = 11         # two limbs per residue below 2^21
-_PRIME_BOUND = 1 << 21
+_LIMB_BITS = 10         # balanced limbs lie in [-2^9, 2^9)
+_LIMB = 1 << _LIMB_BITS
+_EXACT_BOUND = 1 << 52  # groups stay below it, where float spacing is <= 1/2
 _MAX_RESIDUAL = 0.25    # distance of an inverse FFT value from its integer
 
 
@@ -108,19 +116,6 @@ class CoefficientTable:
             )
 
 
-def _crt_primes(n_max: int) -> list[int]:
-    """Largest primes below 2^21, as many as make their product exceed
-    4 n_max^6, so |tau(n)| < 2 n^6 is recovered without aliasing."""
-    need = 4 * n_max**6
-    primes, modulus, p = [], 1, _PRIME_BOUND - 1
-    while modulus <= need:
-        if all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
-            primes.append(p)
-            modulus *= p
-        p -= 2
-    return primes
-
-
 def _rounded(values: np.ndarray) -> np.ndarray:
     """Nearest integers of an inverse FFT, refusing anything not close to one."""
     near = np.rint(values)
@@ -130,23 +125,6 @@ def _rounded(values: np.ndarray) -> np.ndarray:
             f"FFT rounding residual {residual:.3g} >= {_MAX_RESIDUAL}; "
             "the convolution is not exact")
     return near.astype(np.int64)
-
-
-def _square_mod(series: np.ndarray, p: int) -> np.ndarray:
-    """series^2 mod p, truncated to len(series); entries lie in [0, p)."""
-    fft = np.fft
-    length = series.size
-    size = 1 << max(2 * length - 2, 1).bit_length()   # no wrap below length
-    low = fft.rfft(series & ((1 << _LIMB_BITS) - 1), size)
-    high = fft.rfft(series >> _LIMB_BITS, size)
-
-    def product(f, g):
-        return _rounded(fft.irfft(f * g, size)[:length]) % p
-
-    out = product(low, low)
-    out += (2 * product(low, high) % p) << _LIMB_BITS
-    out += product(high, high) * ((1 << 2 * _LIMB_BITS) % p)
-    return out % p
 
 
 def _eta_cubed(length: int) -> np.ndarray:
@@ -159,87 +137,183 @@ def _eta_cubed(length: int) -> np.ndarray:
     return series
 
 
-def _garner_ints(residues: list[np.ndarray], primes: list[int],
-                 offset: int) -> list[int]:
-    """Python ints x - offset from the residues of x in [0, prod(primes)).
+def _eta_sixth(length: int) -> np.ndarray:
+    """Coefficients of E^6 = (E^3)^2 below q^length, exactly in int64: one
+    pair sum per nonzero term of the sparse E^3."""
+    cube = _eta_cubed(length)
+    exps = np.flatnonzero(cube)
+    terms = cube[exps]
+    series = np.zeros(length, dtype=np.int64)
+    for e, c in zip(exps.tolist(), terms.tolist()):
+        fit = np.searchsorted(exps, length - e)
+        series[e + exps[:fit]] += c * terms[:fit]
+    return series
 
-    Garner's mixed-radix digits of x are formed in int64, the digits of
-    offset are subtracted from them, and the signed digits are packed three
-    to an int64 word, so Python arithmetic runs once per word, not per prime.
-    Consumes residues.
+
+def _fft_size(need: int) -> int:
+    """Smallest 2^a 3^b 5^c >= need: a size the FFT factors quickly."""
+    best, odd = 1 << (need - 1).bit_length(), 1
+    while odd < best:
+        base = odd
+        while base < best:
+            best = min(best, base << ((need - 1) // base).bit_length())
+            base *= 3
+        odd *= 5
+    return best
+
+
+def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Exact groups of the truncated square of sum_i limbs[i] 2^(10 i).
+
+    Group g is the sum over i + j = g of limbs[i] * limbs[j], each product
+    a convolution truncated to the limbs' length. A group's spectrum
+    products are summed, so it takes one inverse FFT, checked by _rounded;
+    groups come lazily, lowest first. Before any transform this raises
+    ArithmeticError unless limb count * length * max|limb|^2, which bounds
+    every group, is below 2^52. Consumes limbs.
     """
-    digits = []
-    for i, p in enumerate(primes):
-        acc = np.zeros_like(residues[i])
-        for d, q in zip(reversed(digits), reversed(primes[:i])):
-            acc = (acc * q + d) % p
-        inverse = pow(math.prod(primes[:i]) % p, -1, p)
-        digits.append((residues[i] - acc) % p * inverse % p)
-        residues[i] = None
-    for d, p in zip(digits, primes):
-        offset, low = divmod(offset, p)
-        d -= low
-    pairs = list(zip(digits, primes))
-    del digits
-    words, radices = [], []
-    for start in range(0, len(pairs), 3):
-        word, radix = 0, 1
-        for d, p in reversed(pairs[start:start + 3]):
-            word = word * p + d
-            radix *= p
-        words.append(word)
-        radices.append(radix)
-    del pairs
-    out = words.pop().tolist()
-    while words:
-        radix = radices[len(words) - 1]
-        for i, x in enumerate(words.pop().tolist()):
-            out[i] = out[i] * radix + x
-    return out
+    count, length = len(limbs), limbs[0].size
+    peak = max(int(np.max(np.abs(limb))) for limb in limbs)
+    if count * length * peak**2 >= _EXACT_BOUND:
+        raise ArithmeticError(
+            f"{count} limbs of length {length} up to {peak} in magnitude "
+            "can reach 2^52; the convolution would not be exact")
+    size = _fft_size(2 * length - 1)    # the square does not wrap below length
+    # one row per limb spectrum, filled as the groups first need it; pages
+    # of a row not yet written take no memory
+    spectra = np.empty((count, size // 2 + 1), dtype=complex)
+
+    def groups():
+        buffer = np.empty(size // 2 + 1, dtype=complex)   # products, then values
+        for g in range(2 * count - 1):
+            if g < count:
+                np.fft.rfft(limbs.pop(0), size, out=spectra[g])
+            low = max(0, g - count + 1)
+            # the sum goes to a row no later group reads: the last limb's
+            # row until its spectrum is due, then the row read for the last time
+            total = spectra[low] if g >= count - 1 else spectra[count - 1]
+            for i in range(low, g // 2 + 1):
+                product = np.multiply(spectra[i], spectra[g - i],
+                                      out=total if i == low else buffer)
+                if i < g - i:
+                    product *= 2      # the pair (g - i, i) as well
+                if i > low:
+                    total += product
+            values = np.fft.irfft(total, size, out=buffer.view(float)[:size])[:length]
+            group = np.empty(length, dtype=np.int64)
+            for start in range(0, length, _BLOCK):
+                group[start:start + _BLOCK] = _rounded(values[start:start + _BLOCK])
+            yield group
+
+    return groups()
 
 
-def tau_sequence(n_max: int, max_bits: int = 128) -> list[int]:
-    """Exact tau(1..n_max) as Python ints.
+def _carried_limbs(groups: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """Balanced limbs in [-2^9, 2^9) of sum_g groups[g] 2^(10 g).
 
-    Raises CoefficientOverflowError at the first n whose tau(n) falls outside
-    the signed max_bits range, and ArithmeticError if a transform is not
-    exact to rounding; nothing ever wraps or aliases.
+    One carry runs through the groups and on until it vanishes. With every
+    group below 2^52 in magnitude the carry stays below 2^43, so no value
+    leaves int64. The limbs are kept as int16, a quarter of the memory.
+    """
+    half = _LIMB // 2
+    groups = iter(groups)
+    carry = next(groups).copy()
+    limbs = []
+    while True:
+        limb = carry + half
+        limb &= _LIMB - 1
+        limb -= half
+        carry -= limb
+        carry >>= _LIMB_BITS
+        limbs.append(limb.astype(np.int16))
+        try:
+            carry += next(groups)
+        except StopIteration:
+            if not carry.any():
+                return limbs
+
+
+def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
+    """Cache records of sum_g groups[g] 2^(10 g), which must fit in max_bits.
+
+    A carry turns the groups into unsigned 10-bit digits of the value's
+    two's complement, lowest first, and each digit is ORed into the low and
+    high record words. The digits run on to bit 128; what is left of the
+    carry is the value shifted down past them. The value fits in signed
+    max_bits exactly when every bit from max_bits - 1 up repeats its sign:
+    all those digit bits are 0 and the carry 0, or all 1 and the carry -1.
+    Raises CoefficientOverflowError naming the first n that does not fit.
+    """
+    groups = iter(groups)
+    carry = next(groups).copy()
+    lo = np.zeros(carry.size, dtype=np.uint64)
+    # made at the first digit that reaches them: at n_max = 10^6 that is
+    # after the middle groups, whose transforms need the most memory
+    hi = zeros = ones = None
+    position = 0
+    while True:
+        digit = (carry & (_LIMB - 1)).view(np.uint64)
+        carry >>= _LIMB_BITS
+        if position < 64:
+            lo |= digit << position
+        if 64 - _LIMB_BITS < position < 128:
+            if hi is None:
+                hi = np.zeros_like(lo)
+            hi |= (digit << (position - 64) if position >= 64
+                   else digit >> (64 - position))
+        skip = max(max_bits - 1 - position, 0)   # digit bits below max_bits - 1
+        if skip < _LIMB_BITS:
+            if zeros is None:
+                zeros, ones = np.ones(carry.size, bool), np.ones(carry.size, bool)
+            digit >>= skip
+            zeros &= digit == 0
+            ones &= digit == (_LIMB - 1) >> skip
+        del digit             # freed before the next group is formed
+        position += _LIMB_BITS
+        try:
+            carry += next(groups)
+        except StopIteration:
+            if position >= 128:
+                break
+    bad = np.flatnonzero(~(zeros & (carry == 0) | ones & (carry == -1)))
+    if bad.size:
+        raise CoefficientOverflowError(int(bad[0]) + 1, max_bits)
+    records = np.empty(carry.size, dtype=_RECORD)
+    records["lo"], records["hi"] = lo, hi.view(np.int64)
+    return records
+
+
+def tau_sequence(n_max: int, max_bits: int = 128) -> np.ndarray:
+    """Exact tau(1..n_max) as cache records (see save_cache).
+
+    E^6 comes exact from the sparse E^3; two limb squarings give E^12 and
+    E^24, whose coefficient of q^(n-1) is tau(n). Raises
+    CoefficientOverflowError at the first n whose tau(n) falls outside the
+    signed max_bits range, and ArithmeticError if a transform is not exact
+    to rounding; nothing ever wraps.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     if not 16 <= max_bits <= 128:
         raise ValueError(f"max_bits must lie in [16, 128], got {max_bits}")
     if n_max == 0:
-        return []
-    primes = _crt_primes(n_max)
-    modulus = math.prod(primes)
-    offset = modulus // 2        # shifts tau(n) into [0, modulus)
-    base = _eta_cubed(n_max)
-    residues = []
-    for p in primes:
-        series = base % p
-        for _ in range(3):
-            series = _square_mod(series, p)
-        residues.append((series + offset % p) % p)
-    tau = _garner_ints(residues, primes, offset)
-    limit = 1 << (max_bits - 1)
-    if max(tau) >= limit or min(tau) < -limit:
-        bad = next(i for i, t in enumerate(tau) if not -limit <= t < limit)
-        raise CoefficientOverflowError(bad + 1, max_bits)
-    return tau
+        return np.zeros(0, dtype=_RECORD)
+    twelfth = _carried_limbs(_square_limbs(_carried_limbs([_eta_sixth(n_max)])))
+    return _records(_square_limbs(twelfth), max_bits)
 
 
 def generate_tau(n_max: int) -> CoefficientTable:
     """Generate and normalize a table of the first n_max coefficients.
 
-    Cost is O(n_max log n_max) floating-point work plus one exact integer
-    reconstruction per coefficient. Coefficients outside the signed 128-bit
-    record range raise CoefficientOverflowError naming the first offending
-    n; nothing ever wraps.
+    Cost is O(n_max log n_max) floating-point work and a few integer passes
+    per limb. Coefficients outside the signed 128-bit record range raise
+    CoefficientOverflowError naming the first offending n; nothing ever
+    wraps.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    return normalize(CoefficientTable.from_tau(tau_sequence(int(n_max))))
+    n_max = int(n_max)
+    return normalize(CoefficientTable(n_max=n_max, records=tau_sequence(n_max)))
 
 
 def _record_doubles(records: np.ndarray) -> np.ndarray:

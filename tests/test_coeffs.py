@@ -3,6 +3,7 @@ oracles, Hecke relations, normalization, the divisor bound, overflow
 handling, cache I/O."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -38,9 +39,26 @@ def test_oracle_reproduces_classical_values():
     assert tau_truncated_product(6) == TAU_FIRST_SIX
 
 
+def _tau(n_max, **kwargs):
+    """tau_sequence's records read back as Python ints."""
+    return CoefficientTable(n_max=n_max, records=tau_sequence(n_max, **kwargs)).tau
+
+
 def test_generate_matches_oracle_prefix():
-    got = tau_sequence(300)
+    got = _tau(300)
     assert got == tau_truncated_product(300)
+
+
+@pytest.fixture(scope="module")
+def oracle_4097():
+    return tau_truncated_product(4097)
+
+
+# FFT sizes 1, 3, 5, 128, 135, 8192 and 8640: odd sizes, and both sides of
+# two powers of two
+@pytest.mark.parametrize("n_max", [1, 2, 3, 64, 65, 4096, 4097])
+def test_kernel_edges_match_oracle(oracle_4097, n_max):
+    assert _tau(n_max) == oracle_4097[:n_max]
 
 
 def test_generate_matches_pentagonal_recurrence(table_2e4):
@@ -48,7 +66,7 @@ def test_generate_matches_pentagonal_recurrence(table_2e4):
 
 
 def test_engine_prefix_stable():
-    assert tau_sequence(50) == tau_sequence(500)[:50]
+    assert _tau(50) == _tau(500)[:50]
 
 
 def test_generate_validations():
@@ -64,16 +82,38 @@ def test_overflow_names_first_bad_index():
     assert exc.value.n == FIRST_64BIT_OVERFLOW_N
     assert exc.value.bits == 64
     # everything below the reported index is representable
-    tail = tau_sequence(FIRST_64BIT_OVERFLOW_N - 1, max_bits=64)
+    tail = _tau(FIRST_64BIT_OVERFLOW_N - 1, max_bits=64)
     assert max(abs(t) for t in tail) < 2**63
 
 
-@pytest.mark.parametrize("n_max", [1, 2563, 30_000, 10**6, 10**7])
-def test_crt_modulus_covers_deligne_bound(n_max):
-    # |tau(n)| < 2 n^6, so residues modulo M > 4 n_max^6 never alias
-    primes = coeffs._crt_primes(n_max)
-    assert math.prod(primes) > 4 * n_max**6
-    assert all(p < 2**21 for p in primes) and len(set(primes)) == len(primes)
+def test_sparse_sixth_power_matches_dense_convolution():
+    for n in (1, 2, 7, 100, 1000):
+        cube = coeffs._eta_cubed(n)
+        assert coeffs._eta_sixth(n).tolist() == np.convolve(cube, cube)[:n].tolist()
+
+
+def _one_spike_limbs(count, peak):
+    """count limbs of length 4096 / count whose only nonzero entry is peak,
+    so the guard's bound count * length * peak^2 is 4096 peak^2."""
+    limbs = [np.zeros(4096 // count, dtype=np.int64) for _ in range(count)]
+    limbs[0][0] = peak
+    return limbs
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_magnitude_guard_refuses_before_any_transform(monkeypatch, count):
+    # 4096 (2^20)^2 is exactly 2^52
+    transforms = []
+    forward = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args, **kw: transforms.append(1) or forward(*args, **kw))
+    with pytest.raises(ArithmeticError, match="2\\^52"):
+        coeffs._square_limbs(_one_spike_limbs(count, 2**20))
+    assert transforms == []
+    groups = list(coeffs._square_limbs(_one_spike_limbs(count, 2**20 - 1)))
+    assert len(transforms) == count and len(groups) == 2 * count - 1
+    assert groups[0][0] == (2**20 - 1) ** 2
+    assert not any(g.any() for g in groups[1:]) and not groups[0][1:].any()
 
 
 def test_inexact_transform_raises():
@@ -201,6 +241,71 @@ def test_record_conversion_edge_cases():
 @given(st.lists(_int128(), min_size=1, max_size=64))
 def test_record_conversion_rounds_like_float(values):
     _assert_records_round_like_float(values)
+
+
+_INT128_EDGES = [-2**127, 2**127 - 1, 0, -1, 2**64, -2**64]
+
+
+def _split(values, count, rng):
+    """count exact signed groups G_g, |G_g| < 2^52, with sum_g G_g 2^(10 g)
+    equal to each value (count >= 9 for 129-bit values). From the top down,
+    each group takes the rest's share at its 10-bit position plus a random
+    offset of up to 2^40, so the carries cross every limb and word
+    boundary."""
+    columns = []
+    for value in values:
+        rest, column = value, [0] * count
+        for g in range(count - 1, 0, -1):
+            column[g] = (rest >> 10 * g) + rng.randint(-2**40, 2**40)
+            rest -= column[g] << 10 * g
+        column[0] = rest
+        columns.append(column)
+    return [np.array(groups, dtype=np.int64) for groups in zip(*columns)]
+
+
+@st.composite
+def _groups_of(draw, values):
+    return _split(values, draw(st.integers(9, 16)),
+                  random.Random(draw(st.integers(0, 2**32))))
+
+
+def _assert_carry_pass_exact(values, groups):
+    packed = coeffs._records(groups, 128)
+    assert packed.tobytes() == CoefficientTable.from_tau(values).records.tobytes()
+    limbs = coeffs._carried_limbs(groups)
+    assert all(-512 <= limb.min() and limb.max() < 512 for limb in limbs)
+    assert [sum(int(limb[i]) << 10 * k for k, limb in enumerate(limbs))
+            for i in range(len(values))] == values
+
+
+def test_carry_pass_edge_values():
+    for seed, count in enumerate(range(9, 17)):
+        _assert_carry_pass_exact(
+            _INT128_EDGES, _split(_INT128_EDGES, count, random.Random(seed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.lists(st.one_of(st.sampled_from(_INT128_EDGES),
+                                     st.integers(-2**127, 2**127 - 1)),
+                           min_size=1, max_size=32))
+def test_carry_pass_packs_groups_like_from_tau(data, values):
+    _assert_carry_pass_exact(values, data.draw(_groups_of(values)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(16, 128))
+def test_carry_pass_overflow_names_first_bad_index(data, bits):
+    limit = 1 << (bits - 1)
+    inside = st.integers(-limit, limit - 1)
+    values = data.draw(st.lists(inside, min_size=1, max_size=16))
+    assert (coeffs._records(data.draw(_groups_of(values)), bits).tobytes()
+            == CoefficientTable.from_tau(values).records.tobytes())
+    first = data.draw(st.integers(0, len(values)))
+    values[first:first] = [data.draw(st.sampled_from((limit, -limit - 1)))]
+    values += data.draw(st.lists(st.sampled_from((limit, -limit - 1)), max_size=2))
+    with pytest.raises(CoefficientOverflowError) as exc:
+        coeffs._records(data.draw(_groups_of(values)), bits)
+    assert exc.value.n == first + 1 and exc.value.bits == bits
 
 
 def test_cache_file_size_example(tmp_path):
