@@ -77,20 +77,19 @@ def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     save_cache(table, cfg.table)
     size = Path(cfg.table).stat().st_size
     digest = sha256_file(cfg.table)
-    lo, hi = table.records[-1].item()
-    tau_last = lo + (hi << 64)       # from the last record; tau stays undecoded
+    lo, hi = table.records[-1].item()       # tau(n); the rest stays undecoded
     print(f"coefficients: {cfg.n}")
     print(f"cache: {cfg.table}")
     print(f"bytes: {size}")
     print(f"sha256: {digest}")
-    print(f"tau({cfg.n}) = {tau_last}")
+    print(f"tau({cfg.n}) = {lo + (hi << 64)}")
     if emit_json:
         write_json(out_dir / "coeffs.json", {
             "n": cfg.n,
             "cache": str(cfg.table),
             "bytes": size,
             "sha256": digest,
-            "tau_last": str(tau_last),
+            "tau_last": str(lo + (hi << 64)),
             "provenance": _provenance(cfg),
         })
     return EXIT_OK

@@ -54,7 +54,7 @@ def oracle_4097():
     return tau_truncated_product(4097)
 
 
-# FFT sizes 1, 3, 5, 128, 135, 8192 and 8640: odd sizes, and both sides of
+# FFT sizes 1, 3, 5, 128, 144, 8192 and 9216: odd sizes, and both sides of
 # two powers of two
 @pytest.mark.parametrize("n_max", [1, 2, 3, 64, 65, 4096, 4097])
 def test_kernel_edges_match_oracle(oracle_4097, n_max):
@@ -73,6 +73,8 @@ def test_generate_validations():
     with pytest.raises(ValueError):
         generate_tau(0)
     with pytest.raises(ValueError):
+        tau_sequence(0)
+    with pytest.raises(ValueError):
         tau_sequence(10, max_bits=8)
 
 
@@ -88,8 +90,14 @@ def test_overflow_names_first_bad_index():
 
 def test_sparse_sixth_power_matches_dense_convolution():
     for n in (1, 2, 7, 100, 1000):
-        cube = coeffs._eta_cubed(n)
-        assert coeffs._eta_sixth(n).tolist() == np.convolve(cube, cube)[:n].tolist()
+        euler = np.zeros(n, dtype=np.int64)
+        euler[0] = 1
+        for j in range(1, n):       # times (1 - q^j), truncated
+            euler[j:] -= euler[:n - j]
+        sixth = euler
+        for _ in range(5):
+            sixth = np.convolve(sixth, euler)[:n]
+        assert coeffs._eta_sixth(n).tolist() == sixth.tolist()
 
 
 def _one_spike_limbs(count, peak):
@@ -108,7 +116,7 @@ def test_magnitude_guard_refuses_before_any_transform(monkeypatch, count):
     monkeypatch.setattr(np.fft, "rfft",
                         lambda *args, **kw: transforms.append(1) or forward(*args, **kw))
     with pytest.raises(ArithmeticError, match="2\\^52"):
-        coeffs._square_limbs(_one_spike_limbs(count, 2**20))
+        next(coeffs._square_limbs(_one_spike_limbs(count, 2**20)))
     assert transforms == []
     groups = list(coeffs._square_limbs(_one_spike_limbs(count, 2**20 - 1)))
     assert len(transforms) == count and len(groups) == 2 * count - 1
