@@ -165,10 +165,8 @@ def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
 
 def _carried_limbs(groups: Iterable[np.ndarray]) -> list[np.ndarray]:
     """Balanced limbs in [-2^9, 2^9) of sum_g groups[g] 2^(10 g), as int16.
-
     One carry runs through the groups and on until it vanishes; with every
-    group below 2^52 in magnitude it stays below 2^43, inside int64.
-    """
+    group below 2^52 in magnitude it stays below 2^43, inside int64."""
     groups = iter(groups)
     carry, limbs = next(groups).copy(), []
     while True:
