@@ -140,7 +140,7 @@ def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
         raise ArithmeticError(f"{count} limbs of length {length} up to {peak} "
                               "can reach 2^52; the convolution would not be exact")
     # m 2^a >= 2 length - 1, so no wrap below length; small odd m give fast
-    # FFT sizes, 30% faster than 2^21 at length 10^6
+    # FFT sizes (2,048,000 rather than 2^21 at length 10^6)
     size = min(m << ((2 * length - 2) // m).bit_length()
                for m in (1, 3, 5, 9, 15, 25, 27, 45, 75, 125))
     # a row per limb spectrum, written when a group first needs it
@@ -202,7 +202,7 @@ def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
         try:
             carry += next(groups)
         except StopIteration:
-            if position >= 3 * 60:
+            if position % 60 == 0 and len(words) >= 3:    # every word full
                 break
     fill = carry.view(np.uint64) >> 4        # 60 copies of the sign bit
     top, shift = divmod(max_bits - 1, 60)

@@ -316,6 +316,16 @@ def test_carry_pass_overflow_names_first_bad_index(data, bits):
     assert exc.value.n == first + 1 and exc.value.bits == bits
 
 
+def test_carry_pass_overflow_past_the_record_words():
+    # 2^180 and -2^180 - 1 leave the three words a clean sign run and only
+    # the carry wrong; 2^190 and -2^190 reach a fourth word
+    for value, count in ((2**180, 14), (-2**180 - 1, 18), (2**190, 20),
+                         (-2**190, 24)):
+        with pytest.raises(CoefficientOverflowError) as exc:
+            coeffs._records(_split([-1, value, 0], count, random.Random(count)), 128)
+        assert exc.value.n == 2
+
+
 def test_cache_file_size_example(tmp_path):
     table = generate_tau(1000)
     path = tmp_path / "t1000.cusp"
