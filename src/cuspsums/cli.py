@@ -42,16 +42,18 @@ _LEMMA5_GRID = (1.0e3, 1.0e5, 129)
 _INTEGRAL_METHOD = "exact-step"
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    """Version plus content fingerprints; no wall clock, so reruns match."""
-    info = {
+def _provenance(cfg: ExperimentConfig, table_sha256: str | None) -> dict:
+    """Version plus content fingerprints; no wall clock, so reruns match.
+
+    table_sha256 is the digest of the cache the command read, or None for a
+    command that reads no cache.
+    """
+    return {
         "package": "cuspsums",
         "version": __version__,
         "config_sha256": sha256_text(config_lines(cfg)),
+        "table_sha256": table_sha256,
     }
-    table = Path(cfg.table)
-    info["table_sha256"] = sha256_file(table) if table.is_file() else None
-    return info
 
 
 def _load_table(cfg: ExperimentConfig):
@@ -90,7 +92,7 @@ def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
             "bytes": size,
             "sha256": digest,
             "tau_last": str(lo + (hi << 64)),
-            "provenance": _provenance(cfg),
+            "provenance": _provenance(cfg, digest),
         })
     return EXIT_OK
 
@@ -146,7 +148,7 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
             "stated_ratio_cap": STATED_RATIO_MAX,
             "min_derivative_ratio": deriv_min,
             "bounded": bool(bounded),
-            "provenance": _provenance(cfg),
+            "provenance": _provenance(cfg, None),
         })
     return EXIT_OK if bounded else EXIT_INVALID
 
@@ -218,7 +220,7 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),
             "ratio_max": max(ratios),
-            "provenance": _provenance(cfg),
+            "provenance": _provenance(cfg, sha256_file(cfg.table)),
         })
     return EXIT_OK
 
@@ -298,7 +300,7 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
                 "rms_residual": env0.rms_residual, "points": env0.points,
             },
             "k_slope_by_scale": slopes,
-            "provenance": _provenance(cfg),
+            "provenance": _provenance(cfg, sha256_file(cfg.table)),
         })
     return EXIT_OK
 
@@ -335,7 +337,7 @@ def cmd_omega(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
             "threshold": cfg.omega_threshold,
             "cleared": bool(passed),
             "seed": cfg.seed,
-            "provenance": _provenance(cfg),
+            "provenance": _provenance(cfg, sha256_file(cfg.table)),
         })
     return EXIT_OK if passed else EXIT_INVALID
 

@@ -7,8 +7,6 @@ Unknown keys are rejected instead of ignored; a silently skipped typo in
 ``delta_exponent`` would change the whole sweep.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -45,8 +43,8 @@ class ExperimentConfig:
 
     table: str = "tau.cache"
     n: int = 1_000_000
-    ms: tuple = SWEEP_MS
-    ks: tuple = SWEEP_KS
+    ms: tuple[float, ...] = SWEEP_MS
+    ks: tuple[int, ...] = SWEEP_KS
     delta_coeff: float = SWEEP_DELTA_COEFF
     delta_exponent: float = SWEEP_DELTA_EXPONENT
     rise_fraction: float = SWEEP_RISE_FRACTION
@@ -56,8 +54,8 @@ class ExperimentConfig:
     omega_delta: float = 1.0e3
     omega_windows: int = 100
     omega_threshold: float = OMEGA_THRESHOLD
-    voronoi_ms: tuple = (1.0e4, 1.0e5)
-    voronoi_ks: tuple = (1, 3, 5)
+    voronoi_ms: tuple[float, ...] = (1.0e4, 1.0e5)
+    voronoi_ks: tuple[int, ...] = (1, 3, 5)
     voronoi_samples: int = 50
 
     def __post_init__(self) -> None:
@@ -130,32 +128,22 @@ def _parse_list(key: str, text: str, item):
     return tuple(item(key, p) for p in parts)
 
 
-# key -> value parser; the dataclass does range validation afterwards
-_SCHEMA = {
-    "table": lambda k, v: v,
-    "n": _parse_int,
-    "ms": lambda k, v: _parse_list(k, v, _parse_float),
-    "ks": lambda k, v: _parse_list(k, v, _parse_int),
-    "delta_coeff": _parse_float,
-    "delta_exponent": _parse_float,
-    "rise_fraction": _parse_float,
-    "node_budget": _parse_int,
-    "out": lambda k, v: v,
-    "seed": _parse_int,
-    "omega_delta": _parse_float,
-    "omega_windows": _parse_int,
-    "omega_threshold": _parse_float,
-    "voronoi_ms": lambda k, v: _parse_list(k, v, _parse_float),
-    "voronoi_ks": lambda k, v: _parse_list(k, v, _parse_int),
-    "voronoi_samples": _parse_int,
+# field type -> value parser; the dataclass does range validation afterwards.
+# The module has no postponed annotations, so each field's type is the
+# annotation itself and one entry serves every field of that type.
+_PARSERS = {
+    str: lambda key, text: text,
+    int: _parse_int,
+    float: _parse_float,
+    tuple[int, ...]: lambda key, text: _parse_list(key, text, _parse_int),
+    tuple[float, ...]: lambda key, text: _parse_list(key, text, _parse_float),
 }
-
-assert set(_SCHEMA) == {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a key = value file and return the validated configuration."""
     text = Path(path).read_text(encoding="utf-8")
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,13 +154,13 @@ def parse_config(path) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        overrides[key] = _SCHEMA[key](key, value)
+        overrides[key] = _PARSERS[types[key]](key, value)
     return ExperimentConfig(**overrides)
 
 

@@ -114,6 +114,19 @@ def test_short_cache_refusal_exits_one(workspace, capsys, command, body):
     assert "rebuild with a larger n" in err
 
 
+@pytest.mark.parametrize("command", ["meansquare", "voronoi", "omega"])
+def test_malformed_cache_exits_one(workspace, capsys, command):
+    root, cfg, table = workspace
+    broken = root / "broken.cache"
+    broken.write_bytes(b"a")
+    out = root / f"broken_{command}_out"
+    assert main([command, "--config", str(cfg), "--table", str(broken),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:")
+    assert "broken.cache: truncated header" in err
+
+
 def test_voronoi_coverage_is_twice_the_largest_scale(workspace, capsys):
     # samples x < 2M read a(n) up to floor(x), so 2M = 21000 is enough
     root, cfg, table = workspace
@@ -151,6 +164,22 @@ def test_verify_lemmas_row_count_and_verdict(workspace, capsys):
     payload = json.loads((out / "lemmas.json").read_text())
     assert payload["bounded"] is True
     assert payload["min_derivative_ratio"] >= 1.0
+
+
+def test_verify_lemmas_report_ignores_table(workspace):
+    # verify-lemmas reads no cache, so whatever sits at --table must not
+    # reach its report
+    root, cfg, table = workspace
+    reports = []
+    for name, data in (("one", b"a"), ("two", b"b")):
+        path = root / f"unread_{name}.cache"
+        path.write_bytes(data)
+        out = root / f"unread_{name}_out"
+        assert main(["verify-lemmas", "--config", str(cfg), "--table",
+                     str(path), "--out", str(out), "--json"]) == 0
+        reports.append((out / "lemmas.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["provenance"]["table_sha256"] is None
 
 
 def test_meansquare_artifacts(workspace, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
@@ -94,10 +95,25 @@ def test_load_config_overrides():
 
 
 def test_config_lines_round_trip(tmp_path):
-    original = ExperimentConfig(seed=77, ms=(2.0e4,), delta_exponent=0.75)
+    # every field off its default, so a wrong parser for any key shows
+    original = ExperimentConfig(
+        table="cache/other.bin", n=54321, ms=(2.0e4, 5.0e4), ks=(2, 9),
+        delta_coeff=1.5, delta_exponent=0.75, rise_fraction=0.125,
+        node_budget=123456, out="elsewhere", seed=77, omega_delta=2.5e3,
+        omega_windows=11, omega_threshold=0.375, voronoi_ms=(3.0e4,),
+        voronoi_ks=(2, 7, 11), voronoi_samples=9)
+    default = ExperimentConfig()
+    assert [f.name for f in fields(ExperimentConfig)
+            if getattr(original, f.name) == getattr(default, f.name)] == []
     path = tmp_path / "echo.cfg"
-    path.write_text("\n".join(config_lines(original)) + "\n", encoding="utf-8")
-    assert parse_config(path) == original
+    path.write_text("\n".join([*config_lines(original),
+                               f"table = {original.table}",
+                               f"out = {original.out}"]) + "\n",
+                    encoding="utf-8")
+    parsed = parse_config(path)
+    assert parsed == original
+    # equality lets 9.0 pass for 9; the rendered lines do not
+    assert config_lines(parsed) == config_lines(original)
 
 
 # -- reporting ---------------------------------------------------------

@@ -1,18 +1,34 @@
-"""The package namespace: __all__ lists exactly what __init__ imports."""
+"""The package namespace: no re-exports, and a README example that runs."""
 
-import inspect
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import cuspsums
 
-
-def test_star_import_binds_every_name_in_all():
-    namespace = {}
-    exec("from cuspsums import *", namespace)
-    assert [name for name in cuspsums.__all__ if name not in namespace] == []
+_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_all_equals_the_public_imports():
-    public = {name for name, obj in vars(cuspsums).items()
-              if not name.startswith("_") and not inspect.ismodule(obj)}
-    assert sorted(cuspsums.__all__) == sorted(public | {"__version__"})
-    assert len(set(cuspsums.__all__)) == len(cuspsums.__all__)
+def test_coeffs_import_loads_only_what_it_uses():
+    # the cache certification imports cuspsums.coeffs alone; the package
+    # namespace must not pull every layer in behind it
+    src = str(Path(cuspsums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys, cuspsums.coeffs; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'cuspsums')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [
+        "cuspsums", "cuspsums.coeffs", "cuspsums.errors"]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
