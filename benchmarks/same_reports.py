@@ -18,8 +18,9 @@ In each checkout the script runs the command line from that checkout's
 - ``meansquare`` on the given cache with the defaults and with the
   checkout's perfbench/configs/sweep.cfg.
 
-It compares every output file, stdout and exit code, prints each one that
-differs and exits 1 if any does, 0 otherwise. For a CSV file present on
+It compares every output file, stdout, stderr and exit code, prints each
+one that differs and exits 1 if any does, 0 otherwise. Comparing stderr
+makes a new warning, say from numpy, show up as a difference. For a CSV file present on
 both sides it also prints the numbers of the differing data rows, counted
 from 1 after the header, at most ten of them.
 """
@@ -53,7 +54,8 @@ def commands(checkout: Path, table: Path) -> dict:
 
 
 def run_side(side: str, checkout: Path, table: Path, work: Path) -> dict:
-    """Run name -> (exit code, stdout, {output file: bytes}) in one checkout."""
+    """Run name -> (exit code, stdout, stderr, {output file: bytes}) in one
+    checkout."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -67,7 +69,7 @@ def run_side(side: str, checkout: Path, table: Path, work: Path) -> dict:
                  for p in sorted(out_dir.rglob("*")) if p.is_file()}
         if name == "coeffs" and (work / COEFFS_CACHE).is_file():
             files[COEFFS_CACHE] = (work / COEFFS_CACHE).read_bytes()
-        results[name] = (proc.returncode, proc.stdout, files)
+        results[name] = (proc.returncode, proc.stdout, proc.stderr, files)
         print(f"{side}: {name} exited {proc.returncode}, "
               f"{len(files)} files", flush=True)
     return results
@@ -85,14 +87,17 @@ def differing_rows(old: bytes, new: bytes) -> str:
 
 
 def differences(parent: dict, change: dict) -> list[str]:
-    """One line per exit code, stdout or output file that differs."""
+    """One line per exit code, stdout, stderr or output file that differs."""
     out = []
     for name in parent:
-        (code0, stdout0, files0), (code1, stdout1, files1) = parent[name], change[name]
+        code0, stdout0, stderr0, files0 = parent[name]
+        code1, stdout1, stderr1, files1 = change[name]
         if code0 != code1:
             out.append(f"{name}: exit code {code0} -> {code1}")
         if stdout0 != stdout1:
             out.append(f"{name}: stdout differs")
+        if stderr0 != stderr1:
+            out.append(f"{name}: stderr differs")
         for path in sorted(set(files0) | set(files1)):
             if files0.get(path) == files1.get(path):
                 continue
@@ -128,12 +133,12 @@ def main(argv=None) -> int:
     diffs = differences(results["parent"], results["change"])
     for line in diffs:
         print(f"DIFFERS {line}")
-    n_files = sum(len(files) for _, _, files in results["parent"].values())
+    n_files = sum(len(files) for *_, files in results["parent"].values())
     if diffs:
         print(f"{len(diffs)} differences over {len(results['parent'])} runs")
         return 1
     print(f"same: {len(results['parent'])} runs, {n_files} output files, "
-          "every stdout and exit code identical")
+          "every stdout, stderr and exit code identical")
     return 0
 
 

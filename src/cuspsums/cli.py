@@ -9,6 +9,7 @@ budget refusal, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -18,9 +19,8 @@ from . import __version__
 from .calibrated import STATED_RATIO_MAX
 from .coeffs import generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
-from .errors import CoefficientOverflowError, ConfigError, NodeBudgetError
-from .meansquare import (exponent_fit, omega_statistic, run_sweep, sweep_grid,
-                         window_length)
+from .errors import CoefficientOverflowError, NodeBudgetError
+from .meansquare import exponent_fit, omega_statistic, run_sweep, window_length
 from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
                           oscillatory_integral, stated_bound)
 from .rational import unit_point
@@ -40,6 +40,10 @@ _LEMMA_PAIRS = ((1, 2), (2, 3), (1, 4), (3, 5), (4, 9), (9, 10))
 _LEMMA5_GRID = (1.0e3, 1.0e5, 129)
 # how meansquare rows measure I: summed over the exact step series
 _INTEGRAL_METHOD = "exact-step"
+# meansquare.json's name for each meansquare.csv column
+_JSON_ROW_KEYS = ("m", "k", "h", "delta", "integral", "diagonal", "ratio",
+                  "method", "diagonal_slack", "diagonal_n_exact",
+                  "diagonal_flagged")
 
 
 def _provenance(cfg: ExperimentConfig, table_sha256: str | None) -> dict:
@@ -64,14 +68,6 @@ def _load_table(cfg: ExperimentConfig):
             f"cuspsums coeffs --table {path}"
         )
     return load_cache(path)
-
-
-def _require_coverage(table, needed: float, what: str) -> None:
-    if needed > table.n_max:
-        raise ConfigError(
-            f"{what} needs coefficients up to {needed:.0f} but the cache "
-            f"stops at {table.n_max}; rebuild with a larger n"
-        )
 
 
 def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
@@ -158,18 +154,11 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     table = _load_table(cfg)
     ms = tuple(sorted(cfg.ms))
     ks = tuple(sorted(set(cfg.ks)))
-    combos = sweep_grid(ms, ks, cfg.delta_coeff, cfg.delta_exponent)
-    if not combos:
-        raise ConfigError("sweep is empty; every k exceeds m^(1/4)")
-    worst = max(m + delta for m, _, delta in combos)
-    _require_coverage(table, worst + worst ** 0.5 + 1.0, "mean-square sweep")
-
     results = run_sweep(table, ms, ks, cfg.delta_coeff, cfg.delta_exponent,
                         cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
              float(r.diagonal), r.ratio, _INTEGRAL_METHOD, r.diagonal.slack,
              r.diagonal.n_exact, len(r.diagonal.flagged)) for r in results]
-    rows.sort(key=lambda r: (r[0], r[1]))
     n_rows = write_csv(out_dir / "meansquare.csv", (
         "m_window_start_index", "k_denominator", "h_numerator",
         "delta_window_length_index_units", "integral_weighted_index_units",
@@ -209,14 +198,7 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     if emit_json:
         write_json(out_dir / "meansquare.json", {
             "config": list(config_lines(cfg)),
-            "rows": [{
-                "m": r.m, "k": r.point.k, "h": r.point.h, "delta": r.delta,
-                "integral": r.integral, "diagonal": float(r.diagonal),
-                "ratio": r.ratio, "method": _INTEGRAL_METHOD,
-                "diagonal_slack": r.diagonal.slack,
-                "diagonal_n_exact": r.diagonal.n_exact,
-                "diagonal_flagged": len(r.diagonal.flagged),
-            } for r in results],
+            "rows": [dict(zip(_JSON_ROW_KEYS, row)) for row in rows],
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),
             "ratio_max": max(ratios),
@@ -229,7 +211,7 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table = _load_table(cfg)
     scales = tuple(sorted(cfg.voronoi_ms))
     ks = tuple(sorted(set(cfg.voronoi_ks)))
-    _require_coverage(table, 2.0 * max(scales), "voronoi scan")
+    table.require(math.ceil(2.0 * max(scales)), "voronoi scan")
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -308,7 +290,7 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
 def cmd_omega(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table = _load_table(cfg)
     delta = cfg.omega_delta
-    _require_coverage(table, 3.0 * delta + 1.0, "omega windows")
+    table.require(math.ceil(3.0 * delta + 1.0), "omega windows")
     rng = np.random.default_rng(cfg.seed)
     starts = np.sort(rng.uniform(delta, table.n_max - 2.0 * delta,
                                  cfg.omega_windows))
@@ -393,13 +375,11 @@ def main(argv=None) -> int:
         if args.command == "coeffs" and args.n is not None:
             overrides["n"] = args.n
         cfg = load_config(args.config, **overrides)
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args.json)
+        return _COMMANDS[args.command](cfg, Path(cfg.out), args.json)
     except NodeBudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, ValueError, CoefficientOverflowError) as exc:
+    except (ValueError, CoefficientOverflowError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

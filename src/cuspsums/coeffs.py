@@ -99,7 +99,7 @@ class CoefficientTable:
         if n_needed > self.n_max:
             raise ValueError(
                 f"{what} needs coefficients up to n={n_needed}, "
-                f"table holds {self.n_max}"
+                f"table holds {self.n_max}; rebuild with a larger n"
             )
 
 

@@ -102,6 +102,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"voronoi_samples must be >= 1, got {self.voronoi_samples}"
             )
+        scan_rows = (self.voronoi_samples * len(self.voronoi_ms)
+                     * len(set(self.voronoi_ks)))
+        if scan_rows < 2:
+            raise ConfigError(
+                "the voronoi envelope fit needs at least two samples; "
+                "voronoi_samples x voronoi_ms x distinct voronoi_ks gives "
+                f"{scan_rows}"
+            )
 
 
 def _parse_int(key: str, text: str) -> int:

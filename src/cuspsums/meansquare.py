@@ -504,10 +504,16 @@ def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
     """The measured I beside its diagonal prediction across the sweep grid.
 
     Each row holds one theorem_integral and one whole diagonal_term; rows
-    are independent.
+    are independent. An empty grid, or a table too short for the largest
+    window's step series, is refused before the first row.
     """
+    combos = sweep_grid(ms, ks, delta_coeff, delta_exponent)
+    if not combos:
+        raise ValueError("sweep is empty; every k exceeds m^(1/4)")
+    top = max(m + delta for m, _, delta in combos)
+    table.require(math.floor(top + math.sqrt(top)), "mean-square sweep")
     out = []
-    for m, point, delta in sweep_grid(ms, ks, delta_coeff, delta_exponent):
+    for m, point, delta in combos:
         weight = build_weight(m, delta, rise_fraction * delta)
         out.append(MeanSquareResult(
             m=m, delta=delta, point=point,

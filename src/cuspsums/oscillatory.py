@@ -230,18 +230,6 @@ def stated_bound(spec: PhaseSpec, p: int, profile: WeightProfile) -> float:
     return root ** -p * profile.delta ** (1 - p) * k ** p * profile.m ** (p / 2.0)
 
 
-def lemma_bound_check(spec: PhaseSpec, p: int, weight: WeightProfile) -> float:
-    """|integral| / stated family bound; bounded ratios validate the bound.
-
-    No command calls it: verify-lemmas forms the same ratio from its one
-    oscillatory_integral per spec. It backs the acceptance check
-    bound-certificates.
-    """
-    bound = stated_bound(spec, p, weight)
-    value = oscillatory_integral(weight, spec)
-    return abs(value) / bound
-
-
 def lemma5_derivative_check(spec: PhaseSpec, grid) -> float:
     """min over the grid of |B'(x)| 4 k sqrt(x) / (3 |sqrt m - sqrt n|).
 

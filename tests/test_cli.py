@@ -73,6 +73,19 @@ def test_missing_cache_cites_creation_command(workspace, capsys):
     assert "ghost.cache" in err
 
 
+def test_no_output_directory_without_output(workspace):
+    # coeffs writes only the cache without --json, and a run that fails
+    # before writing writes nothing, so neither creates its --out directory
+    root, cfg, table = workspace
+    quiet, failed = root / "quiet_out", root / "failed_out"
+    assert main(["coeffs", "--n", "100", "--table", str(root / "t100.cache"),
+                 "--out", str(quiet)]) == 0
+    assert main(["omega", "--config", str(cfg), "--table",
+                 str(root / "ghost.cache"), "--out", str(failed)]) == 3
+    assert not quiet.exists()
+    assert not failed.exists()
+
+
 def test_invalid_config_exits_one(workspace, capsys):
     root, cfg, table = workspace
     bad = root / "bad.cfg"
@@ -133,6 +146,15 @@ def test_voronoi_coverage_is_twice_the_largest_scale(workspace, capsys):
     path = _short_cache_cfg(root, table, "edge_voronoi", "voronoi_ms = 10500\n")
     assert main(["voronoi", "--config", str(path)]) == 0
     assert "scan rows: 12" in capsys.readouterr().out
+
+
+def test_meansquare_coverage_is_the_step_series_reach(workspace, capsys):
+    # M = 19855 and Delta = 1000 read a(n) up to floor(top + sqrt(top)) =
+    # 20999 with top = M + Delta, which the 21000-entry cache holds
+    root, cfg, table = workspace
+    path = _short_cache_cfg(root, table, "edge_meansquare", "ms = 19855\nks = 1\n")
+    assert main(["meansquare", "--config", str(path)]) == 0
+    assert "sweep rows: 1" in capsys.readouterr().out
 
 
 def test_coefficient_overflow_exits_one(workspace, capsys, monkeypatch):
@@ -296,7 +318,8 @@ def test_reports_do_not_depend_on_cache_location(workspace):
     moved.parent.mkdir()
     moved.write_bytes(table.read_bytes())
     for command, report in (("meansquare", "meansquare.json"),
-                            ("voronoi", "voronoi.json")):
+                            ("voronoi", "voronoi.json"),
+                            ("omega", "omega.json")):
         payloads = []
         for cache in (table, moved):
             out = root / f"loc_{command}_{cache.stem}"

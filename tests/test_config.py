@@ -77,6 +77,7 @@ def test_parse_rejects(tmp_path, line, fragment):
     {"node_budget": 8},
     {"omega_threshold": 0.0},
     {"voronoi_samples": 0},
+    {"voronoi_samples": 1, "voronoi_ms": (1e4,), "voronoi_ks": (3, 3)},
 ])
 def test_range_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -279,6 +279,19 @@ def test_run_sweep_small(table_2e4):
         assert res.ratio == res.integral / (res.delta * math.sqrt(res.m))
 
 
+def test_run_sweep_refuses_before_the_first_row(table_2e4, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(msq, "theorem_integral", no_row)
+    monkeypatch.setattr(msq, "diagonal_term", no_row)
+    with pytest.raises(ValueError, match="sweep is empty"):
+        msq.run_sweep(table_2e4, ms=(50.0,), ks=(5,))
+    # the first row fits in 2e4; the second (M = 2e4) needs more
+    with pytest.raises(ValueError, match="mean-square sweep needs"):
+        msq.run_sweep(table_2e4, ms=(1e4, 2e4), ks=(1,))
+
+
 def test_result_validation():
     with pytest.raises(ValueError):
         msq.MeanSquareResult(m=1e4, delta=1e3, point=PT01, integral=-1.0,

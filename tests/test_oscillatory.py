@@ -143,13 +143,6 @@ def test_stated_bound_values_and_order_tradeoff():
             osc.stated_bound(bad, 1, w)
 
 
-def test_lemma_bound_check_is_a_plain_ratio(window):
-    spec = osc.l3_spec(1, 1, PT1)
-    ratio = osc.lemma_bound_check(spec, 1, window)
-    value = abs(osc.oscillatory_integral(window, spec))
-    assert ratio == pytest.approx(value / osc.stated_bound(spec, 1, window))
-
-
 def test_lemma5_derivative_check_basic():
     grid = np.linspace(1e4, 2e4, 101)
     ratio = osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), grid)
