@@ -4,6 +4,9 @@ Every command reads one flat config file (all keys optional), writes its
 artifacts under the output directory, and prints a short deterministic
 summary.  Exit codes: 0 success, 1 validation failure, 2 numerical
 budget refusal, 3 I/O failure.
+
+Each command imports the numerical layers it calls when it runs, and reads
+only the prefix of the coefficient cache that it needs.
 """
 
 from __future__ import annotations
@@ -20,14 +23,9 @@ from .calibrated import STATED_RATIO_MAX
 from .coeffs import generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
 from .errors import CoefficientOverflowError, NodeBudgetError
-from .meansquare import exponent_fit, omega_statistic, run_sweep, window_length
-from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
-                          oscillatory_integral, stated_bound)
 from .rational import unit_point
 from .reporting import (sha256_file, sha256_text, svg_line_plot, write_csv,
                         write_json, write_svg)
-from .voronoi import VoronoiParams, fit_error_envelope, voronoi_error_scan
-from .weight import build_weight
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -60,14 +58,16 @@ def _provenance(cfg: ExperimentConfig, table_sha256: str | None) -> dict:
     }
 
 
-def _load_table(cfg: ExperimentConfig):
+def _load_table(cfg: ExperimentConfig, n: int | None = None):
+    """The cache's first n coefficients (all of them for n None), after a
+    missing cache has been refused with a hint."""
     path = Path(cfg.table)
     if not path.is_file():
         raise FileNotFoundError(
             f"coefficient cache {str(path)!r} not found; create it with: "
             f"cuspsums coeffs --table {path}"
         )
-    return load_cache(path)
+    return load_cache(path, n)
 
 
 def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
@@ -95,6 +95,11 @@ def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
 
 def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                       emit_json: bool) -> int:
+    from .meansquare import window_length
+    from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
+                              oscillatory_integral, stated_bound)
+    from .weight import build_weight
+
     m_scale = min(cfg.ms)
     bound_rows = []
     deriv_rows = []
@@ -151,9 +156,12 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
 
 def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
                    emit_json: bool) -> int:
-    table = _load_table(cfg)
+    from .meansquare import exponent_fit, run_sweep, sweep_grid, sweep_reach
+
     ms = tuple(sorted(cfg.ms))
     ks = tuple(sorted(set(cfg.ks)))
+    table = _load_table(cfg, sweep_reach(
+        sweep_grid(ms, ks, cfg.delta_coeff, cfg.delta_exponent)))
     results = run_sweep(table, ms, ks, cfg.delta_coeff, cfg.delta_exponent,
                         cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
@@ -208,10 +216,13 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
 
 
 def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
-    table = _load_table(cfg)
+    from .voronoi import VoronoiParams, fit_error_envelope, voronoi_error_scan
+
     scales = tuple(sorted(cfg.voronoi_ms))
     ks = tuple(sorted(set(cfg.voronoi_ks)))
-    table.require(math.ceil(2.0 * max(scales)), "voronoi scan")
+    reach = math.ceil(2.0 * max(scales))
+    table = _load_table(cfg, reach)
+    table.require(reach, "voronoi scan")
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -288,6 +299,8 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
 
 
 def cmd_omega(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
+    from .meansquare import omega_statistic
+
     table = _load_table(cfg)
     delta = cfg.omega_delta
     table.require(math.ceil(3.0 * delta + 1.0), "omega windows")

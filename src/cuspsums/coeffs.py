@@ -33,20 +33,24 @@ argument of Goldberg, "What every computer scientist should know about
 floating-point arithmetic", 1991, 1.4; long double is avoided because its
 width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
 Loading the 10^6 cache takes 0.12 s instead of 0.38 s through Python ints,
-and a load-only process peaks at 69 MB instead of 107 MB (2-core Xeon,
-median of 7). tau as Python ints, which only the Hecke checks read, is
-decoded from the records on first use. Normalized values are always
-recomputed on load, never stored.
+and a load-only process peaks at 66 MB instead of 107 MB (2-core Xeon,
+median of 9 fresh processes). load_cache(path, n) reads and normalizes only
+the first n records: the 2 10^5 of the default voronoi scan take 0.026 s
+and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s. That took the
+benchmark's sweep workload from 0.749 s and 77.5 MB to 0.647 s and 57.4 MB
+(BENCH_shared_scan.json, medians of 10 pairs). tau as Python ints, which
+only the Hecke checks read, is decoded from the records on first use.
+Normalized values are always recomputed on load, never stored.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +62,9 @@ _WEIGHT = 12            # the only form generated and cached
 _HEADER = struct.Struct("<4sIIQ")   # magic, version, weight, N
 # one cache record: tau(n) as a low unsigned and a high signed 64-bit word
 _RECORD = np.dtype([("lo", "<u8"), ("hi", "<i8")])
-_BLOCK = 1 << 16        # records converted at a time, to keep temporaries small
+_BLOCK = 1 << 16        # inverse FFT values rounded at a time
+# records normalize converts at a time: its 64 KB temporaries stay in L2
+_NORMALIZE_BLOCK = 1 << 13
 
 _LIMB_BITS = 10         # balanced limbs lie in [-2^9, 2^9)
 _LIMB = 1 << _LIMB_BITS
@@ -274,15 +280,15 @@ def normalize(table: CoefficientTable) -> CoefficientTable:
 
     Each entry is one correctly rounded integer-to-double conversion, one
     power, and one division: well under the 4-ulp contract, and bit for
-    bit float(tau(n)) / n^{11/2}. The conversion runs _BLOCK records at a
-    time.
+    bit float(tau(n)) / n^{11/2}. The conversion runs _NORMALIZE_BLOCK
+    records at a time.
     """
     n = table.n_max
     exponent = (_WEIGHT - 1) / 2.0
     a = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        a[start:start + _BLOCK] = _record_doubles(
-            table.records[start:start + _BLOCK])
+    for start in range(0, n, _NORMALIZE_BLOCK):
+        a[start:start + _NORMALIZE_BLOCK] = _record_doubles(
+            table.records[start:start + _NORMALIZE_BLOCK])
     a /= np.arange(1, n + 1, dtype=float) ** exponent
     table.a = a
     return table
@@ -396,22 +402,36 @@ def save_cache(table: CoefficientTable, path) -> None:
         handle.write(table.records)
 
 
-def load_cache(path) -> CoefficientTable:
-    """Read a cache written by save_cache and recompute the normalized a(n)."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise CacheFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, kappa, n = _HEADER.unpack_from(data, 0)
-    if magic != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-    if version != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: format version {version}, expected {CACHE_VERSION}")
-    if kappa != _WEIGHT:
-        raise CacheFormatError(f"{path}: cache holds weight {kappa}, expected {_WEIGHT}")
-    expected = _HEADER.size + _RECORD.itemsize * n
-    if len(data) != expected:
-        raise CacheFormatError(
-            f"{path}: {len(data)} bytes, expected {expected} for {n} records"
-        )
-    records = np.frombuffer(data, dtype=_RECORD, offset=_HEADER.size)
-    return normalize(CoefficientTable(n_max=int(n), records=records))
+def load_cache(path, n: int | None = None) -> CoefficientTable:
+    """Read a cache written by save_cache and recompute the normalized a(n).
+
+    With n given, only the header and the first min(n, N) records are read
+    and normalized; the header and whole-file size checks are the same
+    either way, so a truncated file is refused whatever n asks for.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CacheFormatError(f"{path}: truncated header ({size} bytes)")
+        magic, version, kappa, total = _HEADER.unpack(header)
+        if magic != CACHE_MAGIC:
+            raise CacheFormatError(
+                f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
+        if version != CACHE_VERSION:
+            raise CacheFormatError(
+                f"{path}: format version {version}, expected {CACHE_VERSION}")
+        if kappa != _WEIGHT:
+            raise CacheFormatError(
+                f"{path}: cache holds weight {kappa}, expected {_WEIGHT}")
+        expected = _HEADER.size + _RECORD.itemsize * total
+        if size != expected:
+            raise CacheFormatError(
+                f"{path}: {size} bytes, expected {expected} for {total} records"
+            )
+        if n is not None and n < 0:
+            raise ValueError(f"need n >= 0 records, got {n}")
+        count = total if n is None else min(int(n), total)
+        records = np.frombuffer(handle.read(_RECORD.itemsize * count),
+                                dtype=_RECORD)
+    return normalize(CoefficientTable(n_max=count, records=records))

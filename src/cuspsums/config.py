@@ -13,10 +13,15 @@ from typing import Sequence
 
 from .calibrated import OMEGA_THRESHOLD
 from .errors import ConfigError
-from .meansquare import (SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT, SWEEP_KS,
-                         SWEEP_MS, SWEEP_RISE_FRACTION)
 
 _MAX_SEED = 2 ** 64 - 1
+
+# the default mean-square sweep; meansquare's run_sweep defaults read these too
+SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
+SWEEP_KS = (1, 2, 3, 5, 7)
+SWEEP_DELTA_COEFF = 4.0
+SWEEP_DELTA_EXPONENT = 0.55
+SWEEP_RISE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
+from cuspsums.config import (SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT, SWEEP_KS,
+                             SWEEP_MS, SWEEP_RISE_FRACTION)
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
@@ -50,13 +52,6 @@ _MOMENT_ORDER = 12
 # first-grid Gauss-16 panels per unit of the peak rate 4√n/(k√x) over the
 # window: about three cycles of the squared product form per panel
 _PANELS_PER_RATE = 0.15625
-
-# the default sweep; the CLI's configuration defaults read these too
-SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
-SWEEP_KS = (1, 2, 3, 5, 7)
-SWEEP_DELTA_COEFF = 4.0
-SWEEP_DELTA_EXPONENT = 0.55
-SWEEP_RISE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -496,6 +491,16 @@ def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS,
     return combos
 
 
+def sweep_reach(combos) -> int:
+    """The largest n a sweep over sweep_grid's combos reads.
+
+    That is floor(top + √top), top the largest M + Δ: the reach of the last
+    window's step_series. An empty grid reads nothing and gives 0.
+    """
+    top = max((m + delta for m, _, delta in combos), default=0.0)
+    return math.floor(top + math.sqrt(top))
+
+
 def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
               delta_coeff: float = SWEEP_DELTA_COEFF,
               delta_exponent: float = SWEEP_DELTA_EXPONENT,
@@ -504,14 +509,13 @@ def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
     """The measured I beside its diagonal prediction across the sweep grid.
 
     Each row holds one theorem_integral and one whole diagonal_term; rows
-    are independent. An empty grid, or a table too short for the largest
-    window's step series, is refused before the first row.
+    are independent. An empty grid, or a table short of sweep_reach, is
+    refused before the first row.
     """
     combos = sweep_grid(ms, ks, delta_coeff, delta_exponent)
     if not combos:
         raise ValueError("sweep is empty; every k exceeds m^(1/4)")
-    top = max(m + delta for m, _, delta in combos)
-    table.require(math.floor(top + math.sqrt(top)), "mean-square sweep")
+    table.require(sweep_reach(combos), "mean-square sweep")
     out = []
     for m, point, delta in combos:
         weight = build_weight(m, delta, rise_fraction * delta)

@@ -69,6 +69,27 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
+def _main_terms(x: float, ns: np.ndarray, coeffs: np.ndarray, k: int,
+                params: Sequence[VoronoiParams]) -> list[complex]:
+    """voronoi_main_term of every params at x, from dual coefficients
+    (ns, coeffs) that reach each params' n_trunc.
+
+    The argument (4 pi / k) sqrt(n x) is formed once and the cosine once per
+    phase; each truncation sums the contiguous prefix of its phase's terms,
+    the same elements in the same pairwise order as a table cut at n_trunc.
+    """
+    scaled = (4.0 * np.pi / k) * np.sqrt(ns * x)
+    amplitude = _AMPLITUDE * math.sqrt(k) * x ** 0.25
+    terms = {}
+    values = []
+    for p in params:
+        if p.phase_shift not in terms:
+            terms[p.phase_shift] = coeffs * np.cos(scaled + p.phase_shift)
+        values.append(complex(
+            amplitude * np.sum(terms[p.phase_shift][:p.n_trunc])))
+    return values
+
+
 def voronoi_main_term(x: float, params: VoronoiParams,
                       table: CoefficientTable) -> complex:
     """(pi sqrt 2)^-1 k^(1/2) x^(1/4) sum_{n<=N} a(n)e_k(-n hbar)n^(-3/4)cos(...).
@@ -78,10 +99,7 @@ def voronoi_main_term(x: float, params: VoronoiParams,
     """
     x = _check_x(x)
     ns, coeffs = params.dual_coefficients(table)
-    k = params.point.k
-    args = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
-    terms = coeffs * np.cos(args)
-    return complex(_AMPLITUDE * math.sqrt(k) * x ** 0.25 * np.sum(terms))
+    return _main_terms(x, ns, coeffs, params.point.k, (params,))[0]
 
 
 def short_sum_main_term(x: float, params: VoronoiParams,
@@ -108,9 +126,10 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
                        table: CoefficientTable) -> np.ndarray:
     """|long_sum(x) - voronoi_main_term(x, p)| for every p in params and x in xs.
 
-    All params share one point, so each long_sum(x) is computed once and
+    All params share one point, so the dual coefficients are built once, at
+    the longest truncation, and each long_sum(x) is computed once and
     compared with every truncation and phase; row i of the result holds
-    the errors of params[i].
+    the errors of params[i], bit for bit those of voronoi_main_term.
     """
     xs = np.asarray(xs, dtype=float)
     params = tuple(params)
@@ -123,11 +142,13 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
     point = params[0].point
     if any(p.point != point for p in params):
         raise ValueError("error scan params must share one point")
+    ns, coeffs = max(params, key=lambda p: p.n_trunc).dual_coefficients(table)
     errors = np.empty((len(params), xs.size))
     for j, x in enumerate(xs):
-        direct = long_sum(float(x), point, table)
-        for i, p in enumerate(params):
-            errors[i, j] = abs(direct - voronoi_main_term(float(x), p, table))
+        x = _check_x(x)
+        direct = long_sum(x, point, table)
+        errors[:, j] = [abs(direct - value) for value in
+                        _main_terms(x, ns, coeffs, point.k, params)]
     return errors
 
 

@@ -111,7 +111,8 @@ def test_traced_voronoi_sums_each_sample_once(tracer, tmp_path):
         {k: len(v) for k, v in traced.keys.items()})
     assert metrics["sums.long_sum_calls"] == samples
     assert metrics["sums.long_sum_unique_share"] == 1.0
-    assert metrics["voronoi.main_term_calls"] == 4 * samples
+    # the scan evaluates its main terms on shared dual coefficients
+    assert metrics["voronoi.main_term_calls"] == 0
 
 
 def test_traced_load_normalizes_inside_load_cache(tracer, tmp_path):

@@ -231,16 +231,16 @@ def test_meansquare_artifacts(workspace, capsys):
 
 
 def test_meansquare_prints_flagged_rows(workspace, capsys, monkeypatch):
-    import cuspsums.cli as cli
+    import cuspsums.meansquare as msq
 
-    real_sweep = cli.run_sweep
+    real_sweep = msq.run_sweep
 
     def sweep_with_flags(*args):
         first, *rest = real_sweep(*args)
         return [replace(first, diagonal=replace(first.diagonal,
                                                 flagged=(1, 50))), *rest]
 
-    monkeypatch.setattr(cli, "run_sweep", sweep_with_flags)
+    monkeypatch.setattr(msq, "run_sweep", sweep_with_flags)
     root, cfg, table = workspace
     out = root / "ms_flagged"
     assert main(["meansquare", "--config", str(cfg), "--out", str(out),

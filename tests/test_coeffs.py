@@ -204,6 +204,33 @@ def test_cache_roundtrip(tmp_path, table_2e4):
     assert back.a.tobytes() == table_2e4.a.tobytes()  # recomputed, same doubles
 
 
+def test_prefix_load_matches_full_load(tmp_path, table_2e4):
+    path = tmp_path / "t20000.cusp"
+    save_cache(table_2e4, path)
+    full = load_cache(path)
+    for n in (0, 1, 8191, 8193, 12_345):
+        prefix = load_cache(path, n)
+        assert prefix.n_max == n
+        assert prefix.records.tobytes() == full.records[:n].tobytes()
+        assert prefix.a.tobytes() == full.a[:n].tobytes()
+    for n in (20_000, 20_001, 10 ** 9):
+        whole = load_cache(path, n)
+        assert whole.n_max == 20_000
+        assert whole.records.tobytes() == full.records.tobytes()
+        assert whole.a.tobytes() == full.a.tobytes()
+    with pytest.raises(ValueError, match="n >= 0"):
+        load_cache(path, -1)
+
+
+def test_prefix_load_still_refuses_a_truncated_file(tmp_path):
+    path = tmp_path / "t1000.cusp"
+    save_cache(generate_tau(1000), path)
+    path.write_bytes(path.read_bytes()[:-16])
+    for n in (None, 1, 10):
+        with pytest.raises(CacheFormatError, match="expected 16020 for 1000"):
+            load_cache(path, n)
+
+
 def test_loaded_tau_is_decoded_on_first_read(tmp_path, table_2e4):
     path = tmp_path / "t20000.cusp"
     save_cache(table_2e4, path)

@@ -12,19 +12,33 @@ import cuspsums
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_coeffs_import_loads_only_what_it_uses():
-    # the cache certification imports cuspsums.coeffs alone; the package
-    # namespace must not pull every layer in behind it
+def _loaded_by(module: str) -> list[str]:
+    """The cuspsums modules a fresh interpreter holds after importing module."""
     src = str(Path(cuspsums.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import json, sys, cuspsums.coeffs; print(json.dumps(sorted("
+    probe = (f"import json, sys, {module}; print(json.dumps(sorted("
              "m for m in sys.modules if m.split('.')[0] == 'cuspsums')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == [
+    return json.loads(proc.stdout)
+
+
+def test_coeffs_import_loads_only_what_it_uses():
+    # the cache certification imports cuspsums.coeffs alone; the package
+    # namespace must not pull every layer in behind it
+    assert _loaded_by("cuspsums.coeffs") == [
         "cuspsums", "cuspsums.coeffs", "cuspsums.errors"]
+
+
+def test_cli_import_defers_the_numerical_layers():
+    # each command imports the layers it calls when it runs, so `coeffs`
+    # never loads the sums, the quadrature or the sweep
+    loaded = _loaded_by("cuspsums.cli")
+    assert "cuspsums.cli" in loaded
+    for layer in ("meansquare", "oscillatory", "voronoi", "weight", "sums"):
+        assert f"cuspsums.{layer}" not in loaded
 
 
 def test_readme_library_example_runs(capsys):

@@ -113,16 +113,35 @@ def test_phase_discrimination_at_k1(table_1e5):
 
 
 def test_error_scan_rows_match_direct_errors(table_2e4):
+    # truncations out of order, both phases, and a repeated (N, phase) pair:
+    # each row sums a prefix of the longest truncation's terms
     pt = make_rational_point(2, 7)
     xs = np.array([4000.25, 5000.75, 6000.5, 7000.125])
-    params = [VoronoiParams(pt, 400, phase_shift=0.0), VoronoiParams(pt, 400),
-              VoronoiParams(pt, 100), VoronoiParams(pt, 25)]
+    params = [VoronoiParams(pt, 100), VoronoiParams(pt, 400, phase_shift=0.0),
+              VoronoiParams(pt, 25, phase_shift=0.0), VoronoiParams(pt, 400),
+              VoronoiParams(pt, 100), VoronoiParams(pt, 1), VoronoiParams(pt, 25)]
     errors = voronoi_error_scan(xs, params, table_2e4)
     assert errors.shape == (len(params), xs.size)
     for row, p in zip(errors, params):
         for err, x in zip(row, xs):
             assert err == abs(long_sum(float(x), pt, table_2e4)
                               - voronoi_main_term(float(x), p, table_2e4))
+
+
+def test_error_scan_builds_dual_coefficients_once(table_2e4, monkeypatch):
+    built = []
+    real = VoronoiParams.dual_coefficients
+
+    def counted(self, table):
+        built.append(self.n_trunc)
+        return real(self, table)
+
+    monkeypatch.setattr(VoronoiParams, "dual_coefficients", counted)
+    pt = make_rational_point(1, 3)
+    params = [VoronoiParams(pt, 50), VoronoiParams(pt, 200, phase_shift=0.0),
+              VoronoiParams(pt, 200)]
+    voronoi_error_scan(np.array([1000.5, 2000.5, 3000.5]), params, table_2e4)
+    assert built == [200]
 
 
 def test_error_scan_validation(table_2e4):
