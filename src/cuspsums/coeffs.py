@@ -33,12 +33,14 @@ argument of Goldberg, "What every computer scientist should know about
 floating-point arithmetic", 1991, 1.4; long double is avoided because its
 width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
 Loading the 10^6 cache takes 0.12 s instead of 0.38 s through Python ints,
-and a load-only process peaks at 66 MB instead of 107 MB (2-core Xeon,
+and a load-only process peaks at 51 MB: 66 MB while normalize divided by
+one n-long array of n^{11/2}, 107 MB through Python ints (2-core Xeon,
 median of 9 fresh processes). load_cache(path, n) reads and normalizes only
 the first n records: the 2 10^5 of the default voronoi scan take 0.026 s
 and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s. That took the
-benchmark's sweep workload from 0.749 s and 77.5 MB to 0.647 s and 57.4 MB
-(BENCH_shared_scan.json, medians of 10 pairs). tau as Python ints, which
+benchmark's sweep workload from 77.5 MB to 57.5 MB (BENCH_shared_scan.json),
+and blocking normalize and the sweep's quadratures took it to 43.1 MB
+(BENCH_working_set.json, medians of 10 pairs). tau as Python ints, which
 only the Hecke checks read, is decoded from the records on first use.
 Normalized values are always recomputed on load, never stored.
 """
@@ -280,16 +282,16 @@ def normalize(table: CoefficientTable) -> CoefficientTable:
 
     Each entry is one correctly rounded integer-to-double conversion, one
     power, and one division: well under the 4-ulp contract, and bit for
-    bit float(tau(n)) / n^{11/2}. The conversion runs _NORMALIZE_BLOCK
-    records at a time.
+    bit float(tau(n)) / n^{11/2}. The conversion and the division run
+    _NORMALIZE_BLOCK records at a time, so no n-long temporary is made.
     """
     n = table.n_max
     exponent = (_WEIGHT - 1) / 2.0
     a = np.empty(n)
     for start in range(0, n, _NORMALIZE_BLOCK):
-        a[start:start + _NORMALIZE_BLOCK] = _record_doubles(
-            table.records[start:start + _NORMALIZE_BLOCK])
-    a /= np.arange(1, n + 1, dtype=float) ** exponent
+        stop = min(start + _NORMALIZE_BLOCK, n)
+        a[start:stop] = (_record_doubles(table.records[start:stop])
+                         / np.arange(start + 1, stop + 1, dtype=float) ** exponent)
     table.a = a
     return table
 

@@ -24,6 +24,12 @@ cutoff where their first-derivative-test bounds fall off like n^(-1/2).
 The non-oscillatory part is evaluated for every n from a fixed number of
 moments of w√x (g - g₀)^j, because s·g moves by well under one radian
 across a window; the Taylor remainder of that series joins the slack.
+
+Every large grid (the exact brackets, the piece masses, the slow
+brackets) is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
+doubles, so peak memory does not grow with the grid; each row's elements
+and its own reduction are those of the whole matrix, so the results are
+bit for bit the same.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ _MOMENT_ORDER = 12
 # first-grid Gauss-16 panels per unit of the peak rate 4√n/(k√x) over the
 # window: about three cycles of the squared product form per panel
 _PANELS_PER_RATE = 0.15625
+# doubles per block of a blocked grid evaluation: 2^15 doubles are 256 KB,
+# small enough that a block's temporaries stay in L2 and peak memory stays
+# flat, large enough that the numpy calls per block cost little beside them
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,12 +113,22 @@ def _check_geometry(m: float, delta: float, weight: WeightProfile) -> None:
         )
 
 
+def _row_blocks(rows: int, width: int):
+    """Slices of _BLOCK_ELEMENTS // width rows (at least one) covering rows."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray:
     """∫ w over each piece by fixed-order Gauss quadrature on the smooth w."""
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = mid[:, None] + half[:, None] * _GAUSS8_NODES[None, :]
-    return half * (eval_weight(weight, x) * _GAUSS8_WEIGHTS).sum(axis=1)
+    masses = np.empty(half.size)
+    for rows in _row_blocks(half.size, _GAUSS8_NODES.size):
+        x = mid[rows, None] + half[rows, None] * _GAUSS8_NODES[None, :]
+        masses[rows] = half[rows] * (eval_weight(weight, x)
+                                     * _GAUSS8_WEIGHTS).sum(axis=1)
+    return masses
 
 
 def theorem_integral(m: float, delta: float, point: RationalPoint,
@@ -175,10 +195,11 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
     The integrand is the squared product form of _cos_difference. The
     first grid (_first_panels) gives each Gauss-16 panel about three
     cycles of the squared integrand at the fastest requested frequency.
-    One evaluation covers every n at once; WeightProfile.refine settles
-    each row to 1e-9 of the first grid's weight mass ∫ w √x. Returns
-    (brackets, flagged) where flagged lists the n whose rows never settled
-    inside the budget and were replaced by the trivial bound 4 ∫ w √x.
+    One evaluation covers every n, a block of rows at a time;
+    WeightProfile.refine settles each row to 1e-9 of the first grid's
+    weight mass ∫ w √x. Returns (brackets, flagged) where flagged lists
+    the n whose rows never settled inside the budget and were replaced by
+    the trivial bound 4 ∫ w √x.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -187,9 +208,16 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
         raise ValueError("frequencies must satisfy n >= 1")
     panels = _first_panels(int(ns.max()), k, weight)
     mass = float(np.sum(_weighted_nodes(weight, panels)[1]))
-    values, settled = weight.refine(panels, lambda xs, wts: (
-        _cos_difference(ns, k, xs) ** 2 * _root_weighted(weight, xs, wts)
-    ).sum(axis=1), 1e-9 * mass, node_budget)
+
+    def squared_differences(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        wsx = _root_weighted(weight, xs, wts)
+        out = np.empty(ns.size)
+        for rows in _row_blocks(ns.size, xs.size):
+            out[rows] = (_cos_difference(ns[rows], k, xs) ** 2 * wsx).sum(axis=1)
+        return out
+
+    values, settled = weight.refine(panels, squared_differences, 1e-9 * mass,
+                                    node_budget)
     values[~settled] = 4.0 * mass
     return values, tuple(int(n) for n in ns[~settled])
 
@@ -209,13 +237,18 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
     g0 = 0.5 * (float(g.min()) + float(g.max()))
     offset = g - g0
     moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
-    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
-    series = np.full(ns.size, moments[-1], dtype=complex)
-    for j in range(_MOMENT_ORDER - 1, 0, -1):
-        series = moments[j - 1] + (1j * scale / j) * series
-    brackets = float(np.sum(wsx)) - np.real(np.exp(1j * g0 * scale) * series)
-    reach = float(scale.max()) * float(np.max(np.abs(offset)))
+    mass = float(np.sum(wsx))
+    brackets = np.empty(ns.size)
+    for rows in _row_blocks(ns.size, 1):
+        scale = (4.0 * math.pi / k) * np.sqrt(ns[rows].astype(float))
+        # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
+        series = np.full(scale.size, moments[-1], dtype=complex)
+        for j in range(_MOMENT_ORDER - 1, 0, -1):
+            series = moments[j - 1] + (1j * scale / j) * series
+        brackets[rows] = mass - np.real(np.exp(1j * g0 * scale) * series)
+    # s is monotone in n, so the largest n has the largest s
+    s_max = (4.0 * math.pi / k) * math.sqrt(float(ns.max()))
+    reach = s_max * float(np.max(np.abs(offset)))
     bound = (reach ** _MOMENT_ORDER / math.factorial(_MOMENT_ORDER)
              * float(np.sum(np.abs(wsx))))
     return brackets, bound

@@ -4,6 +4,11 @@ Everything here is deliberately naive and shares no code with the package
 internals beyond data types. Most references are direct re-computations;
 tau_pentagonal is the one faster algorithm, an O(n^1.5) recurrence that
 shares no method with the package's FFT kernel either.
+
+The exception is the last section: the one-matrix references evaluate a
+blocked package loop as one whole matrix, through the package's own
+pointwise kernels, so that a test can require the blocks to give the
+same bits as the whole.
 """
 
 from __future__ import annotations
@@ -180,3 +185,66 @@ def simpson_integral(f, lo: float, hi: float, intervals: int = 1 << 17) -> float
     coeff[1:-1:2] = 4.0
     coeff[2:-1:2] = 2.0
     return float(np.dot(coeff, f(xs))) * (hi - lo) / intervals / 3.0
+
+
+# One-matrix references of the package's blocked loops. Each builds its
+# whole grid at once, as the package did before it evaluated in blocks.
+
+
+def profile_one_matrix(ns, k: int, weight, node_budget: int = 2_000_000):
+    """meansquare.diagonal_profile with every row of a grid in one matrix."""
+    import numpy as np
+
+    from cuspsums import meansquare as msq
+
+    ns = np.asarray(ns, dtype=np.int64)
+    panels = msq._first_panels(int(ns.max()), k, weight)
+    mass = float(np.sum(msq._weighted_nodes(weight, panels)[1]))
+    values, settled = weight.refine(panels, lambda xs, wts: (
+        msq._cos_difference(ns, k, xs) ** 2 * msq._root_weighted(weight, xs, wts)
+    ).sum(axis=1), 1e-9 * mass, node_budget)
+    values[~settled] = 4.0 * mass
+    return values, tuple(int(n) for n in ns[~settled])
+
+
+def piece_masses_one_matrix(weight, edges):
+    """meansquare._piece_weight_masses as one pieces x 8 matrix."""
+    import numpy as np
+
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    return half * (weight(x) * wts).sum(axis=1)
+
+
+def slow_brackets_one_matrix(ns, k: int, xs, wsx):
+    """meansquare._slow_brackets with the Horner loop over every n at once."""
+    import numpy as np
+
+    from cuspsums import meansquare as msq
+
+    order = msq._MOMENT_ORDER
+    g = msq._gap(xs)
+    g0 = 0.5 * (float(g.min()) + float(g.max()))
+    offset = g - g0
+    moments = [float(np.sum(wsx * offset ** j)) for j in range(order)]
+    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
+    series = np.full(ns.size, moments[-1], dtype=complex)
+    for j in range(order - 1, 0, -1):
+        series = moments[j - 1] + (1j * scale / j) * series
+    brackets = float(np.sum(wsx)) - np.real(np.exp(1j * g0 * scale) * series)
+    reach = float(scale.max()) * float(np.max(np.abs(offset)))
+    bound = (reach ** order / math.factorial(order)
+             * float(np.sum(np.abs(wsx))))
+    return brackets, bound
+
+
+def normalized_one_shot(records):
+    """coeffs.normalize's a(n) from one n-long conversion and division."""
+    import numpy as np
+
+    from cuspsums.coeffs import _record_doubles
+
+    return _record_doubles(records) / np.arange(1, records.size + 1,
+                                                dtype=float) ** 5.5

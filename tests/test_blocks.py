@@ -1,0 +1,110 @@
+"""Blocked grid evaluations against their one-matrix references.
+
+diagonal_profile, _piece_weight_masses, _slow_brackets and normalize
+evaluate their grids a block of rows at a time. With the block constants
+patched small, every loop runs several blocks, a ragged last block, and
+one row per block where a row is wider than the block; each result must
+equal the one-matrix reference bit for bit. tracemalloc then pins the
+working set that the blocks buy.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cuspsums import coeffs
+from cuspsums import meansquare as msq
+from cuspsums.coeffs import CoefficientTable, normalize
+from cuspsums.weight import build_weight
+from oracles import (normalized_one_shot, piece_masses_one_matrix,
+                     profile_one_matrix, slow_brackets_one_matrix)
+
+
+@pytest.fixture(scope="module")
+def window_1e4():
+    return build_weight(1e4, 2e3)
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3, 0])
+@pytest.mark.parametrize("first_grid_only", [False, True])
+def test_profile_blocks_match_one_matrix(window_1e4, monkeypatch,
+                                         rows_per_block, first_grid_only):
+    # 37 rows: blocks of 3 leave a ragged row, and the doubled grid is
+    # wider than the block, so it runs one row per block; 0 rows per
+    # block makes every row wider than the block
+    ns = np.arange(1, 38)
+    width = 16 * msq._first_panels(37, 3, window_1e4)
+    if rows_per_block is not None:
+        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS",
+                            rows_per_block * width + 7 if rows_per_block
+                            else width // 2)
+    # a budget of the first grid alone flags every row
+    budget = width if first_grid_only else 2_000_000
+    values, flagged = msq.diagonal_profile(ns, 3, window_1e4, node_budget=budget)
+    ref_values, ref_flagged = profile_one_matrix(ns, 3, window_1e4, budget)
+    assert np.array_equal(values, ref_values)
+    assert flagged == ref_flagged
+    assert len(flagged) == (ns.size if first_grid_only else 0)
+
+
+@pytest.mark.parametrize("block", [None, 8 * 5 + 3, 5])
+def test_piece_masses_blocks_match_one_matrix(window_1e4, monkeypatch, block):
+    # 1002 pieces: blocks of 5 leave 2 over; a block of 5 holds no whole row
+    rng = np.random.default_rng(3)
+    edges = np.concatenate(([1e4], np.sort(rng.uniform(1e4, 1.2e4, 1001)),
+                            [1.2e4]))
+    if block is not None:
+        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+    masses = msq._piece_weight_masses(window_1e4, edges)
+    assert np.array_equal(masses, piece_masses_one_matrix(window_1e4, edges))
+
+
+@pytest.mark.parametrize(("block", "top"), [(None, 10_000), (1000, 10_000),
+                                            (1, 400)])
+def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
+                                               block, top):
+    xs, wsx = msq._weighted_nodes(window_1e4, 8)
+    ns = np.arange(257, top + 1)
+    if block is not None:
+        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+    for k in (1, 7):
+        brackets, bound = msq._slow_brackets(ns, k, xs, wsx)
+        ref_brackets, ref_bound = slow_brackets_one_matrix(ns, k, xs, wsx)
+        assert np.array_equal(brackets, ref_brackets)
+        assert bound == ref_bound
+
+
+@pytest.mark.parametrize(("block", "n"), [(None, 20_000), (777, 20_000),
+                                          (1, 500)])
+def test_normalize_blocks_match_one_shot(table_2e4, monkeypatch, block, n):
+    if block is not None:
+        monkeypatch.setattr(coeffs, "_NORMALIZE_BLOCK", block)
+    records = table_2e4.records[:n]
+    a = normalize(CoefficientTable(n_max=n, records=records)).a
+    assert np.array_equal(a, normalized_one_shot(records))
+
+
+def test_diagonal_term_working_set(table_1e5):
+    # the exact brackets' grid is 256 rows by thousands of nodes, whose
+    # temporaries reach 19 MB as one matrix
+    weight = build_weight(1e4, 1e3, 250.0)
+    peak = _peak_bytes(lambda: msq.diagonal_term(1e4, 1e3, 1, weight, table_1e5))
+    assert peak < 2 * 2**20
+
+
+def test_normalize_working_set(table_1e5):
+    # beyond a(n) itself, only block-sized temporaries
+    table = CoefficientTable(n_max=100_000, records=table_1e5.records)
+    peak = _peak_bytes(lambda: normalize(table))
+    assert peak < table.a.nbytes + 0.75 * 2**20
