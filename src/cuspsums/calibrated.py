@@ -1,35 +1,22 @@
-"""Constants measured by this package's own calibration runs.
+"""Caps measured by this package's own runs.
 
 Each value comes from the named procedure at recorded settings and is
-frozen here so certificates and tests are reproducible. Where a value
-feeds an upper bound it is rounded up, never down. Re-measuring the
-cheap ones is part of the test suite.
+frozen here so tests are reproducible. Re-measuring them is part of the
+test suite. Constants that follow from a closed form live beside it
+instead (weight.RAMP_SLOPE_MAX).
 """
 
-# sup |psi^(nu)| over the unit ramp of the smooth cutoff, measured by
-# strided central differences on a 14001-point grid per ramp (see
-# weight.derivative_bound_report). The two ramps of a weight profile have
-# disjoint supports whenever r <= delta/2, so these also bound the full
-# product weight: |w^(nu)| <= WEIGHT_C<nu> / r^nu. C1 agrees with the
-# analytic ramp maximum 2 to 3e-8.
-WEIGHT_C1 = 2.0
-WEIGHT_C2 = 9.84104
-WEIGHT_C3 = 110.5655
-WEIGHT_C4 = 2279.227
-
-WEIGHT_DERIVATIVE_SUPS = (WEIGHT_C1, WEIGHT_C2, WEIGHT_C3, WEIGHT_C4)
-
 # Largest |integral| / first-derivative-test bound seen in the certificate
-# sweep (families L3/L4/L5, orders p in {1,2}, m,n from 1..16 plus the
-# near-degenerate pair (2,3), M in {1e4, 3e4, 1e5}, k in {1, 2, 5}).
-# Measured 0.02693 at p=1; the certificates hold with a factor ~37 to
-# spare, so any ratio past this cap means a regression, not a tight case.
+# sweep (families L3/L4/L5, m,n from 1..16 plus the near-degenerate pair
+# (2,3), M in {1e4, 3e4, 1e5}, k in {1, 2, 5}). Measured 0.02693; the
+# certificates hold with a factor ~37 to spare, so any ratio past this cap
+# means a regression, not a tight case.
 JM_RATIO_MAX = 0.05
 
-# Largest |integral| / stated family bound over the same sweep. The
-# stated bounds carry an implied constant; it is largest for the
-# difference families at order 2 on the near-degenerate pair (2,3) with
-# k = 5, where the phase completes only ~2 cycles. Measured 181.72.
+# Largest |integral| / stated family bound over the same sweep at orders
+# p in {1, 2}. The stated bounds carry an implied constant; it is largest
+# for the difference families at order 2 on the near-degenerate pair (2,3)
+# with k = 5, where the phase completes only ~2 cycles. Measured 181.72.
 STATED_RATIO_MAX = 250.0
 
 # Normalized window-sum threshold for the omega statistic: over 100

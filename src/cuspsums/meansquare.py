@@ -298,7 +298,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         # with the smallest slope bounds every piece
         pt = unit_point(k)
         cert = min(
-            (derivative_certificate(weight, spec, p=1)
+            (derivative_certificate(weight, spec)
              for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
                           l3_spec(n_exact, n_exact, pt),
                           l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))),

@@ -14,10 +14,12 @@ is WeightProfile.refine on Gauss-16 panels of under one oscillation each;
 successive doublings must agree to 1e-8 absolute or the evaluation
 refuses with NodeBudgetError rather than return a value it cannot defend.
 
-The first-derivative-test bound A0 (A1 B1)^(-P) (1 + A1/rho)^P (b - a) is
-computed from BoundCertificate records whose amplitude scales come from the
-frozen measured weight constants, so |integral| / jm_bound ratios are
-reproducible numbers, not per-run artifacts.
+The first-derivative-test bound A0 (A1 B1)^(-1) (1 + A1/rho) (b - a) is
+computed from BoundCertificate records whose inputs are all closed forms:
+the amplitude scale from the exact ramp slope weight.RAMP_SLOPE_MAX, and
+the phase slope from B' at the two ends of the support, where |B'| takes
+its minimum whenever B' keeps its sign. A B' that vanishes or changes sign
+on the support gets no certificate.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cuspsums.calibrated import WEIGHT_DERIVATIVE_SUPS
 from cuspsums.errors import NodeBudgetError
 from cuspsums.rational import RationalPoint
-from cuspsums.weight import WeightProfile, eval_weight
+from cuspsums.weight import RAMP_SLOPE_MAX, WeightProfile, eval_weight
 
 T_PLAIN = "x"
 T_SHIFTED = "x+sqrt(x)"
@@ -163,52 +164,48 @@ class BoundCertificate:
     a1: float
     b1: float
     rho: float
-    p: int
     length: float
 
     def __post_init__(self) -> None:
         for name in ("a0", "a1", "b1", "rho", "length"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"certificate field {name} must be positive")
-        if not (isinstance(self.p, int) and self.p >= 0):
-            raise ValueError(f"order p must be an integer >= 0, got {self.p!r}")
 
 
 def jm_bound(cert: BoundCertificate) -> float:
-    """A0 (A1 B1)^(-P) (1 + A1/rho)^P (b - a), evaluated exactly."""
-    return cert.a0 * (cert.a1 * cert.b1) ** -cert.p \
-        * (1.0 + cert.a1 / cert.rho) ** cert.p * cert.length
+    """A0 (A1 B1)^(-1) (1 + A1/rho) (b - a), evaluated exactly."""
+    # pow, not division: the two round apart in about 1 case in 1200, and
+    # the reports' slack digits come from pow
+    return cert.a0 * (cert.a1 * cert.b1) ** -1 \
+        * (1.0 + cert.a1 / cert.rho) * cert.length
 
 
-def derivative_certificate(profile: WeightProfile, spec: PhaseSpec,
-                           p: int = 1) -> BoundCertificate:
-    """Certificate for A(x) = w(x) x^(1/2) against the given phase.
+def derivative_certificate(profile: WeightProfile,
+                           spec: PhaseSpec) -> BoundCertificate:
+    """First-derivative-test certificate for A(x) = w(x) x^(1/2) against B.
 
-    a0 is the amplitude sup sqrt(M+delta); a1 comes from the frozen ramp
-    derivative sups (valid through order 4); b1 is the scanned minimum of
-    |B'| and must be positive, so a vanishing phase derivative is rejected
-    rather than certified. rho defaults to delta/2.
+    a0 = sqrt(M + Δ) is sup A. a1 = 1/(RAMP_SLOPE_MAX/r + 1/(2 sqrt(M (M+Δ))))
+    is the scale of A' from the exact ramp slope and the slope of sqrt(x).
+    b1 = min(|B'(M)|, |B'(M + Δ)|). For every family sqrt(x) B' is monotone,
+    so B' keeps its sign on the support exactly when its two end values have
+    the same sign; otherwise B' vanishes somewhere and the certificate is
+    refused. With the sign kept, |B'| is monotone in x for L3 and L4 and
+    monotone or concave in 1/sqrt(x) for L5, so its minimum lies at an end.
+    rho = Δ/2.
     """
-    if not (isinstance(p, int) and 0 <= p <= len(WEIGHT_DERIVATIVE_SUPS)):
-        raise ValueError(
-            f"certificates support integer orders 0..{len(WEIGHT_DERIVATIVE_SUPS)}, "
-            f"got {p!r}"
-        )
     lo, hi = profile.support
-    a0 = math.sqrt(hi)
-    amp_rate = 1.0 / (2.0 * math.sqrt(lo) * math.sqrt(hi))
-    if p == 0:
-        a1 = profile.r / 2.0  # unused by the P=0 bound, only needs positivity
-    else:
-        a1 = 1.0 / max(c ** (1.0 / nu) / profile.r + amp_rate
-                       for nu, c in enumerate(WEIGHT_DERIVATIVE_SUPS[:p], start=1))
     _, bp_fun = build_phase(spec)
-    b1 = float(np.min(np.abs(bp_fun(np.linspace(lo, hi, _SCAN_POINTS)))))
-    if b1 <= 0.0:
-        raise ValueError("phase derivative vanishes on the support; "
-                         "no first-derivative certificate exists")
-    return BoundCertificate(a0=a0, a1=a1, b1=b1, rho=profile.delta / 2.0,
-                            p=p, length=profile.delta)
+    slope_lo, slope_hi = bp_fun(lo), bp_fun(hi)
+    if not slope_lo * slope_hi > 0.0:
+        raise ValueError(
+            f"phase derivative changes sign or vanishes on [{lo}, {hi}] "
+            f"(B' = {slope_lo:.3e} and {slope_hi:.3e} at the ends); "
+            "no first-derivative certificate exists")
+    amp_rate = 1.0 / (2.0 * math.sqrt(lo) * math.sqrt(hi))
+    return BoundCertificate(a0=math.sqrt(hi),
+                            a1=1.0 / (RAMP_SLOPE_MAX / profile.r + amp_rate),
+                            b1=min(abs(slope_lo), abs(slope_hi)),
+                            rho=profile.delta / 2.0, length=profile.delta)
 
 
 def stated_bound(spec: PhaseSpec, p: int, profile: WeightProfile) -> float:

@@ -6,10 +6,10 @@ C-infinity everywhere, built from the classical transition
 
     psi(t) = g(t) / (g(t) + g(1 - t)),      g(t) = exp(-1/t) for t > 0 else 0.
 
-All derivatives scale like r^{-n}: sup|w^(n)(x)| * r^n is a constant C_n
-independent of (M, Delta, r). derivative_bound_report measures those constants
-by central finite differences on a dense grid; with the default ramp r =
-Delta/4 they translate into sup|w^(n)| <= C_n * 4^n * Delta^{-n}.
+On (0, 1), psi(t) = sigma(v(t)) with v(t) = 1/(1 - t) - 1/t and sigma the
+logistic function, so psi'(t) = sigma (1 - sigma) (1/t^2 + 1/(1 - t)^2). It
+peaks at psi'(1/2) = 1/4 * 8 = 2 = RAMP_SLOPE_MAX. The two ramps have
+disjoint interiors whenever r <= Delta/2, so sup|w'| = RAMP_SLOPE_MAX / r.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Immutable window description; calling it evaluates w(x)."""
+    """Immutable window description; eval_weight evaluates w(x)."""
 
     m: float
     delta: float
     r: float
-
-    def __call__(self, x):
-        return eval_weight(self, x)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -80,6 +77,10 @@ class WeightProfile:
         return values, settled
 
 
+# sup psi' over the ramp, attained at t = 1/2 (see the module docstring)
+RAMP_SLOPE_MAX = 2.0
+
+
 def _psi(t: np.ndarray) -> np.ndarray:
     # exact 0 below the ramp and exact 1 above it; smooth in between
     out = np.zeros(t.shape)
@@ -116,43 +117,3 @@ def eval_weight(profile: WeightProfile, x):
     out = up * down
     return float(out[0]) if scalar else out
 
-
-@dataclass(frozen=True)
-class DerivativeBoundReport:
-    """sup|w^(n)(x)| * r^n per order n, plus the grid size that produced it."""
-
-    orders: dict[int, float]
-    grid_points: int
-
-
-# stride of the difference stencil per order; wider steps trade truncation
-# error for round-off noise, which grows like eps * 2^n / h^n
-_STRIDE = {0: 1, 1: 1, 2: 1, 3: 4, 4: 12, 5: 24, 6: 48}
-_BASE_STEP = 1e-4  # in ramp units: >= 10^4 samples across each transition
-
-
-def derivative_bound_report(profile: WeightProfile, n_max: int = 4) -> DerivativeBoundReport:
-    """Estimate C_n = sup|w^(n)(x)| * r^n for n = 0..n_max by finite differences.
-
-    Differences are taken in ramp units t = (x - m)/r, where w^(n) * r^n is
-    the plain n-th derivative, so the reported constants are scale-free by
-    construction up to the floating-point error of forming x = m + t*r.
-    No command calls it: it re-measures the frozen calibrated.WEIGHT_C*
-    constants (tests/test_weight.py).
-    """
-    if not 0 <= n_max <= 6:
-        raise ValueError("finite differences are reliable only for orders 0..6")
-    t = np.linspace(-0.2, 1.2, 14001)
-    grids = [
-        profile.m + t * profile.r,                   # rising ramp
-        profile.m + profile.delta - t * profile.r,   # falling ramp, mirrored
-    ]
-    sup = {n: 0.0 for n in range(n_max + 1)}
-    for xs in grids:
-        w = eval_weight(profile, xs)
-        for n in range(n_max + 1):
-            s = _STRIDE[n]
-            h = _BASE_STEP * s
-            d = np.diff(w[::s], n=n) if n else w[::s]
-            sup[n] = max(sup[n], float(np.max(np.abs(d)) / h**n if n else np.max(d)))
-    return DerivativeBoundReport(orders=sup, grid_points=t.size)

@@ -160,6 +160,8 @@ def riemann_mean_square(m: float, delta: float, h: int, k: int, a_values,
     """Midpoint Riemann sum of w(x) |S(x)|^2 using running prefix sums."""
     import numpy as np
 
+    from cuspsums.weight import eval_weight
+
     n_top = math.floor((m + delta) + math.sqrt(m + delta))
     prefix = np.zeros(n_top + 1, dtype=complex)
     ns = np.arange(1, n_top + 1)
@@ -170,7 +172,7 @@ def riemann_mean_square(m: float, delta: float, h: int, k: int, a_values,
     lo = np.ceil(xs).astype(np.int64)
     hi = np.floor(xs + np.sqrt(xs)).astype(np.int64)
     s = prefix[hi] - prefix[lo - 1]
-    w = weight(xs)
+    w = eval_weight(weight, xs)
     return float(np.sum(w * np.abs(s) ** 2) * (delta / samples))
 
 
@@ -211,11 +213,13 @@ def piece_masses_one_matrix(weight, edges):
     """meansquare._piece_weight_masses as one pieces x 8 matrix."""
     import numpy as np
 
+    from cuspsums.weight import eval_weight
+
     nodes, wts = np.polynomial.legendre.leggauss(8)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = mid[:, None] + half[:, None] * nodes[None, :]
-    return half * (weight(x) * wts).sum(axis=1)
+    return half * (eval_weight(weight, x) * wts).sum(axis=1)
 
 
 def slow_brackets_one_matrix(ns, k: int, xs, wsx):

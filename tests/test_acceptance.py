@@ -42,7 +42,7 @@ from cuspsums.oscillatory import (build_phase, l3_spec, l4_spec, l5_spec,
 from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.reporting import sha256_file
 from cuspsums.voronoi import VoronoiParams, voronoi_error_scan
-from cuspsums.weight import build_weight
+from cuspsums.weight import build_weight, eval_weight
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -255,7 +255,7 @@ def test_bound_certificates():
                  l5_spec(9, 10, make_rational_point(1, 3))):
         base = oscillatory_integral(weight, spec)
         b, _ = build_phase(spec)
-        forced = complex(np.sum(wts * weight(x) * np.sqrt(x)
+        forced = complex(np.sum(wts * eval_weight(weight, x) * np.sqrt(x)
                                 * np.exp(2j * np.pi * b(x))))
         self_ok &= abs(base - forced) <= 2e-8
 

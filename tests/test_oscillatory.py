@@ -3,9 +3,10 @@
 Closed forms anchor the phases (L3 at k=1 is exactly 4 sqrt(x); L4 with
 m = n is exactly zero), a hand-rolled Simpson rule anchors the phase-free
 integral, and the bound ratios are asserted against caps frozen from the
-recorded certificate sweep. The guard rails (cycle limit, node budget,
-vanishing derivative) are exercised on inputs chosen to trip exactly one
-of them.
+recorded certificate sweep. The certificate's phase slope is checked
+against a dense grid of |B'| on each family. The guard rails (cycle limit,
+node budget, vanishing or sign-changing derivative) are exercised on inputs
+chosen to trip exactly one of them.
 """
 
 import math
@@ -71,34 +72,52 @@ def test_refinement_is_stable_under_forced_subdivision(window):
 
 
 def test_jm_bound_closed_forms():
-    unit = osc.BoundCertificate(a0=1.0, a1=1.0, b1=2.0, rho=1.0, p=1, length=1.0)
+    unit = osc.BoundCertificate(a0=1.0, a1=1.0, b1=2.0, rho=1.0, length=1.0)
     assert osc.jm_bound(unit) == 1.0
-    flat = osc.BoundCertificate(a0=3.0, a1=1.0, b1=2.0, rho=1.0, p=0, length=5.0)
-    assert osc.jm_bound(flat) == 15.0
-    doubled = osc.BoundCertificate(a0=1.0, a1=1.0, b1=4.0, rho=1.0, p=1, length=1.0)
+    doubled = osc.BoundCertificate(a0=1.0, a1=1.0, b1=4.0, rho=1.0, length=1.0)
     assert osc.jm_bound(doubled) == osc.jm_bound(unit) / 2.0
 
 
 def test_certificate_fields_and_rejections(window):
     spec = osc.l3_spec(1, 1, PT1)
-    cert = osc.derivative_certificate(window, spec, p=1)
+    cert = osc.derivative_certificate(window, spec)
     assert cert.a0 == pytest.approx(math.sqrt(1.2e4))
     assert cert.rho == 1e3
     assert cert.length == 2e3
-    # slowest phase point of an increasing |B'| is the right endpoint
+    # slowest phase point of a decreasing |B'| is the right endpoint
     assert cert.b1 == pytest.approx(2.0 / math.sqrt(1.2e4), rel=1e-9)
-    with pytest.raises(ValueError):
-        osc.derivative_certificate(window, spec, p=5)
-    with pytest.raises(ValueError):
-        osc.derivative_certificate(window, spec, p=-1)
     # m = n in the difference family: B' vanishes identically
     with pytest.raises(ValueError):
-        osc.derivative_certificate(window, osc.l4_spec(5, 5, PT1), p=1)
+        osc.derivative_certificate(window, osc.l4_spec(5, 5, PT1))
 
 
-def test_certificate_order_zero_is_amplitude_times_length(window):
-    cert = osc.derivative_certificate(window, osc.l3_spec(1, 2, PT1), p=0)
-    assert osc.jm_bound(cert) == pytest.approx(math.sqrt(1.2e4) * 2e3)
+def test_certificate_refuses_phase_slope_that_changes_sign():
+    # B'(2) = +0.218 and B'(50) = -0.004: B' vanishes inside the support,
+    # where no first-derivative bound holds
+    w = build_weight(2.0, 48.0)
+    spec = osc.l5_spec(99, 100, PT1)
+    _, bp = osc.build_phase(spec)
+    assert bp(2.0) > 0.0 > bp(50.0)
+    with pytest.raises(ValueError, match="changes sign"):
+        osc.derivative_certificate(w, spec)
+
+
+@pytest.mark.parametrize("support", [(2.0, 48.0), (10.0, 20.0), (1e4, 2e3)])
+def test_certificate_slope_is_the_smaller_end_value(support):
+    w = build_weight(*support)
+    lo, hi = w.support
+    grid = np.linspace(lo, hi, 10 ** 6)
+    specs = [osc.l3_spec(1, 2, PT1),
+             osc.l3_spec(3, 5, PT25, t_n=osc.T_SHIFTED, t_m=osc.T_SHIFTED),
+             osc.l3_spec(2, 7, PT12, t_m=osc.T_SHIFTED),
+             osc.l4_spec(4, 9, PT1), osc.l4_spec(3, 2, PT25, t=osc.T_SHIFTED),
+             osc.l5_spec(9, 4, PT1), osc.l5_spec(7, 7, PT12),
+             osc.l5_spec(4, 9, PT25)]
+    for spec in specs:
+        _, bp = osc.build_phase(spec)
+        b1 = osc.derivative_certificate(w, spec).b1
+        assert b1 == min(abs(bp(lo)), abs(bp(hi)))
+        assert b1 <= np.min(np.abs(bp(grid)))
 
 
 def test_integrals_stay_within_certificates():
@@ -114,11 +133,11 @@ def test_integrals_stay_within_certificates():
                       osc.l5_spec(m, n, pt)]
         for spec in specs:
             value = abs(osc.oscillatory_integral(w, spec))
-            for p in (1, 2):
-                ratio = value / osc.jm_bound(osc.derivative_certificate(w, spec, p=p))
-                assert ratio < 1.0
-                worst_jm = max(worst_jm, ratio)
-                if spec.family == "L3" or spec.m != spec.n:
+            ratio = value / osc.jm_bound(osc.derivative_certificate(w, spec))
+            assert ratio < 1.0
+            worst_jm = max(worst_jm, ratio)
+            if spec.family == "L3" or spec.m != spec.n:
+                for p in (1, 2):
                     worst_stated = max(
                         worst_stated, value / osc.stated_bound(spec, p, w))
     assert worst_jm <= calibrated.JM_RATIO_MAX

@@ -1,4 +1,4 @@
-"""Smooth window weight: exact plateau, symmetry, derivative scale constants."""
+"""Smooth window weight: exact plateau, symmetry, the closed-form ramp slope."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspsums.meansquare import window_length
-from cuspsums.weight import build_weight, derivative_bound_report, eval_weight
-
-# dense-grid values of sup|w^(n)| * r^n, frozen from the finite-difference
-# oracle in this module's report (r = 20, grid 14001 points per ramp)
-C1_FROZEN = 2.0
-C2_FROZEN = 9.84104
-C3_FROZEN = 110.5655
-C4_FROZEN = 2279.227
+from cuspsums.weight import RAMP_SLOPE_MAX, build_weight, eval_weight
 
 
 def test_support_and_plateau_exact():
@@ -71,38 +64,32 @@ def test_validations():
         build_weight(100.0, 10.0, 6.0)  # r > delta/2
     with pytest.raises(ValueError):
         build_weight(100.0, 10.0, 0.0)
-    p = build_weight(100.0, 10.0)
-    with pytest.raises(ValueError):
-        derivative_bound_report(p, 7)
 
 
-def test_derivative_constants_frozen():
-    rep = derivative_bound_report(build_weight(100.0, 80.0, 20.0), n_max=4)
-    assert rep.orders[0] == 1.0
-    assert abs(rep.orders[1] - C1_FROZEN) <= 1e-6
-    assert abs(rep.orders[2] - C2_FROZEN) <= 1e-3
-    assert abs(rep.orders[3] - C3_FROZEN) <= 1e-2
-    assert abs(rep.orders[4] - C4_FROZEN) <= 1e-1
-    assert rep.grid_points >= 10_000
+def _ramp_slope(t):
+    # psi'(t) = sigma (1 - sigma) v'(t), psi = sigma(v), v = 1/(1-t) - 1/t;
+    # near t = 0 the exponential overflows to inf, where sigma is 0
+    with np.errstate(over="ignore"):
+        sigma = 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
+    return sigma * (1.0 - sigma) * (1.0 / t ** 2 + 1.0 / (1.0 - t) ** 2)
 
 
-def test_scale_invariance_three_decades():
-    # same constants for ramps spanning three decades of r
-    reports = [
-        derivative_bound_report(build_weight(100.0, 80.0, r), n_max=4).orders
-        for r in (20.0, 2.0, 0.2)
-    ]
-    for n in range(1, 5):
-        vals = [rep[n] for rep in reports]
-        assert max(vals) / min(vals) <= 1.0 + 1e-4
-
-
-def test_quarter_ramp_delta_scaling():
-    # with r = delta/4 the n-th derivative bound is C_n * 4^n * delta^{-n}
-    p = build_weight(1000.0, 400.0)
-    rep = derivative_bound_report(p, n_max=2)
-    sup_w1 = rep.orders[1] / p.r
-    assert sup_w1 <= C1_FROZEN * 4 / p.delta * 1.0001
+def test_ramp_slope_closed_form():
+    assert _ramp_slope(np.array(0.5)) == RAMP_SLOPE_MAX == 2.0
+    t = np.linspace(0.0, 1.0, 10 ** 6 + 1)[1:-1]
+    slope = _ramp_slope(t)
+    assert slope.max() <= RAMP_SLOPE_MAX * (1.0 + 4e-16)
+    assert slope.argmax() == t.size // 2
+    # the package's ramp is this psi: central differences of w on the rising
+    # ramp read psi'/r, and at its midpoint the slope is RAMP_SLOPE_MAX / r
+    p = build_weight(100.0, 80.0, 20.0)
+    h = 1e-4
+    for u in (0.1, 0.3, 0.5, 0.8):
+        x = 100.0 + u * p.r
+        fd = (eval_weight(p, x + h) - eval_weight(p, x - h)) / (2.0 * h)
+        assert fd == pytest.approx(_ramp_slope(np.array(u)) / p.r, rel=1e-6)
+    mid = (eval_weight(p, 110.0 + h) - eval_weight(p, 110.0 - h)) / (2.0 * h)
+    assert mid == pytest.approx(RAMP_SLOPE_MAX / p.r, rel=1e-8)
 
 
 def test_first_panels_ramp_floor_reads_stored_delta():
