@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,10 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                               oscillatory_integral, stated_bound)
     from .weight import build_weight
 
-    m_scale = min(cfg.ms)
+    m_scale = cfg.ms[0]
     bound_rows = []
     deriv_rows = []
-    for k in sorted(set(cfg.ks)):
+    for k in cfg.ks:
         delta = window_length(m_scale, k, cfg.delta_coeff, cfg.delta_exponent)
         weight = build_weight(m_scale, delta, cfg.rise_fraction * delta)
         point = unit_point(k)
@@ -122,8 +123,8 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
             ratio = lemma5_derivative_check(l5_spec(m, n, point), grid)
             deriv_rows.append((m, n, k, ratio))
 
-    bound_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    deriv_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    bound_rows.sort()
+    deriv_rows.sort()
     n_bounds = write_csv(out_dir / "lemma_bounds.csv", (
         "family", "m_frequency_index", "n_frequency_index", "k_denominator",
         "p_derivative_order", "integral_abs_dimensionless",
@@ -158,12 +159,10 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
                    emit_json: bool) -> int:
     from .meansquare import exponent_fit, run_sweep, sweep_grid, sweep_reach
 
-    ms = tuple(sorted(cfg.ms))
-    ks = tuple(sorted(set(cfg.ks)))
     table = _load_table(cfg, sweep_reach(
-        sweep_grid(ms, ks, cfg.delta_coeff, cfg.delta_exponent)))
-    results = run_sweep(table, ms, ks, cfg.delta_coeff, cfg.delta_exponent,
-                        cfg.rise_fraction)
+        sweep_grid(cfg.ms, cfg.ks, cfg.delta_coeff, cfg.delta_exponent)))
+    results = run_sweep(table, cfg.ms, cfg.ks, cfg.delta_coeff,
+                        cfg.delta_exponent, cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
              float(r.diagonal), r.ratio, _INTEGRAL_METHOD, r.diagonal.slack,
              r.diagonal.n_exact, len(r.diagonal.flagged)) for r in results]
@@ -176,15 +175,14 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
 
     try:
         fit = exponent_fit(results)
-        fit_info = {"alpha": fit.alpha, "beta": fit.beta, "coeff": fit.coeff,
-                    "rms_residual": fit.rms_residual}
+        fit_info = asdict(fit)
         fit_line = f"fit: alpha={fit.alpha:.4f} beta={fit.beta:.4f}"
     except ValueError as exc:
         fit_info = {"error": str(exc)}
         fit_line = f"fit: unavailable ({exc})"
 
     series = []
-    for k in ks:
+    for k in cfg.ks:
         pts = [(r.m, r.integral / r.delta) for r in results if r.point.k == k]
         if pts:
             series.append((f"k = {k}", [p[0] for p in pts],
@@ -218,17 +216,15 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
 def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     from .voronoi import VoronoiParams, fit_error_envelope, voronoi_error_scan
 
-    scales = tuple(sorted(cfg.voronoi_ms))
-    ks = tuple(sorted(set(cfg.voronoi_ks)))
-    reach = math.ceil(2.0 * max(scales))
+    reach = math.ceil(2.0 * cfg.voronoi_ms[-1])
     table = _load_table(cfg, reach)
     table.require(reach, "voronoi scan")
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
     summaries = []
-    for m_scale in scales:
-        for k in ks:
+    for m_scale in cfg.voronoi_ms:
+        for k in cfg.voronoi_ks:
             point = unit_point(k)
             xs = np.sort(rng.uniform(m_scale, 2.0 * m_scale,
                                      cfg.voronoi_samples))
@@ -265,7 +261,7 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     env0 = fit_error_envelope(x_col, err0_col, n_col, k_col)
     # per-scale slope of log median error against log k
     slopes = {}
-    for m_scale in scales:
+    for m_scale in cfg.voronoi_ms:
         meds = [(s["k"], s["median_err_phase_pi4"]) for s in summaries
                 if s["m_scale"] == m_scale]
         if len(meds) >= 2:
@@ -284,14 +280,8 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
         write_json(out_dir / "voronoi.json", {
             "rows": n_rows,
             "summaries": summaries,
-            "envelope_phase_pi4": {
-                "coeff": env4.coeff, "exponent": env4.exponent,
-                "rms_residual": env4.rms_residual, "points": env4.points,
-            },
-            "envelope_phase0": {
-                "coeff": env0.coeff, "exponent": env0.exponent,
-                "rms_residual": env0.rms_residual, "points": env0.points,
-            },
+            "envelope_phase_pi4": asdict(env4),
+            "envelope_phase0": asdict(env0),
             "k_slope_by_scale": slopes,
             "provenance": _provenance(cfg, sha256_file(cfg.table)),
         })

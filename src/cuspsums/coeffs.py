@@ -32,17 +32,14 @@ double of hi 2^64 + lo with integer ops alone (the guard/round/sticky
 argument of Goldberg, "What every computer scientist should know about
 floating-point arithmetic", 1991, 1.4; long double is avoided because its
 width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
-Loading the 10^6 cache takes 0.12 s instead of 0.38 s through Python ints,
-and a load-only process peaks at 51 MB: 66 MB while normalize divided by
-one n-long array of n^{11/2}, 107 MB through Python ints (2-core Xeon,
-median of 9 fresh processes). load_cache(path, n) reads and normalizes only
-the first n records: the 2 10^5 of the default voronoi scan take 0.026 s
-and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s. That took the
-benchmark's sweep workload from 77.5 MB to 57.5 MB (BENCH_shared_scan.json),
-and blocking normalize and the sweep's quadratures took it to 43.1 MB
-(BENCH_working_set.json, medians of 10 pairs). tau as Python ints, which
-only the Hecke checks read, is decoded from the records on first use.
-Normalized values are always recomputed on load, never stored.
+Loading the 10^6 cache takes 0.12 s, and a load-only process peaks at
+51 MB (2-core Xeon, median of 9 fresh processes). load_cache(path, n) reads
+and normalizes only the first n records: the 2 10^5 of the default voronoi
+scan take 0.026 s and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s,
+and the benchmark's sweep workload peaks at 43.1 MB (BENCH_working_set.json,
+medians of 10 pairs). tau as Python ints, which only the Hecke checks read,
+is decoded from the records on first use. Normalized values are recomputed
+whenever a table is built, never stored.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ _WEIGHT = 12            # the only form generated and cached
 _HEADER = struct.Struct("<4sIIQ")   # magic, version, weight, N
 # one cache record: tau(n) as a low unsigned and a high signed 64-bit word
 _RECORD = np.dtype([("lo", "<u8"), ("hi", "<i8")])
+_RECORD_BITS = 128      # signed width of tau(n) in one record
 _BLOCK = 1 << 16        # inverse FFT values rounded at a time
 # records normalize converts at a time: its 64 KB temporaries stay in L2
 _NORMALIZE_BLOCK = 1 << 13
@@ -79,22 +77,28 @@ class CoefficientTable:
 
     `records[n - 1]` holds tau(n) in the cache's own (lo <u8, hi <i8)
     layout, so a table is loaded and saved without a Python int per
-    coefficient: 16 MB at n_max = 10^6. `tau`, the same values as Python
-    ints, is decoded from the records on first read and kept; at 10^6 the
-    list takes another 45.8 MiB, and the decode 0.26 s. Treat as immutable
-    once built; every consumer shares it read-only.
+    coefficient: 16 MB at n_max = 10^6. n_max is their count, and a is
+    normalize(records), filled as the table is built. `tau`, the same
+    values as Python ints, is decoded from the records on first read and
+    kept; at 10^6 the list takes another 45.8 MiB, and the decode 0.26 s.
+    Treat as immutable once built; every consumer shares it read-only.
     """
 
-    n_max: int
     records: np.ndarray = field(repr=False)
-    a: np.ndarray | None = field(default=None, repr=False)
+    a: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.a = normalize(self.records)
 
     @classmethod
     def from_tau(cls, tau: list[int]) -> CoefficientTable:
         """Table of tau(1..len(tau)) packed into records. A value outside
         the signed 128-bit range raises OverflowError."""
-        records = np.array([(t % 2**64, t >> 64) for t in tau], dtype=_RECORD)
-        return cls(n_max=len(tau), records=records)
+        return cls(np.array([(t % 2**64, t >> 64) for t in tau], dtype=_RECORD))
+
+    @property
+    def n_max(self) -> int:
+        return self.records.size
 
     @functools.cached_property
     def tau(self) -> list[int]:
@@ -224,18 +228,16 @@ def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
                     axis=1).view(_RECORD)[:, 0]
 
 
-def tau_sequence(n_max: int, max_bits: int = 128) -> np.ndarray:
+def tau_sequence(n_max: int) -> np.ndarray:
     """Exact tau(1..n_max) as cache records (see save_cache). Raises
     CoefficientOverflowError at the first n whose tau(n) falls outside the
-    signed max_bits range, and ArithmeticError if a transform is not exact
-    to rounding; nothing ever wraps.
+    signed _RECORD_BITS range of a record, and ArithmeticError if a
+    transform is not exact to rounding; nothing ever wraps.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if not 16 <= max_bits <= 128:
-        raise ValueError(f"max_bits must lie in [16, 128], got {max_bits}")
     twelfth = _carried_limbs(_square_limbs(_carried_limbs([_eta_sixth(n_max)])))
-    return _records(_square_limbs(twelfth), max_bits)
+    return _records(_square_limbs(twelfth), _RECORD_BITS)
 
 
 def generate_tau(n_max: int) -> CoefficientTable:
@@ -244,8 +246,7 @@ def generate_tau(n_max: int) -> CoefficientTable:
     Coefficients outside the signed 128-bit record range raise
     CoefficientOverflowError naming the first offending n.
     """
-    n_max = int(n_max)
-    return normalize(CoefficientTable(n_max=n_max, records=tau_sequence(n_max)))
+    return CoefficientTable(tau_sequence(int(n_max)))
 
 
 def _record_doubles(records: np.ndarray) -> np.ndarray:
@@ -277,23 +278,23 @@ def _record_doubles(records: np.ndarray) -> np.ndarray:
     return np.where(negative, -magnitude, magnitude)
 
 
-def normalize(table: CoefficientTable) -> CoefficientTable:
-    """Fill a(n) = tau(n) / n^{11/2} in double precision from the records.
+def normalize(records: np.ndarray) -> np.ndarray:
+    """a(n) = tau(n) / n^{11/2} in double precision for the records of
+    tau(1..n).
 
     Each entry is one correctly rounded integer-to-double conversion, one
     power, and one division: well under the 4-ulp contract, and bit for
     bit float(tau(n)) / n^{11/2}. The conversion and the division run
     _NORMALIZE_BLOCK records at a time, so no n-long temporary is made.
     """
-    n = table.n_max
+    n = records.size
     exponent = (_WEIGHT - 1) / 2.0
     a = np.empty(n)
     for start in range(0, n, _NORMALIZE_BLOCK):
         stop = min(start + _NORMALIZE_BLOCK, n)
-        a[start:stop] = (_record_doubles(table.records[start:stop])
+        a[start:stop] = (_record_doubles(records[start:stop])
                          / np.arange(start + 1, stop + 1, dtype=float) ** exponent)
-    table.a = a
-    return table
+    return a
 
 
 def divisor_counts(n_max: int) -> np.ndarray:
@@ -322,8 +323,6 @@ def deligne_check(table: CoefficientTable) -> DeligneReport:
     The bound is a theorem; a violation beyond rounding slack means the table
     is corrupt. Ratio 1.0 at n=1 is the equality case.
     """
-    if table.a is None:
-        raise ValueError("table is not normalized")
     ratios = np.abs(table.a) / divisor_counts(table.n_max)
     arg = int(np.argmax(ratios))
     bad = np.nonzero(ratios > 1.0 + 1e-12)[0]
@@ -436,4 +435,4 @@ def load_cache(path, n: int | None = None) -> CoefficientTable:
         count = total if n is None else min(int(n), total)
         records = np.frombuffer(handle.read(_RECORD.itemsize * count),
                                 dtype=_RECORD)
-    return normalize(CoefficientTable(n_max=count, records=records))
+    return CoefficientTable(records)

@@ -4,7 +4,8 @@ The format is deliberately dumb: UTF-8 text, one ``key = value`` pair per
 line, ``#`` starts a comment, lists are comma-separated.  Every key has a
 default, so an empty file (or no file at all) is a valid configuration.
 Unknown keys are rejected instead of ignored; a silently skipped typo in
-``delta_exponent`` would change the whole sweep.
+``delta_exponent`` would change the whole sweep.  The four grid lists are
+sets: their order is ignored and a repeated entry is refused.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -22,6 +23,8 @@ SWEEP_KS = (1, 2, 3, 5, 7)
 SWEEP_DELTA_COEFF = 4.0
 SWEEP_DELTA_EXPONENT = 0.55
 SWEEP_RISE_FRACTION = 0.25
+# quadrature node ceiling per weighted integral, oscillatory or diagonal
+NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class ExperimentConfig:
     delta_coeff: float = SWEEP_DELTA_COEFF
     delta_exponent: float = SWEEP_DELTA_EXPONENT
     rise_fraction: float = SWEEP_RISE_FRACTION
-    node_budget: int = 2_000_000
+    node_budget: int = NODE_BUDGET
     out: str = "out"
     seed: int = 20260815
     omega_delta: float = 1.0e3
@@ -64,6 +67,11 @@ class ExperimentConfig:
     voronoi_samples: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("ms", "ks", "voronoi_ms", "voronoi_ks"):
+            grid = getattr(self, name)
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{name} repeats an entry: {grid}")
+            object.__setattr__(self, name, tuple(sorted(grid)))
         if self.n < 1:
             raise ConfigError(f"n must be a positive count, got {self.n}")
         if not self.ms or any(m < 2.0 for m in self.ms):
@@ -108,11 +116,11 @@ class ExperimentConfig:
                 f"voronoi_samples must be >= 1, got {self.voronoi_samples}"
             )
         scan_rows = (self.voronoi_samples * len(self.voronoi_ms)
-                     * len(set(self.voronoi_ks)))
+                     * len(self.voronoi_ks))
         if scan_rows < 2:
             raise ConfigError(
                 "the voronoi envelope fit needs at least two samples; "
-                "voronoi_samples x voronoi_ms x distinct voronoi_ks gives "
+                "voronoi_samples x voronoi_ms x voronoi_ks gives "
                 f"{scan_rows}"
             )
 

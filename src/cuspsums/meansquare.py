@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.config import (SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT, SWEEP_KS,
-                             SWEEP_MS, SWEEP_RISE_FRACTION)
+from cuspsums.config import (NODE_BUDGET, SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT,
+                             SWEEP_KS, SWEEP_MS, SWEEP_RISE_FRACTION)
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
@@ -51,6 +51,8 @@ from cuspsums.weight import WeightProfile, build_weight, eval_weight
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUARTER_TURN = math.pi / 4.0
 _CROSSCHECK_NODE_BUDGET = 8_000_000
+_NODE_BUDGET = NODE_BUDGET      # diagonal_profile's, by a name tests patch
+_N_EXACT_FLOOR = 256            # see diagonal_term
 # terms of the moment series of the slow brackets; for n <= M and Δ <= M,
 # s·max|g - g₀| <= 0.23/k, so the first dropped term is below 1e-16 of the
 # weight mass
@@ -188,8 +190,7 @@ def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
     return weight.first_panels(_PANELS_PER_RATE * peak * (hi - lo))
 
 
-def diagonal_profile(ns, k: int, weight: WeightProfile,
-                     node_budget: int = 2_000_000):
+def diagonal_profile(ns, k: int, weight: WeightProfile):
     """Exact per-n brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx, one shared grid.
 
     The integrand is the squared product form of _cos_difference. The
@@ -198,8 +199,8 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
     One evaluation covers every n, a block of rows at a time;
     WeightProfile.refine settles each row to 1e-9 of the first grid's
     weight mass ∫ w √x. Returns (brackets, flagged) where flagged lists
-    the n whose rows never settled inside the budget and were replaced by
-    the trivial bound 4 ∫ w √x.
+    the n whose rows never settled inside _NODE_BUDGET nodes and were
+    replaced by the trivial bound 4 ∫ w √x.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -217,7 +218,7 @@ def diagonal_profile(ns, k: int, weight: WeightProfile,
         return out
 
     values, settled = weight.refine(panels, squared_differences, 1e-9 * mass,
-                                    node_budget)
+                                    _NODE_BUDGET)
     values[~settled] = 4.0 * mass
     return values, tuple(int(n) for n in ns[~settled])
 
@@ -255,28 +256,23 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
 
 
 def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
-                  table: CoefficientTable,
-                  n_exact: int | None = None) -> DiagonalTerm:
+                  table: CoefficientTable) -> DiagonalTerm:
     """(k/2π²) Σ_{n≤M} |a(n)|² n^(-3/2) × bracket, with certified tail.
 
-    Brackets are exact up to n_exact (default max(256, 4k²), covering the
-    damped range n <= k² and the first oscillatory stretch). Past the
-    cutoff only the non-oscillatory part is evaluated, by _slow_brackets'
-    moment series; the three dropped oscillatory pieces are bounded by
-    first-derivative certificates whose minimum phase slope grows like √n.
-    Those bounds and the series' truncation bound are summed and returned
-    as slack rather than folded into the value.
+    Brackets are exact up to n_exact = min(max(_N_EXACT_FLOOR, 4k²), ⌊M⌋),
+    covering the damped range n <= k² and the first oscillatory stretch.
+    Past the cutoff only the non-oscillatory part is evaluated, by
+    _slow_brackets' moment series; the three dropped oscillatory pieces are
+    bounded by first-derivative certificates whose minimum phase slope
+    grows like √n. Those bounds and the series' truncation bound are summed
+    and returned as slack rather than folded into the value.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     _check_geometry(m, delta, weight)
     n_top = math.floor(m)
     table.require(n_top, "diagonal_term")
-    if n_exact is None:
-        n_exact = max(256, 4 * k * k)
-    n_exact = min(int(n_exact), n_top)
-    if n_exact < 1:
-        raise ValueError("need at least one exact bracket")
+    n_exact = min(max(_N_EXACT_FLOOR, 4 * k * k), n_top)
 
     coeff = (k / (2.0 * math.pi ** 2)) \
         * np.abs(table.a[:n_top]) ** 2 / np.arange(1, n_top + 1) ** 1.5

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cuspsums.config import NODE_BUDGET
 from cuspsums.errors import NodeBudgetError
 from cuspsums.rational import RationalPoint
 from cuspsums.weight import RAMP_SLOPE_MAX, WeightProfile, eval_weight
@@ -126,7 +127,7 @@ def build_phase(spec: PhaseSpec):
 
 
 def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
-                         node_budget: int = 2_000_000) -> complex:
+                         node_budget: int = NODE_BUDGET) -> complex:
     """∫ w(x) x^(1/2) e(B(x)) dx over the weight support, or refuse loudly.
 
     The first grid keeps every panel under 0.8 of a cycle of the densest

@@ -15,7 +15,7 @@ import pytest
 
 from cuspsums import coeffs
 from cuspsums import meansquare as msq
-from cuspsums.coeffs import CoefficientTable, normalize
+from cuspsums.coeffs import normalize
 from cuspsums.weight import build_weight
 from oracles import (normalized_one_shot, piece_masses_one_matrix,
                      profile_one_matrix, slow_brackets_one_matrix)
@@ -49,10 +49,11 @@ def test_profile_blocks_match_one_matrix(window_1e4, monkeypatch,
         monkeypatch.setattr(msq, "_BLOCK_ELEMENTS",
                             rows_per_block * width + 7 if rows_per_block
                             else width // 2)
-    # a budget of the first grid alone flags every row
-    budget = width if first_grid_only else 2_000_000
-    values, flagged = msq.diagonal_profile(ns, 3, window_1e4, node_budget=budget)
-    ref_values, ref_flagged = profile_one_matrix(ns, 3, window_1e4, budget)
+    if first_grid_only:     # a budget of the first grid alone flags every row
+        monkeypatch.setattr(msq, "_NODE_BUDGET", width)
+    values, flagged = msq.diagonal_profile(ns, 3, window_1e4)
+    ref_values, ref_flagged = profile_one_matrix(ns, 3, window_1e4,
+                                                 msq._NODE_BUDGET)
     assert np.array_equal(values, ref_values)
     assert flagged == ref_flagged
     assert len(flagged) == (ns.size if first_grid_only else 0)
@@ -91,8 +92,7 @@ def test_normalize_blocks_match_one_shot(table_2e4, monkeypatch, block, n):
     if block is not None:
         monkeypatch.setattr(coeffs, "_NORMALIZE_BLOCK", block)
     records = table_2e4.records[:n]
-    a = normalize(CoefficientTable(n_max=n, records=records)).a
-    assert np.array_equal(a, normalized_one_shot(records))
+    assert np.array_equal(normalize(records), normalized_one_shot(records))
 
 
 def test_diagonal_term_working_set(table_1e5):
@@ -104,7 +104,7 @@ def test_diagonal_term_working_set(table_1e5):
 
 
 def test_normalize_working_set(table_1e5):
-    # beyond a(n) itself, only block-sized temporaries
-    table = CoefficientTable(n_max=100_000, records=table_1e5.records)
-    peak = _peak_bytes(lambda: normalize(table))
-    assert peak < table.a.nbytes + 0.75 * 2**20
+    # beyond a(n) itself, 8 bytes a record, only block-sized temporaries
+    records = table_1e5.records
+    peak = _peak_bytes(lambda: normalize(records))
+    assert peak < 8 * records.size + 0.75 * 2**20

@@ -94,6 +94,34 @@ def test_invalid_config_exits_one(workspace, capsys):
     assert "invalid:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, body", [
+    ("meansquare", "ms = 1e4, 1e4\nks = 1, 2\n"),
+    ("voronoi", "voronoi_ms = 1e4, 1e4\n"),
+])
+def test_repeated_grid_entry_exits_one(workspace, capsys, command, body):
+    # a repeat would write a row twice and weigh it twice in the fits
+    root, cfg, table = workspace
+    path = _short_cache_cfg(root, table, f"repeat_{command}", body)
+    assert main([command, "--config", str(path), "--json"]) == 1
+    assert capsys.readouterr().err.startswith("invalid:")
+    assert not (root / f"repeat_{command}_out").exists()
+
+
+def test_grid_order_does_not_change_the_report(workspace):
+    root, cfg, table = workspace
+    reports = []
+    for order in ("1, 3, 7", "7, 1, 3"):
+        path = root / f"order_{order[0]}.cfg"
+        out = root / f"order_{order[0]}_out"
+        path.write_text(f"table = {table}\nms = 1e4\nks = {order}\n",
+                        encoding="utf-8")
+        assert main(["meansquare", "--config", str(path), "--out", str(out),
+                     "--json"]) == 0
+        reports.append([(out / name).read_bytes()
+                        for name in ("meansquare.json", "meansquare.csv")])
+    assert reports[0] == reports[1]
+
+
 def test_node_budget_refusal_exits_two(workspace, capsys):
     root, cfg, table = workspace
     tight = root / "tight.cfg"

@@ -39,9 +39,9 @@ def test_oracle_reproduces_classical_values():
     assert tau_truncated_product(6) == TAU_FIRST_SIX
 
 
-def _tau(n_max, **kwargs):
+def _tau(n_max):
     """tau_sequence's records read back as Python ints."""
-    return CoefficientTable(n_max=n_max, records=tau_sequence(n_max, **kwargs)).tau
+    return CoefficientTable(tau_sequence(n_max)).tau
 
 
 def test_generate_matches_oracle_prefix():
@@ -74,17 +74,16 @@ def test_generate_validations():
         generate_tau(0)
     with pytest.raises(ValueError):
         tau_sequence(0)
-    with pytest.raises(ValueError):
-        tau_sequence(10, max_bits=8)
 
 
-def test_overflow_names_first_bad_index():
+def test_overflow_names_first_bad_index(monkeypatch):
+    monkeypatch.setattr(coeffs, "_RECORD_BITS", 64)
     with pytest.raises(CoefficientOverflowError) as exc:
-        tau_sequence(5000, max_bits=64)
+        tau_sequence(5000)
     assert exc.value.n == FIRST_64BIT_OVERFLOW_N
     assert exc.value.bits == 64
     # everything below the reported index is representable
-    tail = _tau(FIRST_64BIT_OVERFLOW_N - 1, max_bits=64)
+    tail = _tau(FIRST_64BIT_OVERFLOW_N - 1)
     assert max(abs(t) for t in tail) < 2**63
 
 

@@ -77,11 +77,22 @@ def test_parse_rejects(tmp_path, line, fragment):
     {"node_budget": 8},
     {"omega_threshold": 0.0},
     {"voronoi_samples": 0},
-    {"voronoi_samples": 1, "voronoi_ms": (1e4,), "voronoi_ks": (3, 3)},
+    {"voronoi_samples": 1, "voronoi_ms": (1e4,), "voronoi_ks": (3,)},
+    {"ms": (1e5, 1e4, 1e4)},
+    {"ks": (1, 3, 1)},
+    {"voronoi_ms": (1e4, 1e4)},
+    {"voronoi_ks": (5, 5)},
 ])
 def test_range_validation(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+def test_grids_are_kept_sorted():
+    cfg = ExperimentConfig(ms=(1e5, 1e4), ks=(7, 1, 3), voronoi_ms=(3e4, 2e4),
+                           voronoi_ks=(5, 1))
+    assert (cfg.ms, cfg.ks, cfg.voronoi_ms, cfg.voronoi_ks) == (
+        (1e4, 1e5), (1, 3, 7), (2e4, 3e4), (1, 5))
 
 
 def test_boundary_exponent_allowed():

@@ -65,13 +65,13 @@ def test_slow_brackets_match_direct_integral(window_1e4):
         assert 0.0 < bound < 1e-16 * mass
 
 
-def test_profile_settles_on_first_doubling(window_1e4):
+def test_profile_settles_on_first_doubling(window_1e4, monkeypatch):
     # the first grid of the panel rule, then a budget that allows exactly
     # one doubling: every row must settle there
     ns = np.arange(1, 257)
     panels = msq._first_panels(256, 1, window_1e4)
-    once, flagged = msq.diagonal_profile(ns, 1, window_1e4,
-                                         node_budget=48 * panels)
+    monkeypatch.setattr(msq, "_NODE_BUDGET", 48 * panels)
+    once, flagged = msq.diagonal_profile(ns, 1, window_1e4)
     assert flagged == ()
     # a reference on eight times the grid agrees far inside the tolerance
     xs, wsx = msq._weighted_nodes(window_1e4, 8 * panels)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cuspsums import meansquare as msq
-from cuspsums.coeffs import CoefficientTable, normalize
+from cuspsums.coeffs import CoefficientTable
 from cuspsums.rational import make_rational_point
 from cuspsums.weight import build_weight
 
@@ -34,7 +34,7 @@ def window_1e3():
 
 
 def test_zero_coefficients_give_zero_integral(window_1e3):
-    zeros = normalize(CoefficientTable.from_tau([0] * 4000))
+    zeros = CoefficientTable.from_tau([0] * 4000)
     assert msq.theorem_integral(1e3, 1e3, PT01, window_1e3, zeros) == 0.0
     assert msq.diagonal_term(1e3, 1e3, 1, window_1e3, zeros).value == 0.0
 
@@ -75,9 +75,11 @@ def test_diagonal_value_and_certificate(table_2e4, window_1e4):
     assert 0.0 < d.slack < 0.005 * d.value
 
 
-def test_diagonal_insensitive_to_cutoff(table_2e4, window_1e4):
+def test_diagonal_insensitive_to_cutoff(table_2e4, window_1e4, monkeypatch):
     base = msq.diagonal_term(1e4, 2e3, 1, window_1e4, table_2e4)
-    small = msq.diagonal_term(1e4, 2e3, 1, window_1e4, table_2e4, n_exact=64)
+    monkeypatch.setattr(msq, "_N_EXACT_FLOOR", 64)
+    small = msq.diagonal_term(1e4, 2e3, 1, window_1e4, table_2e4)
+    assert small.n_exact == 64
     assert small.value == pytest.approx(base.value, rel=1e-12)
     # fewer exact brackets leave more certified tail
     assert small.slack > base.slack
@@ -115,9 +117,9 @@ def test_diagonal_damping_below_k_squared(window_1e4):
     assert 0.5 <= float(np.mean(stretch)) / mass <= 2.0
 
 
-def test_diagonal_profile_flags_on_tiny_budget(window_1e3):
-    vals, flagged = msq.diagonal_profile(np.array([1, 50, 200]), 1, window_1e3,
-                                         node_budget=200)
+def test_diagonal_profile_flags_on_tiny_budget(window_1e3, monkeypatch):
+    monkeypatch.setattr(msq, "_NODE_BUDGET", 200)
+    vals, flagged = msq.diagonal_profile(np.array([1, 50, 200]), 1, window_1e3)
     assert flagged == (1, 50, 200)
     xs, wsx = msq._weighted_nodes(window_1e3, 8)
     assert np.all(vals == pytest.approx(4.0 * float(np.sum(wsx)), rel=1e-9))
@@ -126,7 +128,7 @@ def test_diagonal_profile_flags_on_tiny_budget(window_1e3):
 def test_diagonal_validation(table_2e4, window_1e4):
     with pytest.raises(ValueError):
         msq.diagonal_term(1e4, 2e3, 0, window_1e4, table_2e4)
-    short = normalize(CoefficientTable.from_tau([0] * 100))
+    short = CoefficientTable.from_tau([0] * 100)
     with pytest.raises(ValueError):
         msq.diagonal_term(1e4, 2e3, 1, window_1e4, short)
     with pytest.raises(ValueError):
@@ -147,17 +149,22 @@ def test_diag_identity_check():
 
 
 def test_crosscheck_reconstructs_integral(table_2e4, window_1e3):
-    rep = msq.offdiagonal_crosscheck(1e3, 1e3, PT01, window_1e3, table_2e4, 100)
+    reps = {(point.h, point.k, n): msq.offdiagonal_crosscheck(
+                1e3, 1e3, point, window_1e3, table_2e4, n)
+            for point in (PT01, PT12, make_rational_point(1, 3))
+            for n in (25, 100, 200)}
+    rep = reps[0, 1, 100]
     assert rep.rel_gap < 0.20
     assert rep.total == rep.diagonal + rep.offdiagonal
     assert rep.allowance == 1e3
     # truncation is the dominant part of the gap: quadrupling the cutoff
     # from 25 terms narrows it
-    coarse = msq.offdiagonal_crosscheck(1e3, 1e3, PT01, window_1e3, table_2e4, 25)
-    assert rep.rel_gap < coarse.rel_gap
-    rep3 = msq.offdiagonal_crosscheck(1e3, 1e3, make_rational_point(1, 3),
-                                      window_1e3, table_2e4, 100)
-    assert rep3.rel_gap < 0.20
+    assert rep.rel_gap < reps[0, 1, 25].rel_gap
+    assert reps[1, 3, 100].rel_gap < 0.20
+    # the closed-form majorant dominates every off-diagonal sum; the
+    # largest ratio here is 0.026
+    for key, each in reps.items():
+        assert abs(each.offdiagonal) <= each.majorant, key
 
 
 def test_crosscheck_single_coefficient_is_purely_diagonal(window_1e3):
