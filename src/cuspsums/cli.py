@@ -96,10 +96,9 @@ def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
 
 def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                       emit_json: bool) -> int:
-    from .meansquare import window_length
     from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
                               oscillatory_integral, stated_bound)
-    from .weight import build_weight
+    from .weight import build_weight, window_length
 
     m_scale = cfg.ms[0]
     bound_rows = []

@@ -46,7 +46,8 @@ from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.voronoi import VoronoiParams
-from cuspsums.weight import WeightProfile, build_weight, eval_weight
+from cuspsums.weight import (WeightProfile, build_weight, eval_weight,
+                             window_length)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUARTER_TURN = math.pi / 4.0
@@ -492,12 +493,6 @@ def exponent_fit(results) -> ExponentFit:
     return ExponentFit(alpha=float(coeffs[1]), beta=float(coeffs[2]),
                        coeff=float(math.exp(coeffs[0])),
                        rms_residual=float(np.sqrt(np.mean(residual ** 2))))
-
-
-def window_length(m: float, k: int, delta_coeff: float,
-                  delta_exponent: float) -> float:
-    """The window rule Δ = c k M^p, clipped to [1e3, M]."""
-    return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
 
 
 def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS,

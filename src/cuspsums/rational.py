@@ -59,3 +59,13 @@ def e_k(a, k: int) -> np.ndarray:
     if k == 1:
         return np.ones(a.shape, dtype=complex)
     return np.exp((2j * np.pi / k) * np.arange(k))[a % k]
+
+
+def progression_phases(h: int, k: int, count: int) -> np.ndarray:
+    """e_k(n h) for n = 1..count, bit for bit e_k(np.arange(1, count + 1) * h, k).
+
+    The phases repeat with period k, so one period is looked up and tiled;
+    no n-long integer array is formed. count = 0 gives an empty array.
+    """
+    period = e_k(np.arange(1, k + 1) * h, k)
+    return np.tile(period, -(-count // k))[:count]

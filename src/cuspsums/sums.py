@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.rational import RationalPoint, e_k
+from cuspsums.rational import RationalPoint, e_k, progression_phases
 
 _BREAKPOINT_TOL = 1e-9
 _ANCHOR_EVERY = 1024
@@ -52,8 +52,9 @@ def long_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex
     if hi < 1:
         return 0j
     table.require(hi, f"long_sum at x={x}")
-    ns = np.arange(1, hi + 1, dtype=np.int64)
-    return complex(np.sum(table.a[:hi] * e_k(ns * alpha.h, alpha.k)))
+    terms = progression_phases(alpha.h, alpha.k, hi)
+    terms *= table.a[:hi]
+    return complex(np.sum(terms))
 
 
 def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> complex:

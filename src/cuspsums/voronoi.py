@@ -5,7 +5,9 @@ through the resonance frequencies sqrt(n x): an amplitude
 (pi sqrt(2))^{-1} k^{1/2} x^{1/4} times a dual sum of N terms
 a(n) e_k(-n hbar) n^{-3/4} cos(4 pi sqrt(n x)/k + phase). Direct summation
 stays the ground truth throughout: voronoi_error_scan sums each x directly
-once and measures the error of every truncation and phase against it.
+once and measures the error of every truncation and phase against it. Its
+samples run in parallel on the usable CPUs, and its results are bit for bit
+those of one thread.
 
 The truncation tail alone would follow an N^{-1/2} law, so quadrupling N
 would halve the error. It does not at the scales measured here: the
@@ -25,13 +27,15 @@ window [x, x + sqrt(x)], where that deficit cancels.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.rational import RationalPoint, e_k
+from cuspsums.rational import RationalPoint, progression_phases
 from cuspsums.sums import long_sum
 
 _AMPLITUDE = 1.0 / (math.pi * math.sqrt(2.0))
@@ -59,8 +63,10 @@ class VoronoiParams:
         """(n, a(n) e_k(-n hbar) n^(-3/4)) for n = 1..n_trunc; empty at n_trunc = 0."""
         table.require(self.n_trunc, "dual sum")
         ns = np.arange(1, self.n_trunc + 1)
-        phases = e_k(-ns * self.point.h_bar, self.point.k)
-        return ns, table.a[:self.n_trunc] * phases * ns ** -0.75
+        coeffs = progression_phases(-self.point.h_bar, self.point.k, self.n_trunc)
+        coeffs *= table.a[:self.n_trunc]
+        coeffs *= ns ** -0.75
+        return ns, coeffs
 
 
 def _check_x(x: float) -> float:
@@ -69,24 +75,29 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
-def _main_terms(x: float, ns: np.ndarray, coeffs: np.ndarray, k: int,
+def _main_terms(x: float, coeffs: np.ndarray, k: int,
                 params: Sequence[VoronoiParams]) -> list[complex]:
-    """voronoi_main_term of every params at x, from dual coefficients
-    (ns, coeffs) that reach each params' n_trunc.
+    """voronoi_main_term of every params at x, from dual coefficients for
+    n = 1..coeffs.size that reach each params' n_trunc.
 
-    The argument (4 pi / k) sqrt(n x) is formed once and the cosine once per
-    phase; each truncation sums the contiguous prefix of its phase's terms,
-    the same elements in the same pairwise order as a table cut at n_trunc.
+    The argument (4 pi / k) sqrt(n x) is formed once, in place, and the terms
+    of one phase at a time; each truncation sums the contiguous prefix of its
+    phase's terms, the same elements in the same pairwise order as a table
+    cut at n_trunc.
     """
-    scaled = (4.0 * np.pi / k) * np.sqrt(ns * x)
+    scaled = np.arange(1.0, coeffs.size + 1.0)
+    scaled *= x
+    np.sqrt(scaled, out=scaled)
+    scaled *= 4.0 * np.pi / k
     amplitude = _AMPLITUDE * math.sqrt(k) * x ** 0.25
-    terms = {}
-    values = []
-    for p in params:
-        if p.phase_shift not in terms:
-            terms[p.phase_shift] = coeffs * np.cos(scaled + p.phase_shift)
-        values.append(complex(
-            amplitude * np.sum(terms[p.phase_shift][:p.n_trunc])))
+    values = [0j] * len(params)
+    for shift in dict.fromkeys(p.phase_shift for p in params):
+        terms = np.add(scaled, shift)
+        terms = coeffs * np.cos(terms, out=terms)
+        for i, p in enumerate(params):
+            if p.phase_shift == shift:
+                values[i] = complex(amplitude * np.sum(terms[:p.n_trunc]))
+        del terms  # freed before the next phase's terms are formed
     return values
 
 
@@ -98,8 +109,8 @@ def voronoi_main_term(x: float, params: VoronoiParams,
     empty sum and returns 0.
     """
     x = _check_x(x)
-    ns, coeffs = params.dual_coefficients(table)
-    return _main_terms(x, ns, coeffs, params.point.k, (params,))[0]
+    coeffs = params.dual_coefficients(table)[1]
+    return _main_terms(x, coeffs, params.point.k, (params,))[0]
 
 
 def short_sum_main_term(x: float, params: VoronoiParams,
@@ -122,6 +133,42 @@ def short_sum_main_term(x: float, params: VoronoiParams,
     return complex(_AMPLITUDE * math.sqrt(k) * np.sum(terms))
 
 
+def _run_samples(count: int, sample) -> None:
+    """sample(j) for every j in range(count), on the usable CPUs.
+
+    The calling thread and up to len(os.sched_getaffinity(0)) - 1 helpers,
+    started here and joined before return, take the next j in turn. The
+    first exception stops further samples and is raised here once every
+    helper has finished.
+    """
+    pending = iter(range(count))
+    failures = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                j = None if failures else next(pending, None)
+            if j is None:
+                return
+            try:
+                sample(j)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    failures.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(len(os.sched_getaffinity(0)), count) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+
+
 def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
                        table: CoefficientTable) -> np.ndarray:
     """|long_sum(x) - voronoi_main_term(x, p)| for every p in params and x in xs.
@@ -130,6 +177,11 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
     the longest truncation, and each long_sum(x) is computed once and
     compared with every truncation and phase; row i of the result holds
     the errors of params[i], bit for bit those of voronoi_main_term.
+
+    Every x is checked before any is evaluated. The samples then run in
+    parallel on the usable CPUs; each writes only its own column, from the
+    same elements in the same order, so the result is bit for bit that of
+    one thread whatever the CPU count.
     """
     xs = np.asarray(xs, dtype=float)
     params = tuple(params)
@@ -142,13 +194,16 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
     point = params[0].point
     if any(p.point != point for p in params):
         raise ValueError("error scan params must share one point")
-    ns, coeffs = max(params, key=lambda p: p.n_trunc).dual_coefficients(table)
-    errors = np.empty((len(params), xs.size))
-    for j, x in enumerate(xs):
-        x = _check_x(x)
-        direct = long_sum(x, point, table)
+    xs = [_check_x(x) for x in xs]
+    coeffs = max(params, key=lambda p: p.n_trunc).dual_coefficients(table)[1]
+    errors = np.empty((len(params), len(xs)))
+
+    def sample(j: int) -> None:
+        direct = long_sum(xs[j], point, table)
         errors[:, j] = [abs(direct - value) for value in
-                        _main_terms(x, ns, coeffs, point.k, params)]
+                        _main_terms(xs[j], coeffs, point.k, params)]
+
+    _run_samples(len(xs), sample)
     return errors
 
 

@@ -107,6 +107,12 @@ def build_weight(m: float, delta: float, r: float | None = None) -> WeightProfil
     return WeightProfile(m, delta, r)
 
 
+def window_length(m: float, k: int, delta_coeff: float,
+                  delta_exponent: float) -> float:
+    """The window rule Δ = c k M^p, clipped to [1e3, M]."""
+    return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
+
+
 def eval_weight(profile: WeightProfile, x):
     """w(x), vectorized; returns a float for scalar input."""
     arr = np.asarray(x, dtype=float)

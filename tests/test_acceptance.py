@@ -34,15 +34,14 @@ from cuspsums.coeffs import (deligne_check, generate_tau,
                              hecke_multiplicativity_check,
                              hecke_prime_power_check, load_cache, save_cache)
 from cuspsums.meansquare import (diag_identity_check, exponent_fit,
-                                 omega_statistic, run_sweep, theorem_integral,
-                                 window_length)
+                                 omega_statistic, run_sweep, theorem_integral)
 from cuspsums.oscillatory import (build_phase, l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, oscillatory_integral,
                                   stated_bound)
 from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.reporting import sha256_file
 from cuspsums.voronoi import VoronoiParams, voronoi_error_scan
-from cuspsums.weight import build_weight, eval_weight
+from cuspsums.weight import build_weight, eval_weight, window_length
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 

@@ -1,9 +1,9 @@
 """End-to-end CLI behavior: exit codes, artifact formats, reproducibility.
 
 Each test drives cuspsums.cli.main in-process against a small cached
-table, except the BLAS-thread test, which needs one fresh process per
-thread count; absolute paths in the config keep the tests independent of
-cwd.
+table, except the BLAS-thread and CPU-count tests, which need one fresh
+process per thread count or CPU set; absolute paths in the config keep the
+tests independent of cwd.
 """
 
 import json
@@ -338,6 +338,31 @@ def test_voronoi_columns_and_reproducibility(workspace):
     payload = json.loads((out1 / "voronoi.json").read_text())
     assert set(payload["envelope_phase_pi4"]) == {
         "coeff", "exponent", "rms_residual", "points"}
+
+
+def test_voronoi_report_ignores_cpu_count(workspace):
+    # the scan's samples run on every usable CPU; a child pinned to one
+    # CPU must write the bytes of an unpinned one
+    import cuspsums
+
+    root, cfg, table = workspace
+    src = str(Path(cuspsums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = min(os.sched_getaffinity(0))
+    reports = []
+    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})),
+                      ("unpinned", None)):
+        out = root / f"vor_{name}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspsums.cli", "voronoi", "--config",
+             str(cfg), "--out", str(out), "--json"],
+            env=env, capture_output=True, timeout=300, preexec_fn=pin)
+        assert proc.returncode == 0, proc.stderr.decode()
+        files = _read_dir(out)
+        assert set(files) >= {"voronoi.csv", "voronoi.json"}
+        reports.append((proc.stdout, files))
+    assert reports[0] == reports[1]
 
 
 def test_reports_do_not_depend_on_cache_location(workspace):

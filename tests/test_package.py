@@ -12,17 +12,18 @@ import cuspsums
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def _loaded_by(module: str) -> list[str]:
-    """The cuspsums modules a fresh interpreter holds after importing module."""
+def _loaded_by(module: str, then: str = "None") -> list[str]:
+    """The cuspsums modules a fresh interpreter holds after importing module
+    and running the statement then."""
     src = str(Path(cuspsums.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (f"import json, sys, {module}; print(json.dumps(sorted("
+    probe = (f"import json, sys, {module}; {then}; print(json.dumps(sorted("
              "m for m in sys.modules if m.split('.')[0] == 'cuspsums')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_coeffs_import_loads_only_what_it_uses():
@@ -38,6 +39,16 @@ def test_cli_import_defers_the_numerical_layers():
     loaded = _loaded_by("cuspsums.cli")
     assert "cuspsums.cli" in loaded
     for layer in ("meansquare", "oscillatory", "voronoi", "weight", "sums"):
+        assert f"cuspsums.{layer}" not in loaded
+
+
+def test_verify_lemmas_loads_no_sweep(tmp_path):
+    # the lemma check reads the window rule from weight, beside the weight
+    # it builds, and needs neither the sweep nor the sums
+    loaded = _loaded_by("cuspsums.cli", "cuspsums.cli.main(['verify-lemmas', "
+                        f"'--out', {str(tmp_path)!r}])")
+    assert "cuspsums.oscillatory" in loaded
+    for layer in ("meansquare", "voronoi", "sums"):
         assert f"cuspsums.{layer}" not in loaded
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspsums.rational import e_k, make_rational_point
+from cuspsums.rational import e_k, make_rational_point, progression_phases
 
 
 def test_examples():
@@ -63,6 +63,18 @@ def test_e_k_examples():
     assert abs(e_k(np.array([-15]), 7)[0] - cmath.exp(2j * math.pi * 6 / 7)) <= 1e-15
     with pytest.raises(ValueError):
         e_k(np.array([1]), 0)
+
+
+def test_progression_phases_are_e_k_bit_for_bit():
+    for k in range(1, 14):
+        for h in range(-k, k + 1):
+            if math.gcd(h, k) != 1:
+                continue
+            for count in sorted({0, max(1, k - 2), k, 3 * k + 1}):
+                got = progression_phases(h, k, count)
+                want = e_k(np.arange(1, count + 1) * h, k)
+                assert got.dtype == want.dtype and got.shape == (count,)
+                assert np.array_equal(got, want), (h, k, count)
 
 
 def test_e_k_periodicity_exact():

@@ -16,13 +16,18 @@ at the stated seeds. Two structural facts anchor the convention:
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cuspsums.coeffs import CoefficientTable
-from cuspsums.rational import make_rational_point
+from cuspsums import voronoi
+from cuspsums.coeffs import CoefficientTable, generate_tau
+from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.sums import long_sum, short_sum
 from cuspsums.voronoi import (
     EnvelopeFit,
@@ -156,6 +161,111 @@ def test_error_scan_validation(table_2e4):
                            [VoronoiParams(K1, 10),
                             VoronoiParams(make_rational_point(1, 3), 10)],
                            table_2e4)
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 15])
+def test_error_scan_is_the_same_on_any_cpu_count(table_2e4, monkeypatch,
+                                                 samples):
+    pt = make_rational_point(2, 7)
+    xs = np.linspace(3000.25, 9000.75, samples)
+    params = [VoronoiParams(pt, 400, phase_shift=0.0), VoronoiParams(pt, 400),
+              VoronoiParams(pt, 100), VoronoiParams(pt, 25, phase_shift=0.0),
+              VoronoiParams(pt, 100)]
+    scans = []
+    for cpus in (1, 2, 3):
+        _usable_cpus(monkeypatch, cpus)
+        scans.append(voronoi_error_scan(xs, params, table_2e4))
+    assert all(np.array_equal(scan, scans[0]) for scan in scans[1:])
+
+
+def test_error_scan_stress_evaluates_each_sample_once(table_2e4, monkeypatch):
+    # more workers than cores and a short switch interval: a lost or doubled
+    # hand-out of a sample shows in the call counts
+    xs = np.linspace(1000.5, 3000.5, 60)
+    params = [VoronoiParams(K1, 300), VoronoiParams(K1, 50, phase_shift=0.0)]
+    _usable_cpus(monkeypatch, 1)
+    want = voronoi_error_scan(xs, params, table_2e4)
+    calls = []
+    lock = threading.Lock()
+
+    def counted(x, alpha, table):
+        with lock:
+            calls.append(x)
+        return long_sum(x, alpha, table)
+
+    monkeypatch.setattr(voronoi, "long_sum", counted)
+    _usable_cpus(monkeypatch, 8)
+    threads = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = voronoi_error_scan(xs, params, table_2e4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(xs)
+    assert np.array_equal(got, want)
+    assert threading.enumerate() == threads
+
+
+def test_error_scan_checks_every_x_before_any_sample(table_2e4, monkeypatch):
+    calls = []
+
+    def counted(x, alpha, table):
+        calls.append(x)
+        return long_sum(x, alpha, table)
+
+    monkeypatch.setattr(voronoi, "long_sum", counted)
+    _usable_cpus(monkeypatch, 2)
+    for bad in (math.nan, 0.5):
+        with pytest.raises(ValueError, match=f"need finite x >= 1, got {bad}"):
+            voronoi_error_scan(np.array([100.5, bad, 300.5]),
+                               [VoronoiParams(K1, 10)], table_2e4)
+    assert calls == []
+
+
+def test_error_scan_raises_a_helper_exception(table_2e4, monkeypatch):
+    # the calling thread holds its sample until a helper has failed on
+    # another one, so the failure is certainly a helper's
+    caller = threading.current_thread()
+    helper_failed = threading.Event()
+
+    def failing(x, alpha, table):
+        if threading.current_thread() is caller:
+            assert helper_failed.wait(timeout=30)
+            return long_sum(x, alpha, table)
+        helper_failed.set()
+        raise RuntimeError(f"no sum at {x}")
+
+    monkeypatch.setattr(voronoi, "long_sum", failing)
+    _usable_cpus(monkeypatch, 2)
+    threads = threading.enumerate()
+    with pytest.raises(RuntimeError, match="no sum at"):
+        voronoi_error_scan(np.array([1000.5, 2000.5]),
+                           [VoronoiParams(K1, 10)], table_2e4)
+    assert helper_failed.is_set()
+    assert threading.enumerate() == threads
+
+
+def test_error_scan_working_set(monkeypatch):
+    # one M = 10^5 scan as the voronoi command runs it, on the 2 * 10^5
+    # prefix it loads, with two samples in flight
+    table = generate_tau(200_000)
+    pt = unit_point(3)
+    xs = np.sort(np.random.default_rng(3).uniform(1e5, 2e5, 15))
+    params = [VoronoiParams(pt, 100_000, phase_shift=0.0)] + [
+        VoronoiParams(pt, 100_000 // d) for d in (1, 4, 16)]
+    _usable_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        voronoi_error_scan(xs, params, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0e6
 
 
 def test_envelope_fit_recovers_synthetic_law():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspsums.meansquare import window_length
-from cuspsums.weight import RAMP_SLOPE_MAX, build_weight, eval_weight
+from cuspsums.weight import (RAMP_SLOPE_MAX, build_weight, eval_weight,
+                             window_length)
 
 
 def test_support_and_plateau_exact():
