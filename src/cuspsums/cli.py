@@ -158,8 +158,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
                    emit_json: bool) -> int:
     from .meansquare import exponent_fit, run_sweep, sweep_grid, sweep_reach
 
-    table = _load_table(cfg, sweep_reach(
-        sweep_grid(cfg.ms, cfg.ks, cfg.delta_coeff, cfg.delta_exponent)))
+    combos = sweep_grid(cfg.ms, cfg.ks, cfg.delta_coeff, cfg.delta_exponent)
+    pairs = len(cfg.ms) * len(cfg.ks)
+    table = _load_table(cfg, sweep_reach(combos))
     results = run_sweep(table, cfg.ms, cfg.ks, cfg.delta_coeff,
                         cfg.delta_exponent, cfg.rise_fraction)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
@@ -192,6 +193,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
 
     ratios = [r.ratio for r in results]
     print(f"sweep rows: {n_rows}")
+    if len(combos) < pairs:
+        print(f"sweep: dropped {pairs - len(combos)} of {pairs} (M, k) pairs "
+              "with k > M^(1/4)")
     print(fit_line)
     print(f"ratio range: [{min(ratios):.6e}, {max(ratios):.6e}]")
     for r in results:
@@ -210,6 +214,16 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
             "provenance": _provenance(cfg, sha256_file(cfg.table)),
         })
     return EXIT_OK
+
+
+def _median(values) -> float:
+    """np.median of a 1-d array, without the numpy.ma import np.median makes:
+    the mean of the middle two sorted values (an odd size takes the middle
+    one twice, and (a + a)/2 is a); NaN if any value is NaN."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):       # sort puts every NaN last
+        return math.nan
+    return float((ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2]) / 2.0)
 
 
 def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
@@ -237,12 +251,12 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
                 rows.append((m_scale, k, point.h, float(x), n_full,
                              errs0[i], errs4[i], errs_quarter[i],
                              errs_sixteenth[i]))
-            med_full = float(np.median(errs4))
-            med_quarter = float(np.median(errs_quarter))
-            med_sixteenth = float(np.median(errs_sixteenth))
+            med_full = _median(errs4)
+            med_quarter = _median(errs_quarter)
+            med_sixteenth = _median(errs_sixteenth)
             summaries.append({
                 "m_scale": m_scale, "k": k, "n_trunc": n_full,
-                "median_err_phase0": float(np.median(errs0)),
+                "median_err_phase0": _median(errs0),
                 "median_err_phase_pi4": med_full,
                 "decay_sixteenth_to_quarter": med_sixteenth / med_quarter,
                 "decay_quarter_to_full": med_quarter / med_full,

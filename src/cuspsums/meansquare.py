@@ -47,7 +47,7 @@ from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.voronoi import VoronoiParams
 from cuspsums.weight import (WeightProfile, build_weight, eval_weight,
-                             window_length)
+                             window_gap, window_length, window_roots, window_top)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUARTER_TURN = math.pi / 4.0
@@ -159,12 +159,6 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
     return x, _root_weighted(weight, x, wts)
 
 
-def _gap(xs: np.ndarray) -> np.ndarray:
-    """g = √(x+√x) - √x without cancellation, as √x / (√(x+√x) + √x)."""
-    root = np.sqrt(xs)
-    return root / (np.sqrt(xs + root) + root)
-
-
 def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
     """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
 
@@ -173,9 +167,9 @@ def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
     itself is left, not a difference of two cosines near it.
     """
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    root = np.sqrt(xs)
-    mean = 0.5 * (np.sqrt(xs + root) + root)
-    gap = 0.5 * root / mean  # = _gap(xs), from the roots already taken
+    root, top_root = window_roots(xs)
+    mean = 0.5 * (top_root + root)
+    gap = 0.5 * root / mean  # = window_gap(xs), from the roots already taken
     return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
             * np.sin(np.outer(0.5 * scale, gap)))
 
@@ -228,14 +222,14 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
                    wsx: np.ndarray) -> tuple[np.ndarray, float]:
     """Non-oscillatory part ∫ w √x (1 - cos s g) dx for many n, by moments.
 
-    With s = 4π√n/k, g = _gap(x) and g₀ the midpoint of g's range,
+    With s = 4π√n/k, g = window_gap(x) and g₀ the midpoint of g's range,
     cos s g = Re e^(i s g₀) Σ_j (i s)^j/j! (g - g₀)^j, so every bracket
     follows from the _MOMENT_ORDER moments Σ w√x (g - g₀)^j on a
     weight-resolving grid. The Taylor remainder of e^(iy) bounds each
     bracket's truncation error by (s_max·max|g - g₀|)^J/J! · Σ|w√x|,
     J = _MOMENT_ORDER; returns (brackets, that bound).
     """
-    g = _gap(xs)
+    g = window_gap(xs)
     g0 = 0.5 * (float(g.min()) + float(g.max()))
     offset = g - g0
     moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
@@ -306,45 +300,6 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
                         flagged=flagged)
-
-
-@dataclass(frozen=True)
-class DiagIdentityCheck:
-    """Max deviation of (cos A - cos B)² from 4 sin²((A+B)/2) sin²((A-B)/2).
-
-    paper_discrepancy is the deviation from the factor-free product, and
-    recovered_factor the observed ratio between the two sides.
-    """
-
-    discrepancy: float
-    paper_discrepancy: float
-    recovered_factor: float
-
-    def __float__(self) -> float:
-        return self.discrepancy
-
-
-def diag_identity_check(n: int, k: int, xs) -> DiagIdentityCheck:
-    """Pointwise check of the product form of the squared cosine difference.
-
-    No command calls it; it backs the acceptance check diagonal-domination.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 1.0):
-        raise ValueError("need sample points x >= 1")
-    a = (4.0 * math.pi / k) * np.sqrt(n * (xs + np.sqrt(xs))) - _QUARTER_TURN
-    b = (4.0 * math.pi / k) * np.sqrt(n * xs) - _QUARTER_TURN
-    lhs = (np.cos(a) - np.cos(b)) ** 2
-    product = np.sin(0.5 * (a + b)) ** 2 * np.sin(0.5 * (a - b)) ** 2
-    keep = product > 1e-12
-    factor = float(np.median(lhs[keep] / product[keep])) if keep.any() else math.nan
-    return DiagIdentityCheck(
-        discrepancy=float(np.max(np.abs(lhs - 4.0 * product))),
-        paper_discrepancy=float(np.max(np.abs(lhs - product))),
-        recovered_factor=factor,
-    )
 
 
 @dataclass(frozen=True)
@@ -480,7 +435,7 @@ def exponent_fit(results) -> ExponentFit:
     deltas = np.array([r.delta for r in results])
     if ms.max() / ms.min() < 10.0:
         raise ValueError("fit needs at least one decade of spread in M")
-    if np.unique(ks).size < 2:
+    if len(set(ks)) < 2:
         raise ValueError("fit needs at least two distinct k")
     if np.any(integrals <= 0.0):
         raise ValueError("fit needs strictly positive integrals")
@@ -522,7 +477,7 @@ def sweep_reach(combos) -> int:
     window's step_series. An empty grid reads nothing and gives 0.
     """
     top = max((m + delta for m, _, delta in combos), default=0.0)
-    return math.floor(top + math.sqrt(top))
+    return math.floor(window_top(top))
 
 
 def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,

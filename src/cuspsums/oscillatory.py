@@ -32,7 +32,7 @@ import numpy as np
 from cuspsums.config import NODE_BUDGET
 from cuspsums.errors import NodeBudgetError
 from cuspsums.rational import RationalPoint
-from cuspsums.weight import RAMP_SLOPE_MAX, WeightProfile, eval_weight
+from cuspsums.weight import RAMP_SLOPE_MAX, WeightProfile, eval_weight, window_top
 
 T_PLAIN = "x"
 T_SHIFTED = "x+sqrt(x)"
@@ -107,7 +107,7 @@ def build_phase(spec: PhaseSpec):
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for c, q, shifted in parts:
-            t = x + np.sqrt(x) if shifted else x
+            t = window_top(x) if shifted else x
             total = total + (2.0 * c / k) * np.sqrt(q * t)
         return total if total.ndim else float(total)
 
@@ -115,12 +115,9 @@ def build_phase(spec: PhaseSpec):
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for c, q, shifted in parts:
-            root = math.sqrt(q)
-            if shifted:
-                total = total + (c * root / k) * (1.0 + 0.5 / np.sqrt(x)) \
-                    / np.sqrt(x + np.sqrt(x))
-            else:
-                total = total + (c * root / k) / np.sqrt(x)
+            # d/dx √t is slope/(2√t); slope 1.0 multiplies exactly
+            t, slope = (window_top(x), 1.0 + 0.5 / np.sqrt(x)) if shifted else (x, 1.0)
+            total = total + (c * math.sqrt(q) / k) * slope / np.sqrt(t)
         return total if total.ndim else float(total)
 
     return b, b_prime

@@ -22,6 +22,7 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.rational import RationalPoint, e_k, progression_phases
+from cuspsums.weight import window_exits, window_top
 
 _BREAKPOINT_TOL = 1e-9
 _ANCHOR_EVERY = 1024
@@ -31,7 +32,7 @@ def window_bounds(x: float) -> tuple[int, int]:
     """Integer window [ceil(x), floor(x + sqrt(x))]; both ends closed."""
     if not math.isfinite(x) or x < 1.0:
         raise ValueError(f"window position must satisfy x >= 1, got {x}")
-    return math.ceil(x), math.floor(x + math.sqrt(x))
+    return math.ceil(x), math.floor(window_top(x))
 
 
 def short_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex:
@@ -84,9 +85,8 @@ def breakpoints(m: float, delta: float) -> np.ndarray:
         raise ValueError(f"need delta >= 0, got {delta}")
     lo, hi = float(m), float(m + delta)
     ints = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=float)
-    tops = np.arange(math.ceil(lo + math.sqrt(lo)),
-                     math.floor(hi + math.sqrt(hi)) + 1, dtype=np.int64)
-    exits = ((np.sqrt(1.0 + 4.0 * tops.astype(float)) - 1.0) / 2.0) ** 2
+    exits = window_exits(np.arange(math.ceil(window_top(lo)),
+                                   math.floor(window_top(hi)) + 1, dtype=np.int64))
     exits = exits[(exits >= lo) & (exits <= hi)]
     pts = np.sort(np.concatenate([ints, exits]))
     if pts.size == 0:
@@ -114,7 +114,7 @@ def step_series(m: float, delta: float, point: RationalPoint,
                 table: CoefficientTable) -> StepSeries:
     """Build the step structure with O(delta) single-term updates."""
     hi = m + delta
-    table.require(math.floor(hi + math.sqrt(hi)), "step_series")
+    table.require(math.floor(window_top(hi)), "step_series")
     # breakpoints are merged already; the ends are m and m + delta exactly,
     # replacing the breakpoint either lands on
     inner = breakpoints(m, delta)
@@ -130,7 +130,7 @@ def step_series(m: float, delta: float, point: RationalPoint,
         n_cand = np.rint(xs)
         is_entry = np.abs(xs - n_cand) <= _BREAKPOINT_TOL
         # exit events: integer j joins as x + sqrt(x) passes j
-        tops = xs + np.sqrt(xs)
+        tops = window_top(xs)
         j_cand = np.rint(tops)
         is_exit = np.abs(tops - j_cand) <= _BREAKPOINT_TOL
         deltas = np.zeros(xs.size, dtype=complex)

@@ -37,6 +37,7 @@ import numpy as np
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.rational import RationalPoint, progression_phases
 from cuspsums.sums import long_sum
+from cuspsums.weight import window_top
 
 _AMPLITUDE = 1.0 / (math.pi * math.sqrt(2.0))
 _PHASE_SHIFTS = (0.0, -math.pi / 4.0)
@@ -125,7 +126,7 @@ def short_sum_main_term(x: float, params: VoronoiParams,
     x = _check_x(x)
     ns, coeffs = params.dual_coefficients(table)
     k = params.point.k
-    top = x + math.sqrt(x)
+    top = window_top(x)
     args_top = (4.0 * np.pi / k) * np.sqrt(ns * top) + params.phase_shift
     args_bot = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
     diff = (np.cos(args_top) - np.cos(args_bot)) * x ** 0.25

@@ -1,4 +1,4 @@
-"""Smooth compactly supported window weights.
+"""Smooth compactly supported window weights, the Δ rule and the window [x, x + √x].
 
 The weight w(x) = psi((x - M)/r) * psi((M + Delta - x)/r) vanishes outside
 [M, M + Delta], equals exactly 1 on the plateau [M + r, M + Delta - r], and is
@@ -111,6 +111,28 @@ def window_length(m: float, k: int, delta_coeff: float,
                   delta_exponent: float) -> float:
     """The window rule Δ = c k M^p, clipped to [1e3, M]."""
     return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
+
+
+def window_top(x):
+    """The top x + √x of the short window [x, x + √x]."""
+    return x + np.sqrt(x)
+
+
+def window_roots(x):
+    """(√x, √(x + √x)), from one square root of x."""
+    root = np.sqrt(x)
+    return root, np.sqrt(x + root)
+
+
+def window_exits(tops: np.ndarray) -> np.ndarray:
+    """Each x = ((√(1+4j) - 1)/2)² with window_top(x) = j, for the integers j."""
+    return ((np.sqrt(1.0 + 4.0 * tops.astype(float)) - 1.0) / 2.0) ** 2
+
+
+def window_gap(x):
+    """√(x + √x) - √x without cancellation, as √x / (√(x + √x) + √x)."""
+    root, top_root = window_roots(x)
+    return root / (top_root + root)
 
 
 def eval_weight(profile: WeightProfile, x):

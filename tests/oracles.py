@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -189,6 +190,48 @@ def simpson_integral(f, lo: float, hi: float, intervals: int = 1 << 17) -> float
     return float(np.dot(coeff, f(xs))) * (hi - lo) / intervals / 3.0
 
 
+@dataclass(frozen=True)
+class DiagIdentityCheck:
+    """Max deviation of (cos A - cos B)² from 4 sin²((A+B)/2) sin²((A-B)/2).
+
+    paper_discrepancy is the deviation from the factor-free product, and
+    recovered_factor the observed ratio between the two sides.
+    """
+
+    discrepancy: float
+    paper_discrepancy: float
+    recovered_factor: float
+
+    def __float__(self) -> float:
+        return self.discrepancy
+
+
+def diag_identity_check(n: int, k: int, xs) -> DiagIdentityCheck:
+    """Pointwise check of the product form of the squared cosine difference,
+    at the phases A, B = 4π√(n T)/k - π/4 with T = x + √x and T = x.
+
+    It backs the acceptance check diagonal-domination.
+    """
+    import numpy as np
+
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs < 1.0):
+        raise ValueError("need sample points x >= 1")
+    a = (4.0 * math.pi / k) * np.sqrt(n * (xs + np.sqrt(xs))) - math.pi / 4.0
+    b = (4.0 * math.pi / k) * np.sqrt(n * xs) - math.pi / 4.0
+    lhs = (np.cos(a) - np.cos(b)) ** 2
+    product = np.sin(0.5 * (a + b)) ** 2 * np.sin(0.5 * (a - b)) ** 2
+    keep = product > 1e-12
+    factor = float(np.median(lhs[keep] / product[keep])) if keep.any() else math.nan
+    return DiagIdentityCheck(
+        discrepancy=float(np.max(np.abs(lhs - 4.0 * product))),
+        paper_discrepancy=float(np.max(np.abs(lhs - product))),
+        recovered_factor=factor,
+    )
+
+
 # One-matrix references of the package's blocked loops. Each builds its
 # whole grid at once, as the package did before it evaluated in blocks.
 
@@ -227,9 +270,10 @@ def slow_brackets_one_matrix(ns, k: int, xs, wsx):
     import numpy as np
 
     from cuspsums import meansquare as msq
+    from cuspsums.weight import window_gap
 
     order = msq._MOMENT_ORDER
-    g = msq._gap(xs)
+    g = window_gap(xs)
     g0 = 0.5 * (float(g.min()) + float(g.max()))
     offset = g - g0
     moments = [float(np.sum(wsx * offset ** j)) for j in range(order)]

@@ -26,15 +26,16 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from oracles import riemann_mean_square, tau_truncated_product
+from oracles import (diag_identity_check, riemann_mean_square,
+                     tau_truncated_product)
 
 from cuspsums.calibrated import OMEGA_THRESHOLD, STATED_RATIO_MAX
 from cuspsums.cli import main as cli_main
 from cuspsums.coeffs import (deligne_check, generate_tau,
                              hecke_multiplicativity_check,
                              hecke_prime_power_check, load_cache, save_cache)
-from cuspsums.meansquare import (diag_identity_check, exponent_fit,
-                                 omega_statistic, run_sweep, theorem_integral)
+from cuspsums.meansquare import (exponent_fit, omega_statistic, run_sweep,
+                                 theorem_integral)
 from cuspsums.oscillatory import (build_phase, l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, oscillatory_integral,
                                   stated_bound)

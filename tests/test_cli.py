@@ -283,6 +283,57 @@ def test_meansquare_prints_flagged_rows(workspace, capsys, monkeypatch):
     assert [r["diagonal_flagged"] for r in rows] == [2, 0]
 
 
+def test_meansquare_reports_dropped_pairs(workspace, capsys):
+    # k = 7 exceeds 1e3^(1/4) but not 1e4^(1/4): one of four pairs goes
+    root, cfg, table = workspace
+    path = root / "dropped.cfg"
+    path.write_text(f"table = {table}\nms = 1e3, 1e4\nks = 1, 7\n",
+                    encoding="utf-8")
+    assert main(["meansquare", "--config", str(path), "--out",
+                 str(root / "dropped_out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == ["sweep rows: 3", "sweep: dropped 1 of 4 (M, k) "
+                           "pairs with k > M^(1/4)"]
+
+
+@pytest.mark.parametrize("command, body", [
+    # six rows over a decade of M, so exponent_fit reaches its distinct-k test
+    ("meansquare", "ms = 1e3, 1e4\nks = 1, 2, 3\n"),
+    ("voronoi", "voronoi_ms = 1e4\nvoronoi_ks = 1, 3\nvoronoi_samples = 6\n"),
+], ids=("meansquare", "voronoi"))
+def test_command_loads_no_numpy_ma(workspace, command, body):
+    # numpy.ma costs about 10 ms of import; np.median and np.unique pull it in
+    import cuspsums
+
+    root, cfg, table = workspace
+    path = root / f"no_ma_{command}.cfg"
+    path.write_text(f"table = {table}\n{body}", encoding="utf-8")
+    src = str(Path(cuspsums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys; from cuspsums.cli import main; "
+             f"code = main([{command!r}, '--config', {str(path)!r}, '--out', "
+             f"{str(root / f'no_ma_{command}_out')!r}]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_median_is_numpy_median():
+    import numpy as np
+
+    from cuspsums.cli import _median
+
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 14, 15, 50, 51):
+        values = rng.lognormal(0.0, 3.0, size)
+        assert _median(values) == float(np.median(values))
+    # a NaN error stays NaN, so write_json refuses the summary loudly
+    assert np.isnan(_median(np.array([1.0, np.nan, 2.0])))
+
+
 def test_meansquare_report_ignores_blas_threads(tmp_path):
     # one k = 7 row on 2e4: its sums are long enough for a threaded BLAS
     # to split them, so a report built on BLAS reductions moves with the

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cuspsums import meansquare as msq
-from cuspsums.weight import build_weight
+from cuspsums.weight import build_weight, window_gap
 
 EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
@@ -37,7 +37,7 @@ def test_gap_has_no_cancellation():
     xs = np.linspace(1.0, 1.2e5, 4001)
     x = xs.astype(np.longdouble)
     exact = np.sqrt(x + np.sqrt(x)) - np.sqrt(x)
-    rel = np.abs((msq._gap(xs) - exact) / exact).astype(float)
+    rel = np.abs((window_gap(xs) - exact) / exact).astype(float)
     assert rel.max() < 4 * np.finfo(float).eps
 
 
@@ -59,7 +59,7 @@ def test_slow_brackets_match_direct_integral(window_1e4):
         ns = np.arange(257, 10001)
         brackets, bound = msq._slow_brackets(ns, k, xs, wsx)
         scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-        direct = (wsx * (1.0 - np.cos(np.outer(scale, msq._gap(xs))))).sum(axis=1)
+        direct = (wsx * (1.0 - np.cos(np.outer(scale, window_gap(xs))))).sum(axis=1)
         assert np.max(np.abs(brackets - direct)) <= 1e-12 * mass
         # the truncation bound of the series is certified, and negligible
         assert 0.0 < bound < 1e-16 * mass

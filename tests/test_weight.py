@@ -1,12 +1,19 @@
-"""Smooth window weight: exact plateau, symmetry, the closed-form ramp slope."""
+"""Smooth window weight: exact plateau, symmetry, the closed-form ramp slope;
+and the short window [x, x + sqrt(x)], whose one home is this module."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuspsums
+from cuspsums.sums import _BREAKPOINT_TOL
 from cuspsums.weight import (RAMP_SLOPE_MAX, build_weight, eval_weight,
-                             window_length)
+                             window_exits, window_length, window_roots,
+                             window_top)
 
 
 def test_support_and_plateau_exact():
@@ -149,3 +156,35 @@ def test_refine_under_one_doubling_of_budget_settles_nothing():
     assert calls == [128]
     assert not settled.any()
     assert values == pytest.approx(_moments(*_SMOOTH.gauss_panels(8)), abs=0.0)
+
+
+def test_window_exits_invert_the_top():
+    tops = np.arange(2, 400_001)
+    roots = window_exits(tops)
+    assert np.max(np.abs(window_top(roots) - tops)) <= 1e-9
+    # the integer top j is reached between the breakpoint merge tolerance
+    # on either side of its exit point
+    assert np.array_equal(np.floor(window_top(roots - _BREAKPOINT_TOL)), tops - 1)
+    assert np.array_equal(np.floor(window_top(roots + _BREAKPOINT_TOL)), tops)
+
+
+def test_window_roots_take_one_root_of_x():
+    xs = np.linspace(1.0, 1.2e5, 4001)
+    root, top_root = window_roots(xs)
+    assert np.array_equal(root, np.sqrt(xs))
+    assert np.array_equal(top_root, np.sqrt(xs + np.sqrt(xs)))
+    assert window_top(4.0) == 6.0
+
+
+def test_only_weight_spells_out_the_short_window():
+    # x + sqrt(x) and the exit roots (sqrt(1 + 4j) - 1)/2 squared are
+    # written in weight.py alone; every other module calls it
+    spelled = re.compile(r"(\b\w+\b) \+ (np|math)\.sqrt\(\1\)|sqrt\(1\.0 \+ 4\.0")
+    package = Path(cuspsums.__file__).parent
+    sites = [f"{path.name}:{number}"
+             for path in sorted(package.glob("*.py")) if path.name != "weight.py"
+             for number, line in enumerate(path.read_text(encoding="utf-8")
+                                           .splitlines(), start=1)
+             if spelled.search(line)]
+    assert sites == []
+    assert spelled.search((package / "weight.py").read_text(encoding="utf-8"))
