@@ -16,7 +16,12 @@ In each checkout the script runs the command line from that checkout's
   with the checkout's perfbench/configs/scan.cfg and ``--seed 7`` and once
   with the defaults;
 - ``meansquare`` on the given cache with the defaults and with the
-  checkout's perfbench/configs/sweep.cfg.
+  checkout's perfbench/configs/sweep.cfg;
+- one refusal per non-zero exit code, so that the refusal messages are
+  compared too: ``meansquare`` with ``ms = 1e4`` and ``ks = 11`` (an empty
+  sweep, exit 1), ``verify-lemmas`` with ``node_budget = 20`` (exit 2) and
+  ``omega --table missing.cache`` (exit 3). Their configs are written with
+  the same text into each side's work directory.
 
 It compares every output file, stdout, stderr and exit code, prints each
 one that differs and exits 1 if any does, 0 otherwise. Comparing stderr
@@ -36,6 +41,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 COEFFS_CACHE = "tau30000.cache"
+# config file -> text, written into each side's work directory
+REFUSAL_CONFIGS = {"empty-sweep.cfg": "ms = 1e4\nks = 11\n",
+                   "tiny-budget.cfg": "node_budget = 20\n"}
 ROWS_SHOWN = 10
 
 
@@ -50,6 +58,11 @@ def commands(checkout: Path, table: Path) -> dict:
         out[f"{command}-default"] = [command, *cached]
     out["meansquare-default"] = ["meansquare", *cached]
     out["meansquare-sweep"] = ["meansquare", *sweep, *cached]
+    out["meansquare-invalid"] = ["meansquare", "--config", "empty-sweep.cfg",
+                                 *cached]
+    out["verify-lemmas-budget"] = ["verify-lemmas", "--config",
+                                   "tiny-budget.cfg", *cached]
+    out["omega-io"] = ["omega", "--json", "--table", "missing.cache"]
     return out
 
 
@@ -59,6 +72,8 @@ def run_side(side: str, checkout: Path, table: Path, work: Path) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for name, text in REFUSAL_CONFIGS.items():
+        (work / name).write_text(text, encoding="utf-8")
     results = {}
     for name, args in commands(checkout, table).items():
         out_dir = work / name

@@ -90,12 +90,6 @@ class CoefficientTable:
     def __post_init__(self) -> None:
         self.a = normalize(self.records)
 
-    @classmethod
-    def from_tau(cls, tau: list[int]) -> CoefficientTable:
-        """Table of tau(1..len(tau)) packed into records. A value outside
-        the signed 128-bit range raises OverflowError."""
-        return cls(np.array([(t % 2**64, t >> 64) for t in tau], dtype=_RECORD))
-
     @property
     def n_max(self) -> int:
         return self.records.size

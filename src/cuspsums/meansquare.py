@@ -2,13 +2,12 @@
 
 The integral I = ∫ w(x) |S(x)|² dx is computed exactly from the step
 structure of S (piecewise-constant, so I is a finite sum of |S_i|² times
-smooth weight masses), and compared against its predicted pieces: the
-diagonal term
+smooth weight masses), and compared against its prediction, the diagonal
+term
 
     (k/2π²) Σ_{n≤M} |a(n)|² n^(-3/2) ∫ w(x) √x (cos Φ₁' - cos Φ₂')² dx
 
-with Φ' the shifted/plain phases carrying the -π/4 offset, and the
-off-diagonal double sum of cross integrals.
+with Φ' the shifted/plain phases carrying the -π/4 offset.
 
 The cosine difference is evaluated in product form,
 cos(A - π/4) - cos(B - π/4) = -2 sin((A+B)/2 - π/4) sin((A-B)/2), with
@@ -45,13 +44,11 @@ from cuspsums.config import (NODE_BUDGET, SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONEN
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
-from cuspsums.voronoi import VoronoiParams
 from cuspsums.weight import (WeightProfile, build_weight, eval_weight,
                              window_gap, window_length, window_roots, window_top)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUARTER_TURN = math.pi / 4.0
-_CROSSCHECK_NODE_BUDGET = 8_000_000
 _NODE_BUDGET = NODE_BUDGET      # diagonal_profile's, by a name tests patch
 _N_EXACT_FLOOR = 256            # see diagonal_term
 # terms of the moment series of the slow brackets; for n <= M and Δ <= M,
@@ -300,96 +297,6 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
                         flagged=flagged)
-
-
-@dataclass(frozen=True)
-class OffDiagonalReport:
-    """Truncated expansion of I split into its predicted pieces.
-
-    total = diagonal + offdiagonal is the reconstruction; allowance is the
-    k²Δ error budget the expansion carries at face value; majorant the
-    k²√M-scaled closed-form dominating the off-diagonal double sum.
-    """
-
-    diagonal: float
-    offdiagonal: float
-    allowance: float
-    theorem: float
-    majorant: float
-    n_trunc: int
-
-    @property
-    def total(self) -> float:
-        return self.diagonal + self.offdiagonal
-
-    @property
-    def rel_gap(self) -> float:
-        return abs(self.total - self.theorem) / self.theorem
-
-
-def offdiagonal_majorant(n_trunc: int) -> float:
-    """Σ_{m<n≤N} n^(-1/4) m^(-3/4) (n-m)^(-1), the ε=0 dominating sum.
-
-    No command calls it; it is offdiagonal_crosscheck's majorant and backs
-    the test_majorant_* tests of tests/test_meansquare.py.
-    """
-    if n_trunc < 2:
-        return 0.0
-    ns = np.arange(1, n_trunc + 1, dtype=float)
-    total = 0.0
-    for i, n in enumerate(ns[1:], start=1):
-        ms = ns[:i]
-        total += float(n ** -0.25 * np.sum(ms ** -0.75 / (n - ms)))
-    return total
-
-
-def offdiagonal_crosscheck(m: float, delta: float, point: RationalPoint,
-                           weight: WeightProfile, table: CoefficientTable,
-                           n_trunc: int) -> OffDiagonalReport:
-    """Reconstruct I from the truncated dual expansion of S and compare.
-
-    S is replaced by its n <= n_trunc main-term sum; |S|² then splits into
-    the diagonal (squared brackets) and the off-diagonal double sum, both
-    integrated on one shared grid that resolves the fastest cross phase.
-    Quadratic cost in n_trunc keeps this a small-M instrument. No command
-    calls it: it is the only numerical check of the diagonal/off-diagonal
-    split, in the test_crosscheck_* tests of tests/test_meansquare.py.
-    """
-    if m > 2e3:
-        raise ValueError(f"crosscheck is restricted to m <= 2e3, got {m}")
-    if not 1 <= n_trunc <= 200:
-        raise ValueError(f"need 1 <= n_trunc <= 200, got {n_trunc}")
-    _check_geometry(m, delta, weight)
-    k = point.k
-    lo, hi = weight.support
-    # fastest phase among all cross terms: both radicals at n_trunc, summed
-    peak = 4.0 * math.sqrt(float(n_trunc)) / (k * math.sqrt(lo))
-    panels = weight.first_panels(1.25 * peak * delta)
-    if 48 * panels > _CROSSCHECK_NODE_BUDGET:
-        raise ValueError("truncation level needs more nodes than budgeted")
-    ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
-
-    def pair_integrals(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
-        diffs = _cos_difference(ns, k, xs)
-        return (diffs * _root_weighted(weight, xs, wts)) @ diffs.T
-
-    pairs, settled = weight.refine(panels, pair_integrals, 1e-9 * (hi - lo)
-                                   * math.sqrt(hi), _CROSSCHECK_NODE_BUDGET)
-    if not settled.all():
-        raise ValueError("pair integrals did not settle under panel doubling")
-
-    full = float(np.real(np.conj(z) @ pairs @ z))
-    diag = float(np.abs(z) ** 2 @ np.diag(pairs))
-    prefactor = k / (2.0 * math.pi ** 2)
-    theorem = theorem_integral(m, delta, point, weight, table)
-    return OffDiagonalReport(
-        diagonal=prefactor * diag,
-        offdiagonal=prefactor * (full - diag),
-        allowance=k * k * delta,
-        theorem=theorem,
-        majorant=k * k * math.sqrt(m) * offdiagonal_majorant(n_trunc),
-        n_trunc=n_trunc,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,6 @@ truncation-decay-and-phase.
 Two phase conventions circulate for the cosine argument, 0 and -pi/4.
 Rather than fix one by fiat, both are legal VoronoiParams values and the
 error scan shows which convention actually tracks the direct sum.
-
-short_sum_main_term carries the same expansion differenced across the
-window [x, x + sqrt(x)], where that deficit cancels.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import numpy as np
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.rational import RationalPoint, progression_phases
 from cuspsums.sums import long_sum
-from cuspsums.weight import window_top
 
 _AMPLITUDE = 1.0 / (math.pi * math.sqrt(2.0))
 _PHASE_SHIFTS = (0.0, -math.pi / 4.0)
@@ -112,26 +108,6 @@ def voronoi_main_term(x: float, params: VoronoiParams,
     x = _check_x(x)
     coeffs = params.dual_coefficients(table)[1]
     return _main_terms(x, coeffs, params.point.k, (params,))[0]
-
-
-def short_sum_main_term(x: float, params: VoronoiParams,
-                        table: CoefficientTable) -> complex:
-    """Differenced main term for the short window [x, x + sqrt(x)].
-
-    Each dual term carries cos at the top end minus cos at the bottom end,
-    both ends sharing the amplitude x^(1/4). No command calls it: it backs
-    the README's finding that the long-sum deficit cancels in the window
-    difference (tests/test_voronoi.py, test_short_window_*).
-    """
-    x = _check_x(x)
-    ns, coeffs = params.dual_coefficients(table)
-    k = params.point.k
-    top = window_top(x)
-    args_top = (4.0 * np.pi / k) * np.sqrt(ns * top) + params.phase_shift
-    args_bot = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
-    diff = (np.cos(args_top) - np.cos(args_bot)) * x ** 0.25
-    terms = coeffs * diff
-    return complex(_AMPLITUDE * math.sqrt(k) * np.sum(terms))
 
 
 def _run_samples(count: int, sample) -> None:

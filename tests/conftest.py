@@ -1,10 +1,16 @@
-"""Shared fixtures: session-scoped coefficient tables and acceptance reporting."""
+"""Shared fixtures: session-scoped coefficient tables, the benchmark's
+tracer module and acceptance reporting."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from cuspsums.coeffs import generate_tau
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +22,24 @@ def table_2e4():
 @pytest.fixture(scope="session")
 def table_1e5():
     return generate_tau(100_000)
+
+
+@pytest.fixture(scope="session")
+def tracer():
+    """perfbench/tracer.py, loaded once: it names package functions by string."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _span_names(tracer):
+    """Every ``layer.name`` the tracer wraps, times, counts or hooks."""
+    names = {n for spans in tracer.TIME_METRICS.values() for n in spans}
+    names |= set(tracer.CALL_METRICS.values())
+    names |= {span for _, span in tracer.SHARE_METRICS.values()}
+    names |= set(tracer.HOOKS)
+    return names - {tracer.PROCESS_SPAN}
 
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []

@@ -1,14 +1,18 @@
-"""Independent oracles used by the test suite.
+"""Oracles and check instruments used by the test suite.
 
-Everything here is deliberately naive and shares no code with the package
-internals beyond data types. Most references are direct re-computations;
-tau_pentagonal is the one faster algorithm, an O(n^1.5) recurrence that
-shares no method with the package's FFT kernel either.
+The first section is deliberately naive and shares no code with the
+package internals beyond data types. Most references are direct
+re-computations; tau_pentagonal is the one faster algorithm, an O(n^1.5)
+recurrence that shares no method with the package's FFT kernel either.
 
-The exception is the last section: the one-matrix references evaluate a
-blocked package loop as one whole matrix, through the package's own
-pointwise kernels, so that a test can require the blocks to give the
-same bits as the whole.
+The last two sections call package kernels. The check instruments measure
+what no command reports: the truncated dual-sum reconstruction of the mean
+square split into diagonal and off-diagonal, and the dual sum differenced
+across the short window. They are built on _cos_difference,
+WeightProfile.refine and VoronoiParams.dual_coefficients. The one-matrix
+references evaluate a blocked package loop as one whole matrix, through
+the package's own pointwise kernels, so that a test can require the blocks
+to give the same bits as the whole.
 """
 
 from __future__ import annotations
@@ -17,6 +21,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def table_from_tau(tau):
+    """CoefficientTable of tau(1..len(tau)) packed into cache records. A
+    value outside the signed 128-bit range raises OverflowError."""
+    import numpy as np
+
+    from cuspsums.coeffs import _RECORD, CoefficientTable
+
+    return CoefficientTable(np.array([(t % 2**64, t >> 64) for t in tau],
+                                     dtype=_RECORD))
 
 
 def tau_truncated_product(count: int) -> list[int]:
@@ -230,6 +245,126 @@ def diag_identity_check(n: int, k: int, xs) -> DiagIdentityCheck:
         paper_discrepancy=float(np.max(np.abs(lhs - product))),
         recovered_factor=factor,
     )
+
+
+# Check instruments on package kernels: _cos_difference, WeightProfile.refine
+# and VoronoiParams.dual_coefficients. No command reports what they measure.
+
+_CROSSCHECK_NODE_BUDGET = 8_000_000
+
+
+@dataclass(frozen=True)
+class OffDiagonalReport:
+    """Truncated expansion of I split into its predicted pieces.
+
+    total = diagonal + offdiagonal is the reconstruction; allowance is the
+    k²Δ error budget the expansion carries at face value; majorant the
+    k²√M-scaled closed-form dominating the off-diagonal double sum.
+    """
+
+    diagonal: float
+    offdiagonal: float
+    allowance: float
+    theorem: float
+    majorant: float
+    n_trunc: int
+
+    @property
+    def total(self) -> float:
+        return self.diagonal + self.offdiagonal
+
+    @property
+    def rel_gap(self) -> float:
+        return abs(self.total - self.theorem) / self.theorem
+
+
+def offdiagonal_majorant(n_trunc: int) -> float:
+    """Σ_{m<n≤N} n^(-1/4) m^(-3/4) (n-m)^(-1), the ε=0 dominating sum."""
+    import numpy as np
+
+    if n_trunc < 2:
+        return 0.0
+    ns = np.arange(1, n_trunc + 1, dtype=float)
+    total = 0.0
+    for i, n in enumerate(ns[1:], start=1):
+        ms = ns[:i]
+        total += float(n ** -0.25 * np.sum(ms ** -0.75 / (n - ms)))
+    return total
+
+
+def offdiagonal_crosscheck(m: float, delta: float, point, weight, table,
+                           n_trunc: int) -> OffDiagonalReport:
+    """Reconstruct I from the truncated dual expansion of S and compare.
+
+    S is replaced by its n <= n_trunc main-term sum; |S|² then splits into
+    the diagonal (squared brackets) and the off-diagonal double sum, both
+    integrated on one shared grid that resolves the fastest cross phase.
+    Quadratic cost in n_trunc keeps this a small-M instrument: the only
+    numerical check of the diagonal/off-diagonal split.
+    """
+    import numpy as np
+
+    from cuspsums import meansquare as msq
+    from cuspsums.voronoi import VoronoiParams
+
+    if m > 2e3:
+        raise ValueError(f"crosscheck is restricted to m <= 2e3, got {m}")
+    if not 1 <= n_trunc <= 200:
+        raise ValueError(f"need 1 <= n_trunc <= 200, got {n_trunc}")
+    msq._check_geometry(m, delta, weight)
+    k = point.k
+    lo, hi = weight.support
+    # fastest phase among all cross terms: both radicals at n_trunc, summed
+    peak = 4.0 * math.sqrt(float(n_trunc)) / (k * math.sqrt(lo))
+    panels = weight.first_panels(1.25 * peak * delta)
+    if 48 * panels > _CROSSCHECK_NODE_BUDGET:
+        raise ValueError("truncation level needs more nodes than budgeted")
+    ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
+
+    def pair_integrals(xs, wts):
+        diffs = msq._cos_difference(ns, k, xs)
+        return (diffs * msq._root_weighted(weight, xs, wts)) @ diffs.T
+
+    pairs, settled = weight.refine(panels, pair_integrals, 1e-9 * (hi - lo)
+                                   * math.sqrt(hi), _CROSSCHECK_NODE_BUDGET)
+    if not settled.all():
+        raise ValueError("pair integrals did not settle under panel doubling")
+
+    full = float(np.real(np.conj(z) @ pairs @ z))
+    diag = float(np.abs(z) ** 2 @ np.diag(pairs))
+    prefactor = k / (2.0 * math.pi ** 2)
+    theorem = msq.theorem_integral(m, delta, point, weight, table)
+    return OffDiagonalReport(
+        diagonal=prefactor * diag,
+        offdiagonal=prefactor * (full - diag),
+        allowance=k * k * delta,
+        theorem=theorem,
+        majorant=k * k * math.sqrt(m) * offdiagonal_majorant(n_trunc),
+        n_trunc=n_trunc,
+    )
+
+
+def short_sum_main_term(x: float, params, table) -> complex:
+    """Differenced main term for the short window [x, x + sqrt(x)].
+
+    Each dual term carries cos at the top end minus cos at the bottom end,
+    both ends sharing the amplitude x^(1/4): the long-sum deficit cancels
+    in the window difference.
+    """
+    import numpy as np
+
+    from cuspsums.voronoi import _AMPLITUDE, _check_x
+    from cuspsums.weight import window_top
+
+    x = _check_x(x)
+    ns, coeffs = params.dual_coefficients(table)
+    k = params.point.k
+    top = window_top(x)
+    args_top = (4.0 * np.pi / k) * np.sqrt(ns * top) + params.phase_shift
+    args_bot = (4.0 * np.pi / k) * np.sqrt(ns * x) + params.phase_shift
+    diff = (np.cos(args_top) - np.cos(args_bot)) * x ** 0.25
+    terms = coeffs * diff
+    return complex(_AMPLITUDE * math.sqrt(k) * np.sum(terms))
 
 
 # One-matrix references of the package's blocked loops. Each builds its

@@ -4,37 +4,17 @@ package, so a rename fails here instead of zeroing a per-layer metric."""
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import math
 import textwrap
-from pathlib import Path
 
-import pytest
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import _span_names
 
 
 def _resolve(span):
     layer, name = span.split(".")
     module = importlib.import_module(f"cuspsums.{layer}")
     return module, getattr(module, name, None)
-
-
-def _span_names(tracer):
-    names = {n for spans in tracer.TIME_METRICS.values() for n in spans}
-    names |= set(tracer.CALL_METRICS.values())
-    names |= {span for _, span in tracer.SHARE_METRICS.values()}
-    names |= set(tracer.HOOKS)
-    return names - {tracer.PROCESS_SPAN}
 
 
 def _hook_reads(hook):

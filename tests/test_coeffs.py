@@ -25,7 +25,7 @@ from cuspsums.coeffs import (
 )
 from cuspsums.errors import CacheFormatError, CoefficientOverflowError
 
-from oracles import tau_pentagonal, tau_truncated_product
+from oracles import table_from_tau, tau_pentagonal, tau_truncated_product
 
 # first values of the oracle, frozen; they also match the classical listings
 TAU_FIRST_SIX = [1, -24, 252, -1472, 4830, -6048]
@@ -177,7 +177,7 @@ def test_hecke_checks_pass(table_2e4):
 
 
 def test_hecke_checks_catch_corruption(table_2e4):
-    bad = CoefficientTable.from_tau(list(table_2e4.tau[:100]))
+    bad = table_from_tau(list(table_2e4.tau[:100]))
     bad.tau[59] = bad.tau[59] + 1  # corrupt tau(60) = tau(4)tau(15)
     assert hecke_multiplicativity_check(bad).first_failure == 60
 
@@ -260,7 +260,7 @@ _EDGE_INT128 = ([0, 1, -1, 2**64 - 1, -(2**64 - 1), 2**64, -2**64,
 
 
 def _assert_records_round_like_float(values):
-    records = CoefficientTable.from_tau(values).records
+    records = table_from_tau(values).records
     got = coeffs._record_doubles(records)
     expected = np.array([float(v) for v in values])
     assert got.tobytes() == expected.tobytes(), [
@@ -305,7 +305,7 @@ def _groups_of(draw, values):
 
 def _assert_carry_pass_exact(values, groups):
     packed = coeffs._records(groups, 128)
-    assert packed.tobytes() == CoefficientTable.from_tau(values).records.tobytes()
+    assert packed.tobytes() == table_from_tau(values).records.tobytes()
     limbs = coeffs._carried_limbs(groups)
     assert all(-512 <= limb.min() and limb.max() < 512 for limb in limbs)
     assert [sum(int(limb[i]) << 10 * k for k, limb in enumerate(limbs))
@@ -333,7 +333,7 @@ def test_carry_pass_overflow_names_first_bad_index(data, bits):
     inside = st.integers(-limit, limit - 1)
     values = data.draw(st.lists(inside, min_size=1, max_size=16))
     assert (coeffs._records(data.draw(_groups_of(values)), bits).tobytes()
-            == CoefficientTable.from_tau(values).records.tobytes())
+            == table_from_tau(values).records.tobytes())
     first = data.draw(st.integers(0, len(values)))
     values[first:first] = [data.draw(st.sampled_from((limit, -limit - 1)))]
     values += data.draw(st.lists(st.sampled_from((limit, -limit - 1)), max_size=2))

@@ -26,19 +26,18 @@ import numpy as np
 import pytest
 
 from cuspsums import voronoi
-from cuspsums.coeffs import CoefficientTable, generate_tau
+from cuspsums.coeffs import generate_tau
 from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.sums import long_sum, short_sum
 from cuspsums.voronoi import (
     EnvelopeFit,
     VoronoiParams,
     fit_error_envelope,
-    short_sum_main_term,
     voronoi_error_scan,
     voronoi_main_term,
 )
 
-from oracles import j_bessel_12
+from oracles import j_bessel_12, short_sum_main_term, table_from_tau
 
 K1 = make_rational_point(0, 1)
 
@@ -297,7 +296,7 @@ def test_short_window_term_cancels_at_matched_frequencies():
 
     a = np.zeros(12)
     a[n0 - 1] = 1.0
-    fake = CoefficientTable.from_tau([0] * 12)
+    fake = table_from_tau([0] * 12)
     fake.a = a
     p = VoronoiParams(make_rational_point(1, 3), 12)
     assert abs(short_sum_main_term(xstar, p, fake)) < 1e-12
