@@ -17,11 +17,17 @@ In each checkout the script runs the command line from that checkout's
   with the defaults;
 - ``meansquare`` on the given cache with the defaults and with the
   checkout's perfbench/configs/sweep.cfg;
+- ``meansquare`` and ``verify-lemmas`` on the given cache with the three
+  keys of the row rule (``delta_coeff``, ``delta_exponent``,
+  ``rise_fraction``) away from their defaults, and a grid that drops one
+  (M, k) pair and leaves too few rows for the exponent fit;
 - one refusal per non-zero exit code, so that the refusal messages are
   compared too: ``meansquare`` with ``ms = 1e4`` and ``ks = 11`` (an empty
   sweep, exit 1), ``verify-lemmas`` with ``node_budget = 20`` (exit 2) and
-  ``omega --table missing.cache`` (exit 3). Their configs are written with
-  the same text into each side's work directory.
+  ``omega --table missing.cache`` (exit 3).
+
+The configs of the rule and refusal runs are written with the same text
+into each side's work directory.
 
 It compares every output file, stdout, stderr and exit code, prints each
 one that differs and exits 1 if any does, 0 otherwise. Comparing stderr
@@ -42,8 +48,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 COEFFS_CACHE = "tau30000.cache"
 # config file -> text, written into each side's work directory
-REFUSAL_CONFIGS = {"empty-sweep.cfg": "ms = 1e4\nks = 11\n",
-                   "tiny-budget.cfg": "node_budget = 20\n"}
+WORK_CONFIGS = {"row-rule.cfg": "ms = 1e4, 1e5\nks = 1, 3, 11\n"
+                                "delta_coeff = 3.0\ndelta_exponent = 0.6\n"
+                                "rise_fraction = 0.125\n",
+                "empty-sweep.cfg": "ms = 1e4\nks = 11\n",
+                "tiny-budget.cfg": "node_budget = 20\n"}
 ROWS_SHOWN = 10
 
 
@@ -58,6 +67,8 @@ def commands(checkout: Path, table: Path) -> dict:
         out[f"{command}-default"] = [command, *cached]
     out["meansquare-default"] = ["meansquare", *cached]
     out["meansquare-sweep"] = ["meansquare", *sweep, *cached]
+    for command in ("meansquare", "verify-lemmas"):
+        out[f"{command}-rule"] = [command, "--config", "row-rule.cfg", *cached]
     out["meansquare-invalid"] = ["meansquare", "--config", "empty-sweep.cfg",
                                  *cached]
     out["verify-lemmas-budget"] = ["verify-lemmas", "--config",
@@ -72,7 +83,7 @@ def run_side(side: str, checkout: Path, table: Path, work: Path) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    for name, text in REFUSAL_CONFIGS.items():
+    for name, text in WORK_CONFIGS.items():
         (work / name).write_text(text, encoding="utf-8")
     results = {}
     for name, args in commands(checkout, table).items():

@@ -39,10 +39,20 @@ _LEMMA_PAIRS = ((1, 2), (2, 3), (1, 4), (3, 5), (4, 9), (9, 10))
 _LEMMA5_GRID = (1.0e3, 1.0e5, 129)
 # how meansquare rows measure I: summed over the exact step series
 _INTEGRAL_METHOD = "exact-step"
-# meansquare.json's name for each meansquare.csv column
-_JSON_ROW_KEYS = ("m", "k", "h", "delta", "integral", "diagonal", "ratio",
-                  "method", "diagonal_slack", "diagonal_n_exact",
-                  "diagonal_flagged")
+# each meansquare row's (meansquare.csv column, meansquare.json key)
+_ROW_COLUMNS = (
+    ("m_window_start_index", "m"),
+    ("k_denominator", "k"),
+    ("h_numerator", "h"),
+    ("delta_window_length_index_units", "delta"),
+    ("integral_weighted_index_units", "integral"),
+    ("diagonal_term_index_units", "diagonal"),
+    ("ratio_integral_over_delta_sqrt_m", "ratio"),
+    ("method", "method"),
+    ("diagonal_slack", "diagonal_slack"),
+    ("diagonal_n_exact", "diagonal_n_exact"),
+    ("diagonal_flagged", "diagonal_flagged"),
+)
 
 
 def _provenance(cfg: ExperimentConfig, table_sha256: str | None) -> dict:
@@ -98,14 +108,13 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                       emit_json: bool) -> int:
     from .oscillatory import (l3_spec, l4_spec, l5_spec, lemma5_derivative_check,
                               oscillatory_integral, stated_bound)
-    from .weight import build_weight, window_length
+    from .weight import window_weight
 
     m_scale = cfg.ms[0]
     bound_rows = []
     deriv_rows = []
     for k in cfg.ks:
-        delta = window_length(m_scale, k, cfg.delta_coeff, cfg.delta_exponent)
-        weight = build_weight(m_scale, delta, cfg.rise_fraction * delta)
+        weight = window_weight(m_scale, k, cfg)
         point = unit_point(k)
         for m, n in _LEMMA_PAIRS:
             specs = (("L3", l3_spec(m, n, point)),
@@ -158,20 +167,14 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
                    emit_json: bool) -> int:
     from .meansquare import exponent_fit, run_sweep, sweep_grid, sweep_reach
 
-    combos = sweep_grid(cfg.ms, cfg.ks, cfg.delta_coeff, cfg.delta_exponent)
-    pairs = len(cfg.ms) * len(cfg.ks)
-    table = _load_table(cfg, sweep_reach(combos))
-    results = run_sweep(table, cfg.ms, cfg.ks, cfg.delta_coeff,
-                        cfg.delta_exponent, cfg.rise_fraction)
+    grid = sweep_grid(cfg)
+    table = _load_table(cfg, sweep_reach(grid))
+    results = run_sweep(table, grid)
     rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
              float(r.diagonal), r.ratio, _INTEGRAL_METHOD, r.diagonal.slack,
              r.diagonal.n_exact, len(r.diagonal.flagged)) for r in results]
-    n_rows = write_csv(out_dir / "meansquare.csv", (
-        "m_window_start_index", "k_denominator", "h_numerator",
-        "delta_window_length_index_units", "integral_weighted_index_units",
-        "diagonal_term_index_units", "ratio_integral_over_delta_sqrt_m",
-        "method", "diagonal_slack", "diagonal_n_exact", "diagonal_flagged",
-    ), rows)
+    n_rows = write_csv(out_dir / "meansquare.csv",
+                       [column for column, _ in _ROW_COLUMNS], rows)
 
     try:
         fit = exponent_fit(results)
@@ -193,8 +196,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
 
     ratios = [r.ratio for r in results]
     print(f"sweep rows: {n_rows}")
-    if len(combos) < pairs:
-        print(f"sweep: dropped {pairs - len(combos)} of {pairs} (M, k) pairs "
+    pairs = len(cfg.ms) * len(cfg.ks)
+    if len(grid) < pairs:
+        print(f"sweep: dropped {pairs - len(grid)} of {pairs} (M, k) pairs "
               "with k > M^(1/4)")
     print(fit_line)
     print(f"ratio range: [{min(ratios):.6e}, {max(ratios):.6e}]")
@@ -207,7 +211,8 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     if emit_json:
         write_json(out_dir / "meansquare.json", {
             "config": list(config_lines(cfg)),
-            "rows": [dict(zip(_JSON_ROW_KEYS, row)) for row in rows],
+            "rows": [{key: value for (_, key), value in zip(_ROW_COLUMNS, row)}
+                     for row in rows],
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),
             "ratio_max": max(ratios),

@@ -17,12 +17,6 @@ from .errors import ConfigError
 
 _MAX_SEED = 2 ** 64 - 1
 
-# the default mean-square sweep; meansquare's run_sweep defaults read these too
-SWEEP_MS = (1e4, 3e4, 1e5, 3e5)
-SWEEP_KS = (1, 2, 3, 5, 7)
-SWEEP_DELTA_COEFF = 4.0
-SWEEP_DELTA_EXPONENT = 0.55
-SWEEP_RISE_FRACTION = 0.25
 # quadrature node ceiling per weighted integral, oscillatory or diagonal
 NODE_BUDGET = 2_000_000
 
@@ -35,8 +29,8 @@ class ExperimentConfig:
     n            coefficient count used when (re)building the cache
     ms           window starts M for the mean-square sweep
     ks           denominators k for the mean-square sweep
-    delta_coeff  c in the window rule Delta = c k M^p
-    delta_exponent  p in the window rule, admissible range (1/2, 1]
+    delta_coeff  c in the row rule Delta = c k M^p (weight.window_weight)
+    delta_exponent  p in the row rule, admissible range (1/2, 1]
     rise_fraction   weight ramp width as a fraction of Delta
     node_budget  quadrature node ceiling per oscillatory integral
     out          output directory for CSV / JSON / SVG artifacts
@@ -51,11 +45,11 @@ class ExperimentConfig:
 
     table: str = "tau.cache"
     n: int = 1_000_000
-    ms: tuple[float, ...] = SWEEP_MS
-    ks: tuple[int, ...] = SWEEP_KS
-    delta_coeff: float = SWEEP_DELTA_COEFF
-    delta_exponent: float = SWEEP_DELTA_EXPONENT
-    rise_fraction: float = SWEEP_RISE_FRACTION
+    ms: tuple[float, ...] = (1e4, 3e4, 1e5, 3e5)
+    ks: tuple[int, ...] = (1, 2, 3, 5, 7)
+    delta_coeff: float = 4.0
+    delta_exponent: float = 0.55
+    rise_fraction: float = 0.25
     node_budget: int = NODE_BUDGET
     out: str = "out"
     seed: int = 20260815

@@ -29,6 +29,10 @@ brackets) is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
 doubles, so peak memory does not grow with the grid; each row's elements
 and its own reduction are those of the whole matrix, so the results are
 bit for bit the same.
+
+A sweep is built once from the config: sweep_grid gives each (M, k) row
+its point unit_point(k) and its weight window_weight(M, k, cfg), and
+run_sweep measures and predicts I on each row's weight.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
-from cuspsums.config import (NODE_BUDGET, SWEEP_DELTA_COEFF, SWEEP_DELTA_EXPONENT,
-                             SWEEP_KS, SWEEP_MS, SWEEP_RISE_FRACTION)
+from cuspsums.config import NODE_BUDGET, ExperimentConfig
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
-from cuspsums.weight import (WeightProfile, build_weight, eval_weight,
-                             window_gap, window_length, window_roots, window_top)
+from cuspsums.weight import (WeightProfile, eval_weight, window_gap,
+                             window_roots, window_top, window_weight)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUARTER_TURN = math.pi / 4.0
@@ -131,16 +134,15 @@ def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray
     return masses
 
 
-def theorem_integral(m: float, delta: float, point: RationalPoint,
-                     weight: WeightProfile, table: CoefficientTable) -> float:
-    """The measured I = ∫ w |S|², assembled piece by piece.
+def theorem_integral(point: RationalPoint, weight: WeightProfile,
+                     table: CoefficientTable) -> float:
+    """The measured I = ∫ w |S|² over the weight's support, piece by piece.
 
     S is constant between breakpoints, so I is the sum of the squared piece
     values of the step series times the weight mass of each piece. This
     only measures I; diagonal_term predicts it.
     """
-    _check_geometry(m, delta, weight)
-    series = step_series(m, delta, point, table)
+    series = step_series(weight.m, weight.delta, point, table)
     masses = _piece_weight_masses(weight, series.breakpoints)
     return float(np.sum(np.abs(series.values) ** 2 * masses))
 
@@ -357,56 +359,39 @@ def exponent_fit(results) -> ExponentFit:
                        rms_residual=float(np.sqrt(np.mean(residual ** 2))))
 
 
-def sweep_grid(ms=SWEEP_MS, ks=SWEEP_KS,
-               delta_coeff: float = SWEEP_DELTA_COEFF,
-               delta_exponent: float = SWEEP_DELTA_EXPONENT):
-    """(M, point, Δ) combinations inside the theorem regime.
+def sweep_grid(cfg: ExperimentConfig) -> list[tuple[RationalPoint, WeightProfile]]:
+    """The sweep's (point, weight) rows, one per (M, k) of the config.
 
-    Δ follows window_length and the point is unit_point(k); combinations
-    violating k <= M^(1/4) are dropped.
+    The point is unit_point(k) and the weight window_weight(M, k, cfg);
+    pairs violating k <= M^(1/4) are dropped.
     """
-    if not 0.5 < delta_exponent <= 1.0:
-        raise ValueError("the Δ-rule exponent must lie in (0.5, 1]")
-    combos = []
-    for m in ms:
-        for k in ks:
-            if k > m ** 0.25:
-                continue
-            delta = window_length(m, k, delta_coeff, delta_exponent)
-            combos.append((float(m), unit_point(k), float(delta)))
-    return combos
+    return [(unit_point(k), window_weight(m, k, cfg))
+            for m in cfg.ms for k in cfg.ks if k <= m ** 0.25]
 
 
-def sweep_reach(combos) -> int:
-    """The largest n a sweep over sweep_grid's combos reads.
+def sweep_reach(grid) -> int:
+    """The largest n a sweep over sweep_grid's rows reads.
 
-    That is floor(top + √top), top the largest M + Δ: the reach of the last
-    window's step_series. An empty grid reads nothing and gives 0.
+    That is floor(top + √top), top the largest top of a weight's support:
+    the reach of the last window's step_series. An empty grid reads
+    nothing and gives 0.
     """
-    top = max((m + delta for m, _, delta in combos), default=0.0)
+    top = max((weight.support[1] for _, weight in grid), default=0.0)
     return math.floor(window_top(top))
 
 
-def run_sweep(table: CoefficientTable, ms=SWEEP_MS, ks=SWEEP_KS,
-              delta_coeff: float = SWEEP_DELTA_COEFF,
-              delta_exponent: float = SWEEP_DELTA_EXPONENT,
-              rise_fraction: float = SWEEP_RISE_FRACTION
-              ) -> list[MeanSquareResult]:
-    """The measured I beside its diagonal prediction across the sweep grid.
+def run_sweep(table: CoefficientTable, grid) -> list[MeanSquareResult]:
+    """The measured I beside its diagonal prediction for each sweep_grid row.
 
     Each row holds one theorem_integral and one whole diagonal_term; rows
     are independent. An empty grid, or a table short of sweep_reach, is
     refused before the first row.
     """
-    combos = sweep_grid(ms, ks, delta_coeff, delta_exponent)
-    if not combos:
+    if not grid:
         raise ValueError("sweep is empty; every k exceeds m^(1/4)")
-    table.require(sweep_reach(combos), "mean-square sweep")
-    out = []
-    for m, point, delta in combos:
-        weight = build_weight(m, delta, rise_fraction * delta)
-        out.append(MeanSquareResult(
-            m=m, delta=delta, point=point,
-            integral=theorem_integral(m, delta, point, weight, table),
-            diagonal=diagonal_term(m, delta, point.k, weight, table)))
-    return out
+    table.require(sweep_reach(grid), "mean-square sweep")
+    return [MeanSquareResult(
+        m=weight.m, delta=weight.delta, point=point,
+        integral=theorem_integral(point, weight, table),
+        diagonal=diagonal_term(weight.m, weight.delta, point.k, weight, table))
+        for point, weight in grid]

@@ -19,9 +19,6 @@ class RationalPoint:
     k: int
     h_bar: int
 
-    def __str__(self) -> str:
-        return f"{self.h}/{self.k}"
-
 
 def make_rational_point(h: int, k: int) -> RationalPoint:
     """Reduce h/k to lowest terms and attach h_bar with h*h_bar = 1 (mod k).

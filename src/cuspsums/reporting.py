@@ -25,8 +25,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def format_value(value) -> str:
     """Render one CSV cell; floats use the pinned scientific format."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return FLOAT_FORMAT % value
     return str(value)

@@ -103,9 +103,6 @@ class StepSeries:
     breakpoints include both endpoints, so len(values) = len(breakpoints) - 1.
     """
 
-    m: float
-    delta: float
-    point: RationalPoint
     breakpoints: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -149,6 +146,5 @@ def step_series(m: float, delta: float, point: RationalPoint,
         block = np.concatenate([[anchor], piece_delta[start + 1: stop]])
         values[start:stop] = np.cumsum(block)
         start = stop
-    return StepSeries(m=float(m), delta=float(delta), point=point,
-                      breakpoints=edges, values=values)
+    return StepSeries(breakpoints=edges, values=values)
 

@@ -1,4 +1,4 @@
-"""Smooth compactly supported window weights, the Δ rule and the window [x, x + √x].
+"""Smooth compactly supported window weights, the row rule and the window [x, x + √x].
 
 The weight w(x) = psi((x - M)/r) * psi((M + Delta - x)/r) vanishes outside
 [M, M + Delta], equals exactly 1 on the plateau [M + r, M + Delta - r], and is
@@ -10,6 +10,9 @@ On (0, 1), psi(t) = sigma(v(t)) with v(t) = 1/(1 - t) - 1/t and sigma the
 logistic function, so psi'(t) = sigma (1 - sigma) (1/t^2 + 1/(1 - t)^2). It
 peaks at psi'(1/2) = 1/4 * 8 = 2 = RAMP_SLOPE_MAX. The two ramps have
 disjoint interiors whenever r <= Delta/2, so sup|w'| = RAMP_SLOPE_MAX / r.
+
+window_weight builds the weight of each (M, k) row of the mean-square sweep
+and of verify-lemmas from the config: the one home of that rule.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from cuspsums.config import ExperimentConfig
 
 _GAUSS16_NODES, _GAUSS16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -107,10 +112,14 @@ def build_weight(m: float, delta: float, r: float | None = None) -> WeightProfil
     return WeightProfile(m, delta, r)
 
 
-def window_length(m: float, k: int, delta_coeff: float,
-                  delta_exponent: float) -> float:
-    """The window rule Δ = c k M^p, clipped to [1e3, M]."""
-    return min(max(delta_coeff * k * m ** delta_exponent, 1e3), m)
+def window_weight(m: float, k: int, cfg: ExperimentConfig) -> WeightProfile:
+    """The weight of the (M, k) row of a sweep or of verify-lemmas.
+
+    Δ follows the rule Δ = c k M^p clipped to [1e3, M], with c and p the
+    config's delta_coeff and delta_exponent; the ramp is rise_fraction·Δ.
+    """
+    delta = min(max(cfg.delta_coeff * k * m ** cfg.delta_exponent, 1e3), m)
+    return build_weight(m, delta, cfg.rise_fraction * delta)
 
 
 def window_top(x):

@@ -333,7 +333,7 @@ def offdiagonal_crosscheck(m: float, delta: float, point, weight, table,
     full = float(np.real(np.conj(z) @ pairs @ z))
     diag = float(np.abs(z) ** 2 @ np.diag(pairs))
     prefactor = k / (2.0 * math.pi ** 2)
-    theorem = msq.theorem_integral(m, delta, point, weight, table)
+    theorem = msq.theorem_integral(point, weight, table)
     return OffDiagonalReport(
         diagonal=prefactor * diag,
         offdiagonal=prefactor * (full - diag),

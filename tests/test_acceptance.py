@@ -34,15 +34,16 @@ from cuspsums.cli import main as cli_main
 from cuspsums.coeffs import (deligne_check, generate_tau,
                              hecke_multiplicativity_check,
                              hecke_prime_power_check, load_cache, save_cache)
+from cuspsums.config import ExperimentConfig
 from cuspsums.meansquare import (exponent_fit, omega_statistic, run_sweep,
-                                 theorem_integral)
+                                 sweep_grid, theorem_integral)
 from cuspsums.oscillatory import (build_phase, l3_spec, l4_spec, l5_spec,
                                   lemma5_derivative_check, oscillatory_integral,
                                   stated_bound)
 from cuspsums.rational import make_rational_point, unit_point
 from cuspsums.reporting import sha256_file
 from cuspsums.voronoi import VoronoiParams, voronoi_error_scan
-from cuspsums.weight import build_weight, eval_weight, window_length
+from cuspsums.weight import build_weight, eval_weight, window_weight
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -76,7 +77,7 @@ def table_1e6(tmp_path_factory):
 def sweep(table_1e6):
     """Default mean-square sweep, shared by the exponent and diagonal checks."""
     t0 = time.perf_counter()
-    results = run_sweep(table_1e6)
+    results = run_sweep(table_1e6, sweep_grid(ExperimentConfig()))
     return results, time.perf_counter() - t0
 
 
@@ -212,8 +213,7 @@ def test_bound_certificates():
     deriv_min = math.inf
     grid_x = np.geomspace(1.0e3, 1.0e5, 129)
     for k in (1, 2, 3, 4, 5):
-        delta = window_length(m_scale, k, 4.0, 0.55)
-        weight = build_weight(m_scale, delta, 0.25 * delta)
+        weight = window_weight(m_scale, k, ExperimentConfig())
         point = unit_point(k)
         for i, m in enumerate(grid):
             for n in grid[i:]:
@@ -276,7 +276,7 @@ def test_structural_identity(table_2e4):
     worst_rel = 0.0
     for k in (1, 2, 3):
         point = unit_point(k)
-        got = theorem_integral(m_scale, delta, point, weight, table_2e4)
+        got = theorem_integral(point, weight, table_2e4)
         ref = riemann_mean_square(m_scale, delta, point.h, k, table_2e4.a,
                                   weight, 10 ** 6)
         worst_rel = max(worst_rel, abs(got - ref) / ref)
@@ -284,11 +284,9 @@ def test_structural_identity(table_2e4):
 
     sym_rel = 0.0
     for k, h in ((5, 1), (5, 2), (3, 1)):
-        left = theorem_integral(m_scale, delta, make_rational_point(h, k),
-                                weight, table_2e4)
-        right = theorem_integral(m_scale, delta,
-                                 make_rational_point(k - h, k),
-                                 weight, table_2e4)
+        left = theorem_integral(make_rational_point(h, k), weight, table_2e4)
+        right = theorem_integral(make_rational_point(k - h, k), weight,
+                                 table_2e4)
         sym_rel = max(sym_rel, abs(left - right) / left)
     sym_ok = sym_rel <= 1e-9
 

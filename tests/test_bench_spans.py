@@ -49,12 +49,14 @@ def test_hooks_read_arguments_at_their_positions(tracer):
 
 
 def test_traced_sweep_row_counts(tracer, table_2e4):
-    from cuspsums.meansquare import run_sweep
+    from cuspsums.config import ExperimentConfig
+    from cuspsums.meansquare import run_sweep, sweep_grid
 
+    grid = sweep_grid(ExperimentConfig(ms=(1e4,), ks=(1,)))
     traced = tracer.Tracer()
     traced.install()
     try:
-        (row,) = run_sweep(table_2e4, ms=(1e4,), ks=(1,))
+        (row,) = run_sweep(table_2e4, grid)
     finally:
         traced.remove()
     assert traced.hook_errors == []

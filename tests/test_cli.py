@@ -296,6 +296,55 @@ def test_meansquare_reports_dropped_pairs(workspace, capsys):
                            "pairs with k > M^(1/4)"]
 
 
+def test_meansquare_builds_its_grid_once(workspace, monkeypatch):
+    # the command builds the (point, weight) rows and hands them to run_sweep
+    import cuspsums.meansquare as msq
+
+    calls = []
+    real_grid = msq.sweep_grid
+
+    def counted(*args):
+        calls.append(args)
+        return real_grid(*args)
+
+    monkeypatch.setattr(msq, "sweep_grid", counted)
+    root, cfg, table = workspace
+    assert main(["meansquare", "--config", str(cfg), "--out",
+                 str(root / "grid_once")]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_lemmas_weights_follow_the_row_rule(workspace, monkeypatch):
+    # verify-lemmas builds the weight of each (M, k) = (ms[0], k) by the
+    # sweep's row rule, rule keys included
+    import cuspsums.oscillatory as osc
+    from cuspsums.config import load_config
+    from cuspsums.weight import window_weight
+
+    root, cfg, table = workspace
+    path = root / "rule.cfg"
+    path.write_text("ms = 1e4, 1e5\nks = 1, 3\ndelta_coeff = 3.0\n"
+                    "delta_exponent = 0.6\nrise_fraction = 0.125\n",
+                    encoding="utf-8")
+    seen = set()
+    real_integral = osc.oscillatory_integral
+
+    def recording(profile, spec, **kwargs):
+        seen.add((spec.point.k, profile))
+        return real_integral(profile, spec, **kwargs)
+
+    monkeypatch.setattr(osc, "oscillatory_integral", recording)
+    assert main(["verify-lemmas", "--config", str(path), "--out",
+                 str(root / "rule_out")]) == 0
+    rule = load_config(path)
+    assert seen == {(k, window_weight(1e4, k, rule)) for k in (1, 3)}
+    weights = dict(seen)
+    # Δ = 3 k M^0.6, clipped below at 1e3; the ramp is Δ/8
+    assert weights[1].delta == 1e3
+    assert weights[3].delta == pytest.approx(9.0 * 1e4 ** 0.6, rel=1e-15)
+    assert weights[3].r == 0.125 * weights[3].delta
+
+
 @pytest.mark.parametrize("command, body", [
     # six rows over a decade of M, so exponent_fit reaches its distinct-k test
     ("meansquare", "ms = 1e3, 1e4\nks = 1, 2, 3\n"),

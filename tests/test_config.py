@@ -134,7 +134,6 @@ def test_config_lines_round_trip(tmp_path):
 def test_format_value_pinned():
     assert format_value(0.1) == "1.000000000000e-01"
     assert format_value(-2.5e-7) == "-2.500000000000e-07"
-    assert format_value(True) == "true"
     assert format_value(12) == "12"
     assert format_value("L3") == "L3"
 

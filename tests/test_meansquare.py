@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cuspsums import meansquare as msq
+from cuspsums.config import ExperimentConfig
 from cuspsums.rational import make_rational_point
 from cuspsums.weight import build_weight
 
@@ -36,34 +37,32 @@ def window_1e3():
 
 def test_zero_coefficients_give_zero_integral(window_1e3):
     zeros = table_from_tau([0] * 4000)
-    assert msq.theorem_integral(1e3, 1e3, PT01, window_1e3, zeros) == 0.0
+    assert msq.theorem_integral(PT01, window_1e3, zeros) == 0.0
     assert msq.diagonal_term(1e3, 1e3, 1, window_1e3, zeros).value == 0.0
 
 
 def test_integral_matches_dense_riemann_oracle(table_2e4, window_1e4):
-    integral = msq.theorem_integral(1e4, 2e3, PT01, window_1e4, table_2e4)
+    integral = msq.theorem_integral(PT01, window_1e4, table_2e4)
     ref = riemann_mean_square(1e4, 2e3, 0, 1, table_2e4.a, window_1e4, 10 ** 6)
     assert integral == pytest.approx(ref, rel=1e-4)
 
 
 def test_conjugate_twist_invariance(table_2e4, window_1e4):
-    i15 = msq.theorem_integral(1e4, 2e3, make_rational_point(1, 5),
-                               window_1e4, table_2e4)
-    i45 = msq.theorem_integral(1e4, 2e3, make_rational_point(4, 5),
-                               window_1e4, table_2e4)
+    i15 = msq.theorem_integral(make_rational_point(1, 5), window_1e4, table_2e4)
+    i45 = msq.theorem_integral(make_rational_point(4, 5), window_1e4, table_2e4)
     assert i15 == pytest.approx(i45, rel=1e-9)
 
 
 def test_smaller_weight_never_increases(table_2e4, window_1e4):
     wider_ramp = build_weight(1e4, 2e3, 1e3)  # pointwise below the r=delta/4 window
-    base = msq.theorem_integral(1e4, 2e3, PT12, window_1e4, table_2e4)
-    smaller = msq.theorem_integral(1e4, 2e3, PT12, wider_ramp, table_2e4)
+    base = msq.theorem_integral(PT12, window_1e4, table_2e4)
+    smaller = msq.theorem_integral(PT12, wider_ramp, table_2e4)
     assert smaller <= base
 
 
 def test_geometry_mismatch_rejected(table_2e4, window_1e4):
     with pytest.raises(ValueError):
-        msq.theorem_integral(2e4, 2e3, PT01, window_1e4, table_2e4)
+        msq.diagonal_term(2e4, 2e3, 1, window_1e4, table_2e4)
 
 
 def test_diagonal_value_and_certificate(table_2e4, window_1e4):
@@ -96,7 +95,7 @@ def test_diagonal_below_trivial_bound(table_2e4, window_1e4):
 
 def test_diagonal_tracks_full_integral(table_2e4, window_1e4):
     for point in (PT01, make_rational_point(1, 3)):
-        integral = msq.theorem_integral(1e4, 2e3, point, window_1e4, table_2e4)
+        integral = msq.theorem_integral(point, window_1e4, table_2e4)
         diagonal = msq.diagonal_term(1e4, 2e3, point.k, window_1e4, table_2e4)
         assert diagonal.value == pytest.approx(integral, rel=0.10)
 
@@ -259,23 +258,30 @@ def test_exponent_fit_recovers_synthetic_laws():
         msq.exponent_fit(collinear)
 
 
+def _grid(**keys):
+    return msq.sweep_grid(ExperimentConfig(**keys))
+
+
 def test_sweep_grid_respects_regime():
-    combos = msq.sweep_grid()
-    assert len(combos) == 20
-    for m, point, delta in combos:
-        assert point.k <= m ** 0.25
-        assert 1e3 <= delta <= m
+    grid = _grid()
+    assert len(grid) == 20
+    for point, weight in grid:
+        assert point.k <= weight.m ** 0.25
+        assert 1e3 <= weight.delta <= weight.m
+        assert weight.r == 0.25 * weight.delta
         assert point.h == (0 if point.k == 1 else 1)
     # k above M^(1/4) is dropped entirely
-    assert msq.sweep_grid(ms=(50.0,), ks=(5,)) == []
+    assert _grid(ms=(50.0,), ks=(5,)) == []
+    # the config, which every grid is built from, refuses the Δ-rule
+    # exponents outside (1/2, 1]
     with pytest.raises(ValueError):
-        msq.sweep_grid(delta_exponent=0.5)
+        ExperimentConfig(delta_exponent=0.5)
     with pytest.raises(ValueError):
-        msq.sweep_grid(delta_exponent=1.2)
+        ExperimentConfig(delta_exponent=1.2)
 
 
 def test_run_sweep_small(table_2e4):
-    results = msq.run_sweep(table_2e4, ms=(1e4,), ks=(1, 2))
+    results = msq.run_sweep(table_2e4, _grid(ms=(1e4,), ks=(1, 2)))
     assert len(results) == 2
     for res in results:
         assert res.integral > 0.0
@@ -294,10 +300,10 @@ def test_run_sweep_refuses_before_the_first_row(table_2e4, monkeypatch):
     monkeypatch.setattr(msq, "theorem_integral", no_row)
     monkeypatch.setattr(msq, "diagonal_term", no_row)
     with pytest.raises(ValueError, match="sweep is empty"):
-        msq.run_sweep(table_2e4, ms=(50.0,), ks=(5,))
+        msq.run_sweep(table_2e4, _grid(ms=(50.0,), ks=(5,)))
     # the first row fits in 2e4; the second (M = 2e4) needs more
     with pytest.raises(ValueError, match="mean-square sweep needs"):
-        msq.run_sweep(table_2e4, ms=(1e4, 2e4), ks=(1,))
+        msq.run_sweep(table_2e4, _grid(ms=(1e4, 2e4), ks=(1,)))
 
 
 def test_result_validation():

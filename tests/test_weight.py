@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuspsums
+from cuspsums.config import ExperimentConfig
 from cuspsums.sums import _BREAKPOINT_TOL
 from cuspsums.weight import (RAMP_SLOPE_MAX, build_weight, eval_weight,
-                             window_exits, window_length, window_roots,
-                             window_top)
+                             window_exits, window_roots, window_top,
+                             window_weight)
 
 
 def test_support_and_plateau_exact():
@@ -102,8 +103,7 @@ def test_ramp_slope_closed_form():
 def test_first_panels_ramp_floor_reads_stored_delta():
     # the k = 7 verify-lemmas window: 2Δ/r is exactly 8 from the stored Δ,
     # but 8.000000000000002 from the support width (M + Δ) - M
-    delta = window_length(1e4, 7, 4.0, 0.55)
-    p = build_weight(1e4, delta, 0.25 * delta)
+    p = window_weight(1e4, 7, ExperimentConfig())
     lo, hi = p.support
     assert 2.0 * (hi - lo) / p.r > 8.0
     assert p.first_panels(0.0) == 8
