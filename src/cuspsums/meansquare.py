@@ -25,10 +25,14 @@ moments of w√x (g - g₀)^j, because s·g moves by well under one radian
 across a window; the Taylor remainder of that series joins the slack.
 
 Every large grid (the exact brackets, the piece masses, the slow
-brackets) is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
-doubles, so peak memory does not grow with the grid; each row's elements
-and its own reduction are those of the whole matrix, so the results are
-bit for bit the same.
+brackets, the diagonal's n-long chain of weights and summands) is
+evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, and the
+exact and slow brackets work in place in block buffers allocated once per
+grid, so peak memory does not grow with the grid and freed blocks are
+reused instead of mapped afresh. Each element is computed by the same
+floating-point operations in the same order as on the whole matrix, each
+row keeps its own reduction, and each sum of the diagonal is still one
+np.sum over its whole summand, so the results are bit for bit the same.
 
 A sweep is built once from the config: sweep_grid gives each (M, k) row
 its point unit_point(k) and its weight window_weight(M, k, cfg), and
@@ -61,10 +65,13 @@ _MOMENT_ORDER = 12
 # first-grid Gauss-16 panels per unit of the peak rate 4√n/(k√x) over the
 # window: about three cycles of the squared product form per panel
 _PANELS_PER_RATE = 0.15625
-# doubles per block of a blocked grid evaluation: 2^15 doubles are 256 KB,
-# small enough that a block's temporaries stay in L2 and peak memory stays
-# flat, large enough that the numpy calls per block cost little beside them
-_BLOCK_ELEMENTS = 1 << 15
+# doubles per block of a blocked grid evaluation: 2^13 doubles are 64 KiB,
+# under glibc's default 128 KiB mmap threshold, so a freed block is
+# recycled from the heap instead of unmapped and faulted in again (this
+# constant alone took the benchmark's 6-row sweep from 26.6k to 12.5k
+# minor faults, with the same report bytes), and large enough that the
+# numpy calls per block cost little beside the work in them
+_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -116,21 +123,29 @@ def _check_geometry(m: float, delta: float, weight: WeightProfile) -> None:
         )
 
 
+def _block_rows(width: int) -> int:
+    """Rows of width elements in one block: _BLOCK_ELEMENTS // width, at least one."""
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
 def _row_blocks(rows: int, width: int):
-    """Slices of _BLOCK_ELEMENTS // width rows (at least one) covering rows."""
-    step = max(1, _BLOCK_ELEMENTS // width)
-    return (slice(start, start + step) for start in range(0, rows, step))
+    """Slices of _block_rows(width) rows covering rows, the last one ragged."""
+    step = _block_rows(width)
+    return (slice(start, min(start + step, rows))
+            for start in range(0, rows, step))
 
 
 def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray:
     """∫ w over each piece by fixed-order Gauss quadrature on the smooth w."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    masses = np.empty(half.size)
-    for rows in _row_blocks(half.size, _GAUSS8_NODES.size):
-        x = mid[rows, None] + half[rows, None] * _GAUSS8_NODES[None, :]
-        masses[rows] = half[rows] * (eval_weight(weight, x)
-                                     * _GAUSS8_WEIGHTS).sum(axis=1)
+    masses = np.empty(edges.size - 1)
+    for rows in _row_blocks(masses.size, _GAUSS8_NODES.size):
+        lo = edges[rows.start:rows.stop]
+        hi = edges[rows.start + 1:rows.stop + 1]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        x = mid[:, None] + half[:, None] * _GAUSS8_NODES[None, :]
+        masses[rows] = half * (eval_weight(weight, x)
+                               * _GAUSS8_WEIGHTS).sum(axis=1)
     return masses
 
 
@@ -144,7 +159,10 @@ def theorem_integral(point: RationalPoint, weight: WeightProfile,
     """
     series = step_series(weight.m, weight.delta, point, table)
     masses = _piece_weight_masses(weight, series.breakpoints)
-    return float(np.sum(np.abs(series.values) ** 2 * masses))
+    summand = np.abs(series.values)
+    np.square(summand, out=summand)
+    summand *= masses
+    return float(np.sum(summand))
 
 
 def _root_weighted(weight: WeightProfile, x: np.ndarray, wts: np.ndarray):
@@ -158,19 +176,37 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
     return x, _root_weighted(weight, x, wts)
 
 
-def _cos_difference(ns: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
+def _phase_columns(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(√(x+√x) + √x)/2 and window_gap(x): _cos_difference's factors of x."""
+    root, top_root = window_roots(xs)
+    mean = 0.5 * (top_root + root)
+    return mean, 0.5 * root / mean  # window_gap, from the roots already taken
+
+
+def _cos_difference(ns: np.ndarray, k: int, columns, out=None,
+                    work=None) -> np.ndarray:
     """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
 
     Product form -2 sin((A+B)/2 - π/4) sin(s g / 2) with A = s√(x+√x),
     B = s√x and s = 4π√n/k: only the rounding of the argument (A+B)/2
-    itself is left, not a difference of two cosines near it.
+    itself is left, not a difference of two cosines near it. columns is
+    _phase_columns(xs). The ns.size × xs.size result is written in place
+    into the first rows of out, with work as scratch of the same shape;
+    both are allocated when not given.
     """
+    mean, gap = columns
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    root, top_root = window_roots(xs)
-    mean = 0.5 * (top_root + root)
-    gap = 0.5 * root / mean  # = window_gap(xs), from the roots already taken
-    return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
-            * np.sin(np.outer(0.5 * scale, gap)))
+    shape = (ns.size, mean.size)
+    out = np.empty(shape) if out is None else out[:ns.size]
+    work = np.empty(shape) if work is None else work[:ns.size]
+    np.multiply.outer(scale, mean, out=out)
+    out -= _QUARTER_TURN
+    np.sin(out, out=out)
+    out *= -2.0
+    np.multiply.outer(0.5 * scale, gap, out=work)
+    np.sin(work, out=work)
+    out *= work
+    return out
 
 
 def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
@@ -206,9 +242,15 @@ def diagonal_profile(ns, k: int, weight: WeightProfile):
 
     def squared_differences(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
         wsx = _root_weighted(weight, xs, wts)
+        columns = _phase_columns(xs)
+        shape = (min(ns.size, _block_rows(xs.size)), xs.size)
+        product, work = np.empty(shape), np.empty(shape)
         out = np.empty(ns.size)
         for rows in _row_blocks(ns.size, xs.size):
-            out[rows] = (_cos_difference(ns[rows], k, xs) ** 2 * wsx).sum(axis=1)
+            block = _cos_difference(ns[rows], k, columns, product, work)
+            np.square(block, out=block)
+            block *= wsx
+            np.sum(block, axis=1, out=out[rows])
         return out
 
     values, settled = weight.refine(panels, squared_differences, 1e-9 * mass,
@@ -227,6 +269,17 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
     weight-resolving grid. The Taylor remainder of e^(iy) bounds each
     bracket's truncation error by (s_max·max|g - g₀|)^J/J! · Σ|w√x|,
     J = _MOMENT_ORDER; returns (brackets, that bound).
+
+    The Horner steps series ← m_{j-1} + (i s/j)·series run in place on the
+    real and imaginary parts, a block of n at a time in buffers allocated
+    once, and give numpy's complex arithmetic bit for bit: i s/j is (0, t)
+    with t = s·(1.0/j) exactly (Smith's division by (j, 0)), and
+    (0, t)·(re, im) is (0·re - t·im, 0·im + t·re), so with m real the new
+    parts are re = m - t·im and im = t·re + 0.0. The zero products change
+    no nonzero value; the + 0.0 keeps complex addition's +0.0 where t·re
+    is -0.0. The last step, e^(i s g₀)·series, stays one complex product,
+    written to a third buffer: numpy rounds a one-element complex product
+    written over one of its operands differently from the whole array's.
     """
     g = window_gap(xs)
     g0 = 0.5 * (float(g.min()) + float(g.max()))
@@ -234,13 +287,30 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
     moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
     mass = float(np.sum(wsx))
     brackets = np.empty(ns.size)
+    size = min(ns.size, _block_rows(1))
+    reals = [np.empty(size) for _ in range(4)]
+    complexes = [np.empty(size, complex) for _ in range(3)]
     for rows in _row_blocks(ns.size, 1):
-        scale = (4.0 * math.pi / k) * np.sqrt(ns[rows].astype(float))
+        count = rows.stop - rows.start
+        scale, step, re, im = (buf[:count] for buf in reals)
+        series, phase, product = (buf[:count] for buf in complexes)
+        np.sqrt(ns[rows], out=scale)
+        scale *= 4.0 * math.pi / k
         # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
-        series = np.full(scale.size, moments[-1], dtype=complex)
+        re.fill(moments[-1])
+        im.fill(0.0)
         for j in range(_MOMENT_ORDER - 1, 0, -1):
-            series = moments[j - 1] + (1j * scale / j) * series
-        brackets[rows] = mass - np.real(np.exp(1j * g0 * scale) * series)
+            np.multiply(scale, 1.0 / j, out=step)
+            re *= step      # t·re, the new imaginary part
+            im *= step
+            np.subtract(moments[j - 1], im, out=im)     # the new real part
+            re, im = im, re
+            im += 0.0
+        series.real, series.imag = re, im
+        np.multiply(1j * g0, scale, out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(phase, series, out=product)
+        np.subtract(mass, product.real, out=brackets[rows])
     # s is monotone in n, so the largest n has the largest s
     s_max = (4.0 * math.pi / k) * math.sqrt(float(ns.max()))
     reach = s_max * float(np.max(np.abs(offset)))
@@ -260,6 +330,10 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     bounded by first-derivative certificates whose minimum phase slope
     grows like √n. Those bounds and the series' truncation bound are summed
     and returned as slack rather than folded into the value.
+
+    The n-long chain is built a block at a time into at most two n-long
+    arrays: the tail brackets, which become coeff·bracket and then
+    coeff·√(n_exact/n) in place, and the weights themselves.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -268,20 +342,29 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     table.require(n_top, "diagonal_term")
     n_exact = min(max(_N_EXACT_FLOOR, 4 * k * k), n_top)
 
-    coeff = (k / (2.0 * math.pi ** 2)) \
-        * np.abs(table.a[:n_top]) ** 2 / np.arange(1, n_top + 1) ** 1.5
-
     exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
     exact_vals, flagged = diagonal_profile(exact_ns, k, weight)
+    # the tail brackets before the weights, so that their n-long int64
+    # argument is freed first; the brackets array then holds each tail
+    # summand in turn
+    if n_exact < n_top:
+        xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
+        summand, truncation = _slow_brackets(
+            np.arange(n_exact + 1, n_top + 1, dtype=np.int64), k, xs, wsx)
+
+    coeff = np.empty(n_top)
+    for rows in _row_blocks(n_top, 1):
+        part = np.abs(table.a[rows], out=coeff[rows])
+        np.square(part, out=part)
+        part *= k / (2.0 * math.pi ** 2)
+        part /= np.arange(rows.start + 1, rows.stop + 1) ** 1.5
     value = float(np.sum(coeff[:n_exact] * exact_vals))
 
     slack = 0.0
     if n_exact < n_top:
-        xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
-        tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
         tail_coeff = coeff[n_exact:]
-        brackets, truncation = _slow_brackets(tail_ns, k, xs, wsx)
-        value += float(np.sum(tail_coeff * brackets))
+        summand *= tail_coeff           # coeff·bracket
+        value += float(np.sum(summand))
         # certify the three dropped oscillatory pieces at the cutoff
         # frequency; their minimum phase slope scales exactly as sqrt(n), and
         # only that slope differs between their certificates, so the one
@@ -294,8 +377,14 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
                           l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))),
             key=lambda c: c.b1)
         per_piece = jm_bound(cert)
-        slack = 2.0 * per_piece * float(
-            np.sum(tail_coeff * np.sqrt(n_exact / tail_ns.astype(float))))
+        for rows in _row_blocks(summand.size, 1):
+            part = summand[rows]
+            np.divide(n_exact, np.arange(n_exact + 1 + rows.start,
+                                         n_exact + 1 + rows.stop, dtype=float),
+                      out=part)
+            np.sqrt(part, out=part)
+            part *= tail_coeff[rows]    # coeff·√(n_exact/n)
+        slack = 2.0 * per_piece * float(np.sum(summand))
         slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
                         flagged=flagged)

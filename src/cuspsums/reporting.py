@@ -53,10 +53,17 @@ def write_json(path, payload) -> None:
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of the file, read through one reused 1 MiB buffer.
+
+    A fresh 1 MiB bytes object per read is above malloc's mmap threshold,
+    so each would be mapped and faulted in anew; hashlib.file_digest,
+    which reuses its buffer, needs Python 3.11.
+    """
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 

@@ -109,7 +109,12 @@ class StepSeries:
 
 def step_series(m: float, delta: float, point: RationalPoint,
                 table: CoefficientTable) -> StepSeries:
-    """Build the step structure with O(delta) single-term updates."""
+    """Build the step structure with O(delta) single-term updates.
+
+    values is filled one anchor block of _ANCHOR_EVERY pieces at a time:
+    the block's directly summed anchor, then its entry and exit events
+    written straight into it, then an in-place cumulative sum.
+    """
     hi = m + delta
     table.require(math.floor(window_top(hi)), "step_series")
     # breakpoints are merged already; the ends are m and m + delta exactly,
@@ -119,10 +124,17 @@ def step_series(m: float, delta: float, point: RationalPoint,
     head = [float(m)] if hi - m > _BREAKPOINT_TOL else []
     edges = np.concatenate([head, inner, [float(hi)]])
 
-    xs = edges[1:-1]
     n_piece = edges.size - 1
-    piece_delta = np.zeros(n_piece, dtype=complex)
-    if xs.size:
+    values = np.empty(n_piece, dtype=complex)
+    for start in range(0, n_piece, _ANCHOR_EVERY):
+        stop = min(start + _ANCHOR_EVERY, n_piece)
+        block = values[start:stop]
+        block[0] = short_sum(float(0.5 * (edges[start] + edges[start + 1])),
+                             point, table)
+        # piece i > start changes by the events at its left edge edges[i]
+        deltas = block[1:]
+        deltas[:] = 0.0
+        xs = edges[start + 1: stop]
         # entry events: integer n leaves the window as x passes n
         n_cand = np.rint(xs)
         is_entry = np.abs(xs - n_cand) <= _BREAKPOINT_TOL
@@ -130,21 +142,10 @@ def step_series(m: float, delta: float, point: RationalPoint,
         tops = window_top(xs)
         j_cand = np.rint(tops)
         is_exit = np.abs(tops - j_cand) <= _BREAKPOINT_TOL
-        deltas = np.zeros(xs.size, dtype=complex)
         for mask, sign, cand in ((is_entry, -1.0, n_cand), (is_exit, +1.0, j_cand)):
             if mask.any():
                 js = cand[mask].astype(np.int64)
                 deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
-        piece_delta[1:] = deltas
-
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    values = np.empty(n_piece, dtype=complex)
-    start = 0
-    while start < n_piece:
-        stop = min(start + _ANCHOR_EVERY, n_piece)
-        anchor = short_sum(float(mids[start]), point, table)
-        block = np.concatenate([[anchor], piece_delta[start + 1: stop]])
-        values[start:stop] = np.cumsum(block)
-        start = stop
+        np.cumsum(block, out=block)
     return StepSeries(breakpoints=edges, values=values)
 

@@ -322,7 +322,7 @@ def offdiagonal_crosscheck(m: float, delta: float, point, weight, table,
     ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
 
     def pair_integrals(xs, wts):
-        diffs = msq._cos_difference(ns, k, xs)
+        diffs = msq._cos_difference(ns, k, msq._phase_columns(xs))
         return (diffs * msq._root_weighted(weight, xs, wts)) @ diffs.T
 
     pairs, settled = weight.refine(panels, pair_integrals, 1e-9 * (hi - lo)
@@ -381,7 +381,8 @@ def profile_one_matrix(ns, k: int, weight, node_budget: int = 2_000_000):
     panels = msq._first_panels(int(ns.max()), k, weight)
     mass = float(np.sum(msq._weighted_nodes(weight, panels)[1]))
     values, settled = weight.refine(panels, lambda xs, wts: (
-        msq._cos_difference(ns, k, xs) ** 2 * msq._root_weighted(weight, xs, wts)
+        msq._cos_difference(ns, k, msq._phase_columns(xs)) ** 2
+        * msq._root_weighted(weight, xs, wts)
     ).sum(axis=1), 1e-9 * mass, node_budget)
     values[~settled] = 4.0 * mass
     return values, tuple(int(n) for n in ns[~settled])
@@ -431,3 +432,89 @@ def normalized_one_shot(records):
 
     return _record_doubles(records) / np.arange(1, records.size + 1,
                                                 dtype=float) ** 5.5
+
+
+def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
+    """meansquare.diagonal_term with its n-long chain as whole arrays."""
+    import numpy as np
+
+    from cuspsums import meansquare as msq
+    from cuspsums.oscillatory import (T_SHIFTED, derivative_certificate,
+                                      jm_bound, l3_spec)
+    from cuspsums.rational import unit_point
+
+    msq._check_geometry(m, delta, weight)
+    n_top = math.floor(m)
+    table.require(n_top, "diagonal_term")
+    n_exact = min(max(msq._N_EXACT_FLOOR, 4 * k * k), n_top)
+
+    coeff = (k / (2.0 * math.pi ** 2)) \
+        * np.abs(table.a[:n_top]) ** 2 / np.arange(1, n_top + 1) ** 1.5
+
+    exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
+    exact_vals, flagged = msq.diagonal_profile(exact_ns, k, weight)
+    value = float(np.sum(coeff[:n_exact] * exact_vals))
+
+    slack = 0.0
+    if n_exact < n_top:
+        xs, wsx = msq._weighted_nodes(weight, weight.first_panels(0.0))
+        tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
+        tail_coeff = coeff[n_exact:]
+        brackets, truncation = msq._slow_brackets(tail_ns, k, xs, wsx)
+        value += float(np.sum(tail_coeff * brackets))
+        pt = unit_point(k)
+        cert = min(
+            (derivative_certificate(weight, spec)
+             for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
+                          l3_spec(n_exact, n_exact, pt),
+                          l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))),
+            key=lambda c: c.b1)
+        per_piece = jm_bound(cert)
+        slack = 2.0 * per_piece * float(
+            np.sum(tail_coeff * np.sqrt(n_exact / tail_ns.astype(float))))
+        slack += truncation * float(np.sum(tail_coeff))
+    return msq.DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
+                            flagged=flagged)
+
+
+def step_series_one_matrix(m: float, delta: float, point, table):
+    """sums.step_series with every piece's event delta in one array."""
+    import numpy as np
+
+    from cuspsums import sums
+    from cuspsums.rational import e_k
+    from cuspsums.weight import window_top
+
+    tol = sums._BREAKPOINT_TOL
+    hi = m + delta
+    inner = sums.breakpoints(m, delta)
+    inner = inner[(inner - m > tol) & (hi - inner > tol)]
+    head = [float(m)] if hi - m > tol else []
+    edges = np.concatenate([head, inner, [float(hi)]])
+
+    xs = edges[1:-1]
+    n_piece = edges.size - 1
+    piece_delta = np.zeros(n_piece, dtype=complex)
+    if xs.size:
+        n_cand = np.rint(xs)
+        is_entry = np.abs(xs - n_cand) <= tol
+        tops = window_top(xs)
+        j_cand = np.rint(tops)
+        is_exit = np.abs(tops - j_cand) <= tol
+        deltas = np.zeros(xs.size, dtype=complex)
+        for mask, sign, cand in ((is_entry, -1.0, n_cand), (is_exit, +1.0, j_cand)):
+            if mask.any():
+                js = cand[mask].astype(np.int64)
+                deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
+        piece_delta[1:] = deltas
+
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    values = np.empty(n_piece, dtype=complex)
+    start = 0
+    while start < n_piece:
+        stop = min(start + sums._ANCHOR_EVERY, n_piece)
+        anchor = sums.short_sum(float(mids[start]), point, table)
+        block = np.concatenate([[anchor], piece_delta[start + 1: stop]])
+        values[start:stop] = np.cumsum(block)
+        start = stop
+    return sums.StepSeries(breakpoints=edges, values=values)

@@ -1,11 +1,12 @@
 """Blocked grid evaluations against their one-matrix references.
 
-diagonal_profile, _piece_weight_masses, _slow_brackets and normalize
-evaluate their grids a block of rows at a time. With the block constants
-patched small, every loop runs several blocks, a ragged last block, and
-one row per block where a row is wider than the block; each result must
-equal the one-matrix reference bit for bit. tracemalloc then pins the
-working set that the blocks buy.
+diagonal_profile, _piece_weight_masses, _slow_brackets, diagonal_term's
+n-long chain, step_series' anchor blocks and normalize evaluate their
+grids a block of rows at a time. With the block constants patched small,
+every loop runs several blocks, a ragged last block, and one row per
+block where a row is wider than the block; each result must equal the
+one-matrix reference bit for bit. tracemalloc then pins the working set
+that the blocks buy.
 """
 
 import tracemalloc
@@ -13,12 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspsums import coeffs
+from cuspsums import coeffs, sums
 from cuspsums import meansquare as msq
 from cuspsums.coeffs import normalize
+from cuspsums.rational import unit_point
 from cuspsums.weight import build_weight
-from oracles import (normalized_one_shot, piece_masses_one_matrix,
-                     profile_one_matrix, slow_brackets_one_matrix)
+from oracles import (diagonal_term_one_matrix, normalized_one_shot,
+                     piece_masses_one_matrix, profile_one_matrix,
+                     slow_brackets_one_matrix, step_series_one_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,37 @@ def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
         assert bound == ref_bound
 
 
+@pytest.mark.parametrize(("block", "m", "delta"), [(None, 1e4, 2e3),
+                                                   (777, 1e4, 2e3),
+                                                   (1, 600.0, 200.0)])
+def test_diagonal_term_blocks_match_one_matrix(table_2e4, monkeypatch,
+                                               block, m, delta):
+    # 10^4 weights and 9744 tail brackets leave a ragged last block of the
+    # default size and of 777; a block of 1 holds one n
+    weight = build_weight(m, delta)
+    if block is not None:
+        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+    for k in (1, 7):
+        term = msq.diagonal_term(m, delta, k, weight, table_2e4)
+        ref = diagonal_term_one_matrix(m, delta, k, weight, table_2e4)
+        assert (term.value, term.slack) == (ref.value, ref.slack)
+        assert (term.n_exact, term.flagged) == (ref.n_exact, ref.flagged)
+
+
+@pytest.mark.parametrize("anchor_every", [None, 100, 1])
+def test_step_series_blocks_match_one_matrix(table_2e4, monkeypatch,
+                                             anchor_every):
+    # about 4000 pieces: anchor blocks of 1024 and of 100 leave a ragged
+    # last block; a block of 1 anchors every piece
+    if anchor_every is not None:
+        monkeypatch.setattr(sums, "_ANCHOR_EVERY", anchor_every)
+    for k in (1, 7):
+        series = sums.step_series(1e4, 2e3, unit_point(k), table_2e4)
+        ref = step_series_one_matrix(1e4, 2e3, unit_point(k), table_2e4)
+        assert np.array_equal(series.breakpoints, ref.breakpoints)
+        assert np.array_equal(series.values, ref.values)
+
+
 @pytest.mark.parametrize(("block", "n"), [(None, 20_000), (777, 20_000),
                                           (1, 500)])
 def test_normalize_blocks_match_one_shot(table_2e4, monkeypatch, block, n):
@@ -96,11 +130,26 @@ def test_normalize_blocks_match_one_shot(table_2e4, monkeypatch, block, n):
 
 
 def test_diagonal_term_working_set(table_1e5):
-    # the exact brackets' grid is 256 rows by thousands of nodes, whose
-    # temporaries reach 19 MB as one matrix
-    weight = build_weight(1e4, 1e3, 250.0)
-    peak = _peak_bytes(lambda: msq.diagonal_term(1e4, 1e3, 1, weight, table_1e5))
-    assert peak < 2 * 2**20
+    for m, delta, r, limit in (
+            # the exact brackets' grid is 256 rows by thousands of nodes,
+            # whose temporaries reach 19 MB as one matrix
+            (1e4, 1e3, 250.0, 2 * 2**20),
+            # beyond block buffers, at most two n-long arrays of doubles;
+            # the chain as whole arrays holds about five
+            (1e5, 1e4, None, 2 * 8 * 1e5 + 2**20)):
+        weight = build_weight(m, delta, r)
+        peak = _peak_bytes(
+            lambda: msq.diagonal_term(m, delta, 1, weight, table_1e5))
+        assert peak < limit, (m, delta, peak)
+
+
+def test_theorem_integral_working_set(table_1e5):
+    # about 6·10^4 pieces: the breakpoints, the values and the masses, with
+    # |S|²·mass formed in one more pieces-long array
+    weight = build_weight(5e4, 3e4)
+    peak = _peak_bytes(lambda: msq.theorem_integral(unit_point(7), weight,
+                                                    table_1e5))
+    assert peak < 4 * 2**20
 
 
 def test_normalize_working_set(table_1e5):

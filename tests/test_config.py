@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -166,6 +167,15 @@ def test_fingerprints(tmp_path):
     path.write_bytes(b"abc")
     assert sha256_file(path) == hashlib.sha256(b"abc").hexdigest()
     assert sha256_text(["a", "b"]) == hashlib.sha256(b"a\nb").hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 1])
+def test_sha256_file_across_its_buffer(tmp_path, size):
+    # empty, shorter than, exactly and one byte past the 1 MiB read buffer
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_svg_plot_structure():
