@@ -35,11 +35,10 @@ width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
 Loading the 10^6 cache takes 0.12 s, and a load-only process peaks at
 51 MB (2-core Xeon, median of 9 fresh processes). load_cache(path, n) reads
 and normalizes only the first n records: the 2 10^5 of the default voronoi
-scan take 0.026 s and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s,
-and the benchmark's sweep workload peaks at 43.1 MB (BENCH_working_set.json,
-medians of 10 pairs). tau as Python ints, which only the Hecke checks read,
-is decoded from the records on first use. Normalized values are recomputed
-whenever a table is built, never stored.
+scan take 0.026 s and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s.
+tau as Python ints, which only the Hecke checks read, is decoded from the
+records on first use. Normalized values are recomputed whenever a table
+is built, never stored.
 """
 
 from __future__ import annotations

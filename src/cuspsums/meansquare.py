@@ -179,8 +179,7 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
 def _phase_columns(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(√(x+√x) + √x)/2 and window_gap(x): _cos_difference's factors of x."""
     root, top_root = window_roots(xs)
-    mean = 0.5 * (top_root + root)
-    return mean, 0.5 * root / mean  # window_gap, from the roots already taken
+    return 0.5 * (top_root + root), window_gap(xs)
 
 
 def _cos_difference(ns: np.ndarray, k: int, columns, out=None,
@@ -259,9 +258,9 @@ def diagonal_profile(ns, k: int, weight: WeightProfile):
     return values, tuple(int(n) for n in ns[~settled])
 
 
-def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
+def _slow_brackets(n_lo: int, n_hi: int, k: int, xs: np.ndarray,
                    wsx: np.ndarray) -> tuple[np.ndarray, float]:
-    """Non-oscillatory part ∫ w √x (1 - cos s g) dx for many n, by moments.
+    """Non-oscillatory part ∫ w √x (1 - cos s g) dx for n_lo ≤ n ≤ n_hi.
 
     With s = 4π√n/k, g = window_gap(x) and g₀ the midpoint of g's range,
     cos s g = Re e^(i s g₀) Σ_j (i s)^j/j! (g - g₀)^j, so every bracket
@@ -286,15 +285,16 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
     offset = g - g0
     moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
     mass = float(np.sum(wsx))
-    brackets = np.empty(ns.size)
-    size = min(ns.size, _block_rows(1))
+    brackets = np.empty(n_hi - n_lo + 1)
+    size = min(brackets.size, _block_rows(1))
     reals = [np.empty(size) for _ in range(4)]
     complexes = [np.empty(size, complex) for _ in range(3)]
-    for rows in _row_blocks(ns.size, 1):
+    for rows in _row_blocks(brackets.size, 1):
         count = rows.stop - rows.start
         scale, step, re, im = (buf[:count] for buf in reals)
         series, phase, product = (buf[:count] for buf in complexes)
-        np.sqrt(ns[rows], out=scale)
+        np.sqrt(np.arange(n_lo + rows.start, n_lo + rows.stop, dtype=float),
+                out=scale)
         scale *= 4.0 * math.pi / k
         # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
         re.fill(moments[-1])
@@ -311,8 +311,8 @@ def _slow_brackets(ns: np.ndarray, k: int, xs: np.ndarray,
         np.exp(phase, out=phase)
         np.multiply(phase, series, out=product)
         np.subtract(mass, product.real, out=brackets[rows])
-    # s is monotone in n, so the largest n has the largest s
-    s_max = (4.0 * math.pi / k) * math.sqrt(float(ns.max()))
+    # s is monotone in n, so n_hi has the largest s
+    s_max = (4.0 * math.pi / k) * math.sqrt(float(n_hi))
     reach = s_max * float(np.max(np.abs(offset)))
     bound = (reach ** _MOMENT_ORDER / math.factorial(_MOMENT_ORDER)
              * float(np.sum(np.abs(wsx))))
@@ -344,13 +344,12 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
 
     exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
     exact_vals, flagged = diagonal_profile(exact_ns, k, weight)
-    # the tail brackets before the weights, so that their n-long int64
-    # argument is freed first; the brackets array then holds each tail
+    # the tail brackets before the weights, so that _slow_brackets' block
+    # buffers are freed first; the brackets array then holds each tail
     # summand in turn
     if n_exact < n_top:
         xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
-        summand, truncation = _slow_brackets(
-            np.arange(n_exact + 1, n_top + 1, dtype=np.int64), k, xs, wsx)
+        summand, truncation = _slow_brackets(n_exact + 1, n_top, k, xs, wsx)
 
     coeff = np.empty(n_top)
     for rows in _row_blocks(n_top, 1):

@@ -460,7 +460,8 @@ def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
         xs, wsx = msq._weighted_nodes(weight, weight.first_panels(0.0))
         tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
         tail_coeff = coeff[n_exact:]
-        brackets, truncation = msq._slow_brackets(tail_ns, k, xs, wsx)
+        brackets, truncation = msq._slow_brackets(n_exact + 1, n_top, k,
+                                                  xs, wsx)
         value += float(np.sum(tail_coeff * brackets))
         pt = unit_point(k)
         cert = min(

@@ -83,7 +83,7 @@ def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
     if block is not None:
         monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
     for k in (1, 7):
-        brackets, bound = msq._slow_brackets(ns, k, xs, wsx)
+        brackets, bound = msq._slow_brackets(257, top, k, xs, wsx)
         ref_brackets, ref_bound = slow_brackets_one_matrix(ns, k, xs, wsx)
         assert np.array_equal(brackets, ref_brackets)
         assert bound == ref_bound
@@ -134,9 +134,9 @@ def test_diagonal_term_working_set(table_1e5):
             # the exact brackets' grid is 256 rows by thousands of nodes,
             # whose temporaries reach 19 MB as one matrix
             (1e4, 1e3, 250.0, 2 * 2**20),
-            # beyond block buffers, at most two n-long arrays of doubles;
-            # the chain as whole arrays holds about five
-            (1e5, 1e4, None, 2 * 8 * 1e5 + 2**20)):
+            # beyond block buffers, at most two n-long arrays of doubles
+            # (1.53 MiB); the chain as whole arrays holds about five
+            (1e5, 1e4, None, 2 * 2**20)):
         weight = build_weight(m, delta, r)
         peak = _peak_bytes(
             lambda: msq.diagonal_term(m, delta, 1, weight, table_1e5))

@@ -58,7 +58,7 @@ def test_slow_brackets_match_direct_integral(window_1e4):
     mass = float(np.sum(wsx))
     for k in (1, 3, 7):
         ns = np.arange(257, 10001)
-        brackets, bound = msq._slow_brackets(ns, k, xs, wsx)
+        brackets, bound = msq._slow_brackets(257, 10000, k, xs, wsx)
         scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
         direct = (wsx * (1.0 - np.cos(np.outer(scale, window_gap(xs))))).sum(axis=1)
         assert np.max(np.abs(brackets - direct)) <= 1e-12 * mass
