@@ -111,6 +111,7 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
     from .weight import window_weight
 
     m_scale = cfg.ms[0]
+    lemma5_grid = np.geomspace(*_LEMMA5_GRID)
     bound_rows = []
     deriv_rows = []
     for k in cfg.ks:
@@ -127,8 +128,7 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                     bound = stated_bound(spec, p, weight)
                     bound_rows.append((family, m, n, k, p, value, bound,
                                        value / bound))
-            grid = np.geomspace(*_LEMMA5_GRID)
-            ratio = lemma5_derivative_check(l5_spec(m, n, point), grid)
+            ratio = lemma5_derivative_check(l5_spec(m, n, point), lemma5_grid)
             deriv_rows.append((m, n, k, ratio))
 
     bound_rows.sort()

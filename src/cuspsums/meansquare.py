@@ -26,10 +26,11 @@ across a window; the Taylor remainder of that series joins the slack.
 
 Every large grid (the exact brackets, the piece masses, the slow
 brackets, the diagonal's n-long chain of weights and summands) is
-evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, and the
-exact and slow brackets work in place in block buffers allocated once per
-grid, so peak memory does not grow with the grid and freed blocks are
-reused instead of mapped afresh. Each element is computed by the same
+evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, so peak
+memory does not grow with the grid and freed blocks are reused from the
+heap instead of mapped afresh; the slow brackets also work in place in
+block buffers allocated once per grid, because their complex Horner steps
+cost twice the CPU otherwise. Each element is computed by the same
 floating-point operations in the same order as on the whole matrix, each
 row keeps its own reduction, and each sum of the diagonal is still one
 np.sum over its whole summand, so the results are bit for bit the same.
@@ -48,7 +49,7 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.config import NODE_BUDGET, ExperimentConfig
-from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, jm_bound, l3_spec
+from cuspsums.oscillatory import derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.weight import (WeightProfile, eval_weight, window_gap,
@@ -182,30 +183,18 @@ def _phase_columns(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (top_root + root), window_gap(xs)
 
 
-def _cos_difference(ns: np.ndarray, k: int, columns, out=None,
-                    work=None) -> np.ndarray:
+def _cos_difference(ns: np.ndarray, k: int, columns) -> np.ndarray:
     """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
 
     Product form -2 sin((A+B)/2 - π/4) sin(s g / 2) with A = s√(x+√x),
     B = s√x and s = 4π√n/k: only the rounding of the argument (A+B)/2
     itself is left, not a difference of two cosines near it. columns is
-    _phase_columns(xs). The ns.size × xs.size result is written in place
-    into the first rows of out, with work as scratch of the same shape;
-    both are allocated when not given.
+    _phase_columns(xs).
     """
     mean, gap = columns
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    shape = (ns.size, mean.size)
-    out = np.empty(shape) if out is None else out[:ns.size]
-    work = np.empty(shape) if work is None else work[:ns.size]
-    np.multiply.outer(scale, mean, out=out)
-    out -= _QUARTER_TURN
-    np.sin(out, out=out)
-    out *= -2.0
-    np.multiply.outer(0.5 * scale, gap, out=work)
-    np.sin(work, out=work)
-    out *= work
-    return out
+    return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
+            * np.sin(np.outer(0.5 * scale, gap)))
 
 
 def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
@@ -242,14 +231,10 @@ def diagonal_profile(ns, k: int, weight: WeightProfile):
     def squared_differences(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
         wsx = _root_weighted(weight, xs, wts)
         columns = _phase_columns(xs)
-        shape = (min(ns.size, _block_rows(xs.size)), xs.size)
-        product, work = np.empty(shape), np.empty(shape)
         out = np.empty(ns.size)
         for rows in _row_blocks(ns.size, xs.size):
-            block = _cos_difference(ns[rows], k, columns, product, work)
-            np.square(block, out=block)
-            block *= wsx
-            np.sum(block, axis=1, out=out[rows])
+            out[rows] = (_cos_difference(ns[rows], k, columns) ** 2
+                         * wsx).sum(axis=1)
         return out
 
     values, settled = weight.refine(panels, squared_differences, 1e-9 * mass,
@@ -327,7 +312,7 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     covering the damped range n <= k² and the first oscillatory stretch.
     Past the cutoff only the non-oscillatory part is evaluated, by
     _slow_brackets' moment series; the three dropped oscillatory pieces are
-    bounded by first-derivative certificates whose minimum phase slope
+    bounded by one first-derivative certificate whose minimum phase slope
     grows like √n. Those bounds and the series' truncation bound are summed
     and returned as slack rather than folded into the value.
 
@@ -366,16 +351,11 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         value += float(np.sum(summand))
         # certify the three dropped oscillatory pieces at the cutoff
         # frequency; their minimum phase slope scales exactly as sqrt(n), and
-        # only that slope differs between their certificates, so the one
-        # with the smallest slope bounds every piece
-        pt = unit_point(k)
-        cert = min(
-            (derivative_certificate(weight, spec)
-             for spec in (l3_spec(n_exact, n_exact, pt, t_n=T_SHIFTED, t_m=T_SHIFTED),
-                          l3_spec(n_exact, n_exact, pt),
-                          l3_spec(n_exact, n_exact, pt, t_m=T_SHIFTED))),
-            key=lambda c: c.b1)
-        per_piece = jm_bound(cert)
+        # only that slope differs between their certificates. The plain one's
+        # is the smallest, since (1 + 1/(2√x))²/(x + √x) > 1/x reduces to
+        # 1/4 > 0 (a shifted radical is steeper), so it bounds every piece
+        per_piece = jm_bound(derivative_certificate(
+            weight, l3_spec(n_exact, n_exact, unit_point(k))))
         for rows in _row_blocks(summand.size, 1):
             part = summand[rows]
             np.divide(n_exact, np.arange(n_exact + 1 + rows.start,

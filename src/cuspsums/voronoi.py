@@ -6,8 +6,8 @@ through the resonance frequencies sqrt(n x): an amplitude
 a(n) e_k(-n hbar) n^{-3/4} cos(4 pi sqrt(n x)/k + phase). Direct summation
 stays the ground truth throughout: voronoi_error_scan sums each x directly
 once and measures the error of every truncation and phase against it. Its
-samples run in parallel on the usable CPUs, and its results are bit for bit
-those of one thread.
+samples run in parallel on a ThreadPoolExecutor over the usable CPUs, and
+its results are bit for bit those of one thread.
 
 The truncation tail alone would follow an N^{-1/2} law, so quadrupling N
 would halve the error. It does not at the scales measured here: the
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,42 +110,6 @@ def voronoi_main_term(x: float, params: VoronoiParams,
     return _main_terms(x, coeffs, params.point.k, (params,))[0]
 
 
-def _run_samples(count: int, sample) -> None:
-    """sample(j) for every j in range(count), on the usable CPUs.
-
-    The calling thread and up to len(os.sched_getaffinity(0)) - 1 helpers,
-    started here and joined before return, take the next j in turn. The
-    first exception stops further samples and is raised here once every
-    helper has finished.
-    """
-    pending = iter(range(count))
-    failures = []
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                j = None if failures else next(pending, None)
-            if j is None:
-                return
-            try:
-                sample(j)
-            except BaseException as exc:  # re-raised by the calling thread
-                with lock:
-                    failures.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(len(os.sched_getaffinity(0)), count) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
-
-
 def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
                        table: CoefficientTable) -> np.ndarray:
     """|long_sum(x) - voronoi_main_term(x, p)| for every p in params and x in xs.
@@ -155,10 +119,15 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
     compared with every truncation and phase; row i of the result holds
     the errors of params[i], bit for bit those of voronoi_main_term.
 
-    Every x is checked before any is evaluated. The samples then run in
-    parallel on the usable CPUs; each writes only its own column, from the
-    same elements in the same order, so the result is bit for bit that of
-    one thread whatever the CPU count.
+    Every x is checked before any is evaluated. The samples then run on a
+    ThreadPoolExecutor with one thread per usable CPU, at most one per x;
+    each computes its own column from the same elements in the same order,
+    so the result is bit for bit that of one thread whatever the CPU count.
+    A failed sample does not stop the others: the pool goes on with the
+    queued samples until every sample before the failed one has finished,
+    then cancels those not yet started, waits for those running and raises
+    the first exception in sample order. No partial result is returned,
+    and no pool thread outlives the call.
     """
     xs = np.asarray(xs, dtype=float)
     params = tuple(params)
@@ -173,15 +142,14 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
         raise ValueError("error scan params must share one point")
     xs = [_check_x(x) for x in xs]
     coeffs = max(params, key=lambda p: p.n_trunc).dual_coefficients(table)[1]
-    errors = np.empty((len(params), len(xs)))
 
-    def sample(j: int) -> None:
-        direct = long_sum(xs[j], point, table)
-        errors[:, j] = [abs(direct - value) for value in
-                        _main_terms(xs[j], coeffs, point.k, params)]
+    def sample(x: float) -> list[float]:
+        direct = long_sum(x, point, table)
+        return [abs(direct - value)
+                for value in _main_terms(x, coeffs, point.k, params)]
 
-    _run_samples(len(xs), sample)
-    return errors
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(xs))) as pool:
+        return np.column_stack(list(pool.map(sample, xs)))
 
 
 @dataclass(frozen=True)

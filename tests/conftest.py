@@ -1,5 +1,5 @@
 """Shared fixtures: session-scoped coefficient tables, the benchmark's
-tracer module and acceptance reporting."""
+tracer module, benchmarks/same_reports.py and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -10,7 +10,15 @@ import pytest
 
 from cuspsums.coeffs import generate_tau
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_script(name: str, path: Path):
+    """The module of a script outside the package, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -27,10 +35,13 @@ def table_1e5():
 @pytest.fixture(scope="session")
 def tracer():
     """perfbench/tracer.py, loaded once: it names package functions by string."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("bench_tracer", ROOT / "perfbench" / "tracer.py")
+
+
+@pytest.fixture(scope="session")
+def same_reports():
+    """benchmarks/same_reports.py, the two-checkout comparison, loaded once."""
+    return _load_script("same_reports", ROOT / "benchmarks" / "same_reports.py")
 
 
 def _span_names(tracer):

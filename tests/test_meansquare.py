@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from cuspsums import meansquare as msq
-from cuspsums.config import ExperimentConfig
+from cuspsums.config import ExperimentConfig, load_config
+from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, l3_spec
 from cuspsums.rational import make_rational_point
 from cuspsums.weight import build_weight
 
@@ -83,6 +84,25 @@ def test_diagonal_insensitive_to_cutoff(table_2e4, window_1e4, monkeypatch):
     assert small.value == pytest.approx(base.value, rel=1e-12)
     # fewer exact brackets leave more certified tail
     assert small.slack > base.slack
+
+
+def test_plain_certificate_has_the_smallest_tail_slope(same_reports, tmp_path):
+    # diagonal_term certifies its dropped oscillatory pieces by the
+    # plain-plain L3 certificate alone: a shifted radical is steeper, so the
+    # plain slope b1 is the smallest and gives the least jm_bound of the
+    # three; checked on the default grid and same_reports.py's moved row rule
+    row_rule = tmp_path / "row-rule.cfg"
+    row_rule.write_text(same_reports.WORK_CONFIGS[row_rule.name],
+                        encoding="utf-8")
+    for cfg in (ExperimentConfig(), load_config(row_rule)):
+        for point, weight in msq.sweep_grid(cfg):
+            k = point.k
+            n = min(max(msq._N_EXACT_FLOOR, 4 * k * k), math.floor(weight.m))
+            plain = derivative_certificate(weight, l3_spec(n, n, point)).b1
+            for shifts in ({"t_m": T_SHIFTED},
+                           {"t_n": T_SHIFTED, "t_m": T_SHIFTED}):
+                spec = l3_spec(n, n, point, **shifts)
+                assert plain < derivative_certificate(weight, spec).b1
 
 
 def test_diagonal_below_trivial_bound(table_2e4, window_1e4):

@@ -16,14 +16,15 @@ _ROOT = Path(__file__).resolve().parents[1]
 _SRC = Path(cuspsums.__file__).resolve().parent
 
 
-def _loaded_by(module: str, then: str = "None") -> list[str]:
-    """The cuspsums modules a fresh interpreter holds after importing module
-    and running the statement then."""
+def _loaded_by(module: str, then: str = "None",
+               package: str = "cuspsums") -> list[str]:
+    """The modules of package a fresh interpreter holds after importing
+    module and running the statement then."""
     src = str(Path(cuspsums.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (f"import json, sys, {module}; {then}; print(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'cuspsums')))")
+             f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -39,11 +40,13 @@ def test_coeffs_import_loads_only_what_it_uses():
 
 def test_cli_import_defers_the_numerical_layers():
     # each command imports the layers it calls when it runs, so `coeffs`
-    # never loads the sums, the quadrature or the sweep
+    # never loads the sums, the quadrature or the sweep, nor the voronoi
+    # scan's thread pool, whose import of logging costs milliseconds
     loaded = _loaded_by("cuspsums.cli")
     assert "cuspsums.cli" in loaded
     for layer in ("meansquare", "oscillatory", "voronoi", "weight", "sums"):
         assert f"cuspsums.{layer}" not in loaded
+    assert _loaded_by("cuspsums.cli", package="concurrent") == []
 
 
 def test_verify_lemmas_loads_no_sweep(tmp_path):

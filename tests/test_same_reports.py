@@ -5,22 +5,10 @@ the printed medians are those of each side's own runs, and no run hands
 the user's coefficient cache to ``coeffs``, which would overwrite it.
 """
 
-import importlib.util
 import os
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def same_reports():
-    path = ROOT / "benchmarks" / "same_reports.py"
-    spec = importlib.util.spec_from_file_location("same_reports", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run(module, stdout=b"wrote 1 file\n", csv=b"n,a\n1,2\n3,4\n", minflt=100):

@@ -226,26 +226,32 @@ def test_error_scan_checks_every_x_before_any_sample(table_2e4, monkeypatch):
     assert calls == []
 
 
-def test_error_scan_raises_a_helper_exception(table_2e4, monkeypatch):
-    # the calling thread holds its sample until a helper has failed on
-    # another one, so the failure is certainly a helper's
+def test_error_scan_raises_a_pool_threads_exception(table_2e4, monkeypatch):
+    # sample 1 fails on a pool thread only after sample 2 has failed on the
+    # other, so the call must raise sample 1's exception, the first in sample
+    # order, return nothing and leave no pool thread behind
     caller = threading.current_thread()
-    helper_failed = threading.Event()
+    later_failed = threading.Event()
+    failed_on = []
 
     def failing(x, alpha, table):
-        if threading.current_thread() is caller:
-            assert helper_failed.wait(timeout=30)
-            return long_sum(x, alpha, table)
-        helper_failed.set()
-        raise RuntimeError(f"no sum at {x}")
+        if x == 2000.5:
+            assert later_failed.wait(timeout=30)
+            failed_on.append(threading.current_thread())
+            raise RuntimeError(f"no sum at {x}")
+        if x == 3000.5:
+            later_failed.set()
+            raise RuntimeError(f"no sum at {x}")
+        return long_sum(x, alpha, table)
 
     monkeypatch.setattr(voronoi, "long_sum", failing)
     _usable_cpus(monkeypatch, 2)
     threads = threading.enumerate()
-    with pytest.raises(RuntimeError, match="no sum at"):
-        voronoi_error_scan(np.array([1000.5, 2000.5]),
+    with pytest.raises(RuntimeError, match="no sum at 2000.5"):
+        voronoi_error_scan(np.array([1000.5, 2000.5, 3000.5, 4000.5]),
                            [VoronoiParams(K1, 10)], table_2e4)
-    assert helper_failed.is_set()
+    assert later_failed.is_set()
+    assert len(failed_on) == 1 and failed_on[0] is not caller
     assert threading.enumerate() == threads
 
 
