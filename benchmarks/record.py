@@ -12,10 +12,10 @@ For every workload the script runs each checkout's own, unchanged benchmark
 command with ``--trace 0`` once per pair, alternating which side goes
 first; pair i uses seed FIRST_SEED + i on both sides. It reads the metrics
 from the JSON object on the last line of the command's stdout and writes a
-new output file holding both commits, the environment, and per side and
-workload every run's values with their median and quartiles, and per
-workload how many pairs the change won on each metric (ties count for
-neither side).
+new output file holding both commits (null for a checkout with no ``.git``
+of its own), the environment, and per side and workload every run's values
+with their median and quartiles, and per workload how many pairs the
+change won on each metric (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -32,8 +32,15 @@ SIDES = ("parent", "change")
 FIRST_SEED = 101
 
 
-def commit_of(checkout: Path) -> str:
-    """Short commit id of the checkout, marked when its tree has edits."""
+def commit_of(checkout: Path) -> str | None:
+    """Short commit id of the checkout, marked when its tree has edits.
+
+    None for a checkout with no ``.git`` of its own, such as an extracted
+    ``git archive``: git would refuse it, or inside another work tree
+    report that tree's commit.
+    """
+    if not (checkout / ".git").exists():
+        return None
     head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=True).stdout
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],

@@ -27,10 +27,7 @@ across a window; the Taylor remainder of that series joins the slack.
 Every large grid (the exact brackets, the piece masses, the slow
 brackets, the diagonal's n-long chain of weights and summands) is
 evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, so peak
-memory does not grow with the grid and freed blocks are reused from the
-heap instead of mapped afresh; the slow brackets also work in place in
-block buffers allocated once per grid, because their complex Horner steps
-cost twice the CPU otherwise. Each element is computed by the same
+memory does not grow with the grid. Each element is computed by the same
 floating-point operations in the same order as on the whole matrix, each
 row keeps its own reduction, and each sum of the diagonal is still one
 np.sum over its whole summand, so the results are bit for bit the same.
@@ -71,7 +68,9 @@ _PANELS_PER_RATE = 0.15625
 # recycled from the heap instead of unmapped and faulted in again (this
 # constant alone took the benchmark's 6-row sweep from 26.6k to 12.5k
 # minor faults, with the same report bytes), and large enough that the
-# numpy calls per block cost little beside the work in them
+# numpy calls per block cost little beside the work in them. A block is
+# therefore computed by plain expressions and assigned into its rows; only
+# arrays as long as the grid are written in place
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -124,14 +123,9 @@ def _check_geometry(m: float, delta: float, weight: WeightProfile) -> None:
         )
 
 
-def _block_rows(width: int) -> int:
-    """Rows of width elements in one block: _BLOCK_ELEMENTS // width, at least one."""
-    return max(1, _BLOCK_ELEMENTS // width)
-
-
 def _row_blocks(rows: int, width: int):
-    """Slices of _block_rows(width) rows covering rows, the last one ragged."""
-    step = _block_rows(width)
+    """Slices of max(1, _BLOCK_ELEMENTS // width) rows covering rows, the last ragged."""
+    step = max(1, _BLOCK_ELEMENTS // width)
     return (slice(start, min(start + step, rows))
             for start in range(0, rows, step))
 
@@ -254,16 +248,14 @@ def _slow_brackets(n_lo: int, n_hi: int, k: int, xs: np.ndarray,
     bracket's truncation error by (s_max·max|g - g₀|)^J/J! · Σ|w√x|,
     J = _MOMENT_ORDER; returns (brackets, that bound).
 
-    The Horner steps series ← m_{j-1} + (i s/j)·series run in place on the
-    real and imaginary parts, a block of n at a time in buffers allocated
-    once, and give numpy's complex arithmetic bit for bit: i s/j is (0, t)
-    with t = s·(1.0/j) exactly (Smith's division by (j, 0)), and
-    (0, t)·(re, im) is (0·re - t·im, 0·im + t·re), so with m real the new
-    parts are re = m - t·im and im = t·re + 0.0. The zero products change
-    no nonzero value; the + 0.0 keeps complex addition's +0.0 where t·re
-    is -0.0. The last step, e^(i s g₀)·series, stays one complex product,
-    written to a third buffer: numpy rounds a one-element complex product
-    written over one of its operands differently from the whole array's.
+    The Horner steps series ← m_{j-1} + (i s/j)·series run on the real
+    and imaginary parts, a block of n at a time, and give numpy's complex
+    arithmetic bit for bit: i s/j is (0, t) with t = s·(1.0/j) exactly
+    (Smith's division by (j, 0)), and (0, t)·(re, im) is
+    (0·re - t·im, 0·im + t·re), so with m real the new parts are
+    re = m - t·im and im = t·re + 0.0. The zero products change no nonzero
+    value; the + 0.0 keeps complex addition's +0.0 where t·re is -0.0. The
+    last step, e^(i s g₀)·series, stays one complex product.
     """
     g = window_gap(xs)
     g0 = 0.5 * (float(g.min()) + float(g.max()))
@@ -271,31 +263,19 @@ def _slow_brackets(n_lo: int, n_hi: int, k: int, xs: np.ndarray,
     moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
     mass = float(np.sum(wsx))
     brackets = np.empty(n_hi - n_lo + 1)
-    size = min(brackets.size, _block_rows(1))
-    reals = [np.empty(size) for _ in range(4)]
-    complexes = [np.empty(size, complex) for _ in range(3)]
     for rows in _row_blocks(brackets.size, 1):
-        count = rows.stop - rows.start
-        scale, step, re, im = (buf[:count] for buf in reals)
-        series, phase, product = (buf[:count] for buf in complexes)
-        np.sqrt(np.arange(n_lo + rows.start, n_lo + rows.stop, dtype=float),
-                out=scale)
+        scale = np.sqrt(np.arange(n_lo + rows.start, n_lo + rows.stop,
+                                  dtype=float))
         scale *= 4.0 * math.pi / k
         # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
-        re.fill(moments[-1])
-        im.fill(0.0)
+        re = np.full(scale.size, moments[-1])
+        im = np.zeros(scale.size)
         for j in range(_MOMENT_ORDER - 1, 0, -1):
-            np.multiply(scale, 1.0 / j, out=step)
-            re *= step      # t·re, the new imaginary part
-            im *= step
-            np.subtract(moments[j - 1], im, out=im)     # the new real part
-            re, im = im, re
-            im += 0.0
+            step = scale * (1.0 / j)
+            re, im = moments[j - 1] - step * im, step * re + 0.0
+        series = np.empty(scale.size, complex)
         series.real, series.imag = re, im
-        np.multiply(1j * g0, scale, out=phase)
-        np.exp(phase, out=phase)
-        np.multiply(phase, series, out=product)
-        np.subtract(mass, product.real, out=brackets[rows])
+        brackets[rows] = mass - (np.exp(1j * g0 * scale) * series).real
     # s is monotone in n, so n_hi has the largest s
     s_max = (4.0 * math.pi / k) * math.sqrt(float(n_hi))
     reach = s_max * float(np.max(np.abs(offset)))
@@ -317,8 +297,8 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     and returned as slack rather than folded into the value.
 
     The n-long chain is built a block at a time into at most two n-long
-    arrays: the tail brackets, which become coeff·bracket and then
-    coeff·√(n_exact/n) in place, and the weights themselves.
+    arrays, written in place: the tail brackets, which become
+    coeff·bracket and then coeff·√(n_exact/n), and the weights themselves.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -330,8 +310,8 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     exact_ns = np.arange(1, n_exact + 1, dtype=np.int64)
     exact_vals, flagged = diagonal_profile(exact_ns, k, weight)
     # the tail brackets before the weights, so that _slow_brackets' block
-    # buffers are freed first; the brackets array then holds each tail
-    # summand in turn
+    # temporaries never sit beside both n-long arrays; the brackets array
+    # then holds each tail summand in turn
     if n_exact < n_top:
         xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
         summand, truncation = _slow_brackets(n_exact + 1, n_top, k, xs, wsx)
@@ -357,12 +337,9 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         per_piece = jm_bound(derivative_certificate(
             weight, l3_spec(n_exact, n_exact, unit_point(k))))
         for rows in _row_blocks(summand.size, 1):
-            part = summand[rows]
-            np.divide(n_exact, np.arange(n_exact + 1 + rows.start,
-                                         n_exact + 1 + rows.stop, dtype=float),
-                      out=part)
-            np.sqrt(part, out=part)
-            part *= tail_coeff[rows]    # coeff·√(n_exact/n)
+            summand[rows] = np.sqrt(n_exact / np.arange(
+                n_exact + 1 + rows.start, n_exact + 1 + rows.stop,
+                dtype=float)) * tail_coeff[rows]    # coeff·√(n_exact/n)
         slack = 2.0 * per_piece * float(np.sum(summand))
         slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,

@@ -112,8 +112,9 @@ def step_series(m: float, delta: float, point: RationalPoint,
     """Build the step structure with O(delta) single-term updates.
 
     values is filled one anchor block of _ANCHOR_EVERY pieces at a time:
-    the block's directly summed anchor, then its entry and exit events
-    written straight into it, then an in-place cumulative sum.
+    a fresh block holds the directly summed anchor and then each later
+    piece's entry and exit events, and its cumulative sum is assigned into
+    values.
     """
     hi = m + delta
     table.require(math.floor(window_top(hi)), "step_series")
@@ -128,12 +129,11 @@ def step_series(m: float, delta: float, point: RationalPoint,
     values = np.empty(n_piece, dtype=complex)
     for start in range(0, n_piece, _ANCHOR_EVERY):
         stop = min(start + _ANCHOR_EVERY, n_piece)
-        block = values[start:stop]
-        block[0] = short_sum(float(0.5 * (edges[start] + edges[start + 1])),
+        steps = np.zeros(stop - start, dtype=complex)
+        steps[0] = short_sum(float(0.5 * (edges[start] + edges[start + 1])),
                              point, table)
         # piece i > start changes by the events at its left edge edges[i]
-        deltas = block[1:]
-        deltas[:] = 0.0
+        deltas = steps[1:]
         xs = edges[start + 1: stop]
         # entry events: integer n leaves the window as x passes n
         n_cand = np.rint(xs)
@@ -146,6 +146,6 @@ def step_series(m: float, delta: float, point: RationalPoint,
             if mask.any():
                 js = cand[mask].astype(np.int64)
                 deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
-        np.cumsum(block, out=block)
+        values[start:stop] = np.cumsum(steps)
     return StepSeries(breakpoints=edges, values=values)
 

@@ -1,5 +1,6 @@
 """Shared fixtures: session-scoped coefficient tables, the benchmark's
-tracer module, benchmarks/same_reports.py and acceptance reporting."""
+tracer module, benchmarks/same_reports.py and benchmarks/record.py, and
+acceptance reporting."""
 
 from __future__ import annotations
 
@@ -42,6 +43,12 @@ def tracer():
 def same_reports():
     """benchmarks/same_reports.py, the two-checkout comparison, loaded once."""
     return _load_script("same_reports", ROOT / "benchmarks" / "same_reports.py")
+
+
+@pytest.fixture(scope="session")
+def record():
+    """benchmarks/record.py, the two-checkout benchmark record, loaded once."""
+    return _load_script("record", ROOT / "benchmarks" / "record.py")
 
 
 def _span_names(tracer):

@@ -134,7 +134,7 @@ def test_diagonal_term_working_set(table_1e5):
             # the exact brackets' grid is 256 rows by thousands of nodes,
             # whose temporaries reach 19 MB as one matrix
             (1e4, 1e3, 250.0, 2 * 2**20),
-            # beyond block buffers, at most two n-long arrays of doubles
+            # beyond block temporaries, at most two n-long arrays of doubles
             # (1.53 MiB); the chain as whole arrays holds about five
             (1e5, 1e4, None, 2 * 2**20)):
         weight = build_weight(m, delta, r)
