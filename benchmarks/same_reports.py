@@ -7,16 +7,18 @@ against (made with ``git clone`` or ``git archive``) and a 10^6 cache:
         --table .bench_build/perfbench/tau1e6.cache [--pairs N]
 
 Each side runs the command line from its checkout's ``src/`` with
-``--json`` and ``OPENBLAS_NUM_THREADS=1``, 14 runs in all (``commands``):
+``--json`` and ``OPENBLAS_NUM_THREADS=1``, 20 runs in all (``commands``):
 ``coeffs``, each command on the given cache with the defaults and with
-perfbench's configs, two with the row rule's keys moved, and one refusal
-per non-zero exit code, so that the messages are compared too.
+perfbench's configs, two with the row rule's keys moved, one refusal per
+non-zero exit code, so that the messages are compared too, and
+``cuspsums --help`` and ``<command> --help`` for every command, so that
+every command, flag and help string is compared as well.
 
 Each run starts in a fresh work directory, which holds the configs of the
 rule and refusal runs, the files that take its stdout and stderr, outside
 its output directory, and the coeffs cache, under one relative name
 because coeffs.json records the path, never at ``--table``. Pair i of
-``--pairs N`` (default 1) runs all 14 in each checkout, the parent first
+``--pairs N`` (default 1) runs all 20 in each checkout, the parent first
 when i is even. Every repeat of every run on both sides must match the
 parent's first repeat in every output file, stdout, stderr and exit code,
 so a run that differs from its own earlier repeat fails too, and so does a
@@ -82,6 +84,9 @@ def commands(checkout: Path, table: Path) -> dict:
     out["verify-lemmas-budget"] = ["verify-lemmas", "--config",
                                    "tiny-budget.cfg", *cached]
     out["omega-io"] = ["omega", "--json", "--table", "missing.cache"]
+    out["help"] = ["--help"]
+    for command in ("coeffs", "verify-lemmas", "meansquare", "voronoi", "omega"):
+        out[f"{command}-help"] = [command, "--help"]
     return out
 
 

@@ -37,21 +37,20 @@ EXIT_IO = 3
 # to well-separated frequencies
 _LEMMA_PAIRS = ((1, 2), (2, 3), (1, 4), (3, 5), (4, 9), (9, 10))
 _LEMMA5_GRID = (1.0e3, 1.0e5, 129)
-# how meansquare rows measure I: summed over the exact step series
-_INTEGRAL_METHOD = "exact-step"
-# each meansquare row's (meansquare.csv column, meansquare.json key)
+# each meansquare row's (meansquare.csv column, meansquare.json key, value of
+# its MeanSquareResult); the method: I summed over the exact step series
 _ROW_COLUMNS = (
-    ("m_window_start_index", "m"),
-    ("k_denominator", "k"),
-    ("h_numerator", "h"),
-    ("delta_window_length_index_units", "delta"),
-    ("integral_weighted_index_units", "integral"),
-    ("diagonal_term_index_units", "diagonal"),
-    ("ratio_integral_over_delta_sqrt_m", "ratio"),
-    ("method", "method"),
-    ("diagonal_slack", "diagonal_slack"),
-    ("diagonal_n_exact", "diagonal_n_exact"),
-    ("diagonal_flagged", "diagonal_flagged"),
+    ("m_window_start_index", "m", lambda r: r.m),
+    ("k_denominator", "k", lambda r: r.point.k),
+    ("h_numerator", "h", lambda r: r.point.h),
+    ("delta_window_length_index_units", "delta", lambda r: r.delta),
+    ("integral_weighted_index_units", "integral", lambda r: r.integral),
+    ("diagonal_term_index_units", "diagonal", lambda r: r.diagonal.value),
+    ("ratio_integral_over_delta_sqrt_m", "ratio", lambda r: r.ratio),
+    ("method", "method", lambda r: "exact-step"),
+    ("diagonal_slack", "diagonal_slack", lambda r: r.diagonal.slack),
+    ("diagonal_n_exact", "diagonal_n_exact", lambda r: r.diagonal.n_exact),
+    ("diagonal_flagged", "diagonal_flagged", lambda r: len(r.diagonal.flagged)),
 )
 
 
@@ -81,24 +80,35 @@ def _load_table(cfg: ExperimentConfig, n: int | None = None):
     return load_cache(path, n)
 
 
+def _write_rows(path, rows: list[dict]) -> int:
+    """write_csv of rows that each map column -> value, in column order."""
+    return write_csv(path, list(rows[0]), (row.values() for row in rows))
+
+
+def _write_columns(path, columns: dict) -> int:
+    """write_csv of columns that map name -> equal-length values, in order."""
+    return write_csv(path, list(columns), zip(*columns.values()))
+
+
 def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table = generate_tau(cfg.n)
     save_cache(table, cfg.table)
     size = Path(cfg.table).stat().st_size
     digest = sha256_file(cfg.table)
     lo, hi = table.records[-1].item()       # tau(n); the rest stays undecoded
+    tau_last = lo + (hi << 64)
     print(f"coefficients: {cfg.n}")
     print(f"cache: {cfg.table}")
     print(f"bytes: {size}")
     print(f"sha256: {digest}")
-    print(f"tau({cfg.n}) = {lo + (hi << 64)}")
+    print(f"tau({cfg.n}) = {tau_last}")
     if emit_json:
         write_json(out_dir / "coeffs.json", {
             "n": cfg.n,
             "cache": str(cfg.table),
             "bytes": size,
             "sha256": digest,
-            "tau_last": str(lo + (hi << 64)),
+            "tau_last": str(tau_last),
             "provenance": _provenance(cfg, digest),
         })
     return EXIT_OK
@@ -126,25 +136,25 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
                     weight, spec, node_budget=cfg.node_budget))
                 for p in (1, 2):
                     bound = stated_bound(spec, p, weight)
-                    bound_rows.append((family, m, n, k, p, value, bound,
-                                       value / bound))
-            ratio = lemma5_derivative_check(l5_spec(m, n, point), lemma5_grid)
-            deriv_rows.append((m, n, k, ratio))
+                    bound_rows.append({
+                        "family": family, "m_frequency_index": m,
+                        "n_frequency_index": n, "k_denominator": k,
+                        "p_derivative_order": p, "integral_abs_dimensionless": value,
+                        "stated_bound_dimensionless": bound,
+                        "ratio_integral_over_bound_dimensionless": value / bound})
+            deriv_rows.append({
+                "m_frequency_index": m, "n_frequency_index": n, "k_denominator": k,
+                "min_ratio_derivative_over_lower_bound_dimensionless":
+                    lemma5_derivative_check(l5_spec(m, n, point), lemma5_grid)})
 
-    bound_rows.sort()
-    deriv_rows.sort()
-    n_bounds = write_csv(out_dir / "lemma_bounds.csv", (
-        "family", "m_frequency_index", "n_frequency_index", "k_denominator",
-        "p_derivative_order", "integral_abs_dimensionless",
-        "stated_bound_dimensionless", "ratio_integral_over_bound_dimensionless",
-    ), bound_rows)
-    write_csv(out_dir / "lemma5_ratios.csv", (
-        "m_frequency_index", "n_frequency_index", "k_denominator",
-        "min_ratio_derivative_over_lower_bound_dimensionless",
-    ), deriv_rows)
+    for rows in (bound_rows, deriv_rows):   # by family, then m, n, k and p
+        rows.sort(key=lambda row: list(row.values()))
+    n_bounds = _write_rows(out_dir / "lemma_bounds.csv", bound_rows)
+    _write_rows(out_dir / "lemma5_ratios.csv", deriv_rows)
 
-    worst = max(r[7] for r in bound_rows)
-    deriv_min = min(r[3] for r in deriv_rows)
+    worst = max(r["ratio_integral_over_bound_dimensionless"] for r in bound_rows)
+    deriv_min = min(r["min_ratio_derivative_over_lower_bound_dimensionless"]
+                    for r in deriv_rows)
     bounded = (np.isfinite(worst) and worst <= STATED_RATIO_MAX
                and deriv_min >= 1.0)
     print(f"lemma bound rows: {n_bounds}")
@@ -170,11 +180,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     grid = sweep_grid(cfg)
     table = _load_table(cfg, sweep_reach(grid))
     results = run_sweep(table, grid)
-    rows = [(r.m, r.point.k, r.point.h, r.delta, r.integral,
-             float(r.diagonal), r.ratio, _INTEGRAL_METHOD, r.diagonal.slack,
-             r.diagonal.n_exact, len(r.diagonal.flagged)) for r in results]
-    n_rows = write_csv(out_dir / "meansquare.csv",
-                       [column for column, _ in _ROW_COLUMNS], rows)
+    rows = [{key: value(r) for _, key, value in _ROW_COLUMNS} for r in results]
+    n_rows = write_csv(out_dir / "meansquare.csv", [c for c, _, _ in _ROW_COLUMNS],
+                       (row.values() for row in rows))
 
     try:
         fit = exponent_fit(results)
@@ -184,12 +192,9 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
         fit_info = {"error": str(exc)}
         fit_line = f"fit: unavailable ({exc})"
 
-    series = []
-    for k in cfg.ks:
-        pts = [(r.m, r.integral / r.delta) for r in results if r.point.k == k]
-        if pts:
-            series.append((f"k = {k}", [p[0] for p in pts],
-                           [p[1] for p in pts]))
+    by_k = {k: [r for r in results if r.point.k == k] for k in cfg.ks}
+    series = [(f"k = {k}", [r.m for r in rs], [r.integral / r.delta for r in rs])
+              for k, rs in by_k.items() if rs]
     write_svg(out_dir / "meansquare.svg", svg_line_plot(
         series, "Weighted mean square of short sums",
         "window start M", "integral / Delta"))
@@ -211,8 +216,7 @@ def cmd_meansquare(cfg: ExperimentConfig, out_dir: Path,
     if emit_json:
         write_json(out_dir / "meansquare.json", {
             "config": list(config_lines(cfg)),
-            "rows": [{key: value for (_, key), value in zip(_ROW_COLUMNS, row)}
-                     for row in rows],
+            "rows": rows,
             "exponent_fit": fit_info,
             "ratio_min": min(ratios),
             "ratio_max": max(ratios),
@@ -239,53 +243,50 @@ def cmd_voronoi(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     table.require(reach, "voronoi scan")
 
     rng = np.random.default_rng(cfg.seed)
-    rows = []
+    scan = {}           # voronoi.csv column -> its values, block after block
     summaries = []
+    slopes = {}         # per scale: slope of log median error against log k
     for m_scale in cfg.voronoi_ms:
+        n_full = int(round(m_scale))
+        medians = []
         for k in cfg.voronoi_ks:
             point = unit_point(k)
             xs = np.sort(rng.uniform(m_scale, 2.0 * m_scale,
                                      cfg.voronoi_samples))
-            n_full = int(round(m_scale))
             # phase 0 at N, then phase -pi/4 at N, N/4 and N/16
             errs0, errs4, errs_quarter, errs_sixteenth = voronoi_error_scan(
                 xs, [VoronoiParams(point, n_full, phase_shift=0.0)]
                 + [VoronoiParams(point, max(1, n_full // d)) for d in (1, 4, 16)],
                 table)
-            for i, x in enumerate(xs):
-                rows.append((m_scale, k, point.h, float(x), n_full,
-                             errs0[i], errs4[i], errs_quarter[i],
-                             errs_sixteenth[i]))
+            block = {"m_scale_index_units": [m_scale] * xs.size,
+                     "k_denominator": [k] * xs.size,
+                     "h_numerator": [point.h] * xs.size,
+                     "x_sample_index_units": xs,
+                     "n_trunc_terms": [n_full] * xs.size,
+                     "err_phase0": errs0, "err_phase_pi4": errs4,
+                     "err_phase_pi4_quarter_terms": errs_quarter,
+                     "err_phase_pi4_sixteenth_terms": errs_sixteenth}
+            for name, values in block.items():
+                scan.setdefault(name, []).extend(values)
             med_full = _median(errs4)
             med_quarter = _median(errs_quarter)
-            med_sixteenth = _median(errs_sixteenth)
             summaries.append({
                 "m_scale": m_scale, "k": k, "n_trunc": n_full,
                 "median_err_phase0": _median(errs0),
                 "median_err_phase_pi4": med_full,
-                "decay_sixteenth_to_quarter": med_sixteenth / med_quarter,
+                "decay_sixteenth_to_quarter":
+                    _median(errs_sixteenth) / med_quarter,
                 "decay_quarter_to_full": med_quarter / med_full,
             })
+            medians.append(med_full)
+        if len(medians) >= 2:
+            slopes[f"{m_scale:.0f}"] = float(np.polyfit(
+                np.log(cfg.voronoi_ks), np.log(medians), 1)[0])
 
-    n_rows = write_csv(out_dir / "voronoi.csv", (
-        "m_scale_index_units", "k_denominator", "h_numerator",
-        "x_sample_index_units", "n_trunc_terms", "err_phase0",
-        "err_phase_pi4", "err_phase_pi4_quarter_terms",
-        "err_phase_pi4_sixteenth_terms",
-    ), rows)
-
-    _, k_col, _, x_col, n_col, err0_col, err4_col, _, _ = zip(*rows)
-    env4 = fit_error_envelope(x_col, err4_col, n_col, k_col)
-    env0 = fit_error_envelope(x_col, err0_col, n_col, k_col)
-    # per-scale slope of log median error against log k
-    slopes = {}
-    for m_scale in cfg.voronoi_ms:
-        meds = [(s["k"], s["median_err_phase_pi4"]) for s in summaries
-                if s["m_scale"] == m_scale]
-        if len(meds) >= 2:
-            t = np.log([k for k, _ in meds])
-            y = np.log([e for _, e in meds])
-            slopes[f"{m_scale:.0f}"] = float(np.polyfit(t, y, 1)[0])
+    n_rows = _write_columns(out_dir / "voronoi.csv", scan)
+    env4, env0 = (fit_error_envelope(
+        scan["x_sample_index_units"], scan[column], scan["n_trunc_terms"],
+        scan["k_denominator"]) for column in ("err_phase_pi4", "err_phase0"))
 
     print(f"scan rows: {n_rows}")
     print(f"envelope exponent (phase -pi/4): {env4.exponent:.4f} "
@@ -317,13 +318,12 @@ def cmd_omega(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
                                  cfg.omega_windows))
     stat = omega_statistic(starts, delta, table)
 
-    root = delta ** 0.5
-    rows = [(float(m), delta, float(v * root), float(v))
-            for m, v in zip(stat.ms, stat.values)]
-    n_rows = write_csv(out_dir / "omega.csv", (
-        "window_start_index_units", "window_length_index_units",
-        "sum_abs_coefficient_units", "sum_abs_per_sqrt_window_length",
-    ), rows)
+    n_rows = _write_columns(out_dir / "omega.csv", {
+        "window_start_index_units": stat.ms,
+        "window_length_index_units": [delta] * stat.ms.size,
+        "sum_abs_coefficient_units": stat.values * delta ** 0.5,
+        "sum_abs_per_sqrt_window_length": stat.values,
+    })
 
     passed = stat.max >= cfg.omega_threshold
     print(f"windows: {n_rows}")
@@ -345,15 +345,6 @@ def cmd_omega(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     return EXIT_OK if passed else EXIT_INVALID
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "verify-lemmas": cmd_verify_lemmas,
-    "meansquare": cmd_meansquare,
-    "voronoi": cmd_voronoi,
-    "omega": cmd_omega,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -373,30 +364,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficients")
     parser.add_argument("--version", action="version",
                         version=f"cuspsums {__version__}")
+    # main builds the parser, so a wrapper set on cli.cmd_* before it runs is
+    # the function each command calls
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("coeffs", parents=[common],
                        help="build and cache the coefficient table")
     p.add_argument("--n", type=int, metavar="N",
                    help="coefficient count override")
-    sub.add_parser("verify-lemmas", parents=[common],
-                   help="oscillatory integral bounds against certificates")
-    sub.add_parser("meansquare", parents=[common],
-                   help="weighted mean-square sweep with diagonal tracking")
-    sub.add_parser("voronoi", parents=[common],
-                   help="truncated main-term error scan at both phases")
-    sub.add_parser("omega", parents=[common],
-                   help="normalized window sums against the threshold")
+    p.set_defaults(run=cmd_coeffs)
+    sub.add_parser("verify-lemmas", parents=[common], help="oscillatory integral "
+                   "bounds against certificates").set_defaults(run=cmd_verify_lemmas)
+    sub.add_parser("meansquare", parents=[common], help="weighted mean-square "
+                   "sweep with diagonal tracking").set_defaults(run=cmd_meansquare)
+    sub.add_parser("voronoi", parents=[common], help="truncated main-term error "
+                   "scan at both phases").set_defaults(run=cmd_voronoi)
+    sub.add_parser("omega", parents=[common], help="normalized window sums "
+                   "against the threshold").set_defaults(run=cmd_omega)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    run, emit_json, config = args.pop("run"), args.pop("json"), args.pop("config")
     try:
-        overrides = {"table": args.table, "out": args.out, "seed": args.seed}
-        if args.command == "coeffs" and args.n is not None:
-            overrides["n"] = args.n
-        cfg = load_config(args.config, **overrides)
-        return _COMMANDS[args.command](cfg, Path(cfg.out), args.json)
+        # every option left is a config key: table, out, seed and coeffs' n
+        cfg = load_config(config, **args)
+        return run(cfg, Path(cfg.out), emit_json)
     except NodeBudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

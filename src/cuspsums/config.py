@@ -66,6 +66,10 @@ class ExperimentConfig:
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{name} repeats an entry: {grid}")
             object.__setattr__(self, name, tuple(sorted(grid)))
+        # the voronoi scan truncates at N = round(M) and keys M's k-slope by N
+        for low, high in zip(self.voronoi_ms, self.voronoi_ms[1:]):
+            if f"{low:.0f}" == f"{high:.0f}":
+                raise ConfigError(f"voronoi_ms {low} and {high} both round to {low:.0f}")
         if self.n < 1:
             raise ConfigError(f"n must be a positive count, got {self.n}")
         if not self.ms or any(m < 2.0 for m in self.ms):

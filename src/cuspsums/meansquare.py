@@ -90,9 +90,6 @@ class DiagonalTerm:
     n_exact: int
     flagged: tuple[int, ...]
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class MeanSquareResult:

@@ -148,7 +148,9 @@ def voronoi_error_scan(xs, params: Sequence[VoronoiParams],
         return [abs(direct - value)
                 for value in _main_terms(x, coeffs, point.k, params)]
 
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(xs))) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # macOS and Windows: every CPU
+    with ThreadPoolExecutor(min(cpus, len(xs))) as pool:
         return np.column_stack(list(pool.map(sample, xs)))
 
 

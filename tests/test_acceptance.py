@@ -185,10 +185,10 @@ def test_sweep_exponents(sweep):
 
 def test_diagonal_domination(sweep):
     results, _ = sweep
-    norm = [float(r.diagonal) / (r.delta * math.sqrt(r.m)) for r in results]
+    norm = [r.diagonal.value / (r.delta * math.sqrt(r.m)) for r in results]
     const_ok = max(norm) <= 0.5
     dominated = all(
-        float(r.diagonal) <= r.integral + r.point.k ** 2 * r.delta
+        r.diagonal.value <= r.integral + r.point.k ** 2 * r.delta
         for r in results)
 
     check = diag_identity_check(7, 3, np.linspace(1.0e3, 2.0e3, 101))

@@ -95,6 +95,9 @@ def test_traced_voronoi_sums_each_sample_once(tracer, tmp_path):
     assert metrics["sums.long_sum_unique_share"] == 1.0
     # the scan evaluates its main terms on shared dual coefficients
     assert metrics["voronoi.main_term_calls"] == 0
+    # the command runs inside its wrapper, so cli.voronoi_s reads its time
+    assert [s["name"] for s in traced.spans].count("cli.cmd_voronoi") == 1
+    assert metrics["cli.voronoi_s"] > 0
 
 
 def test_traced_load_normalizes_inside_load_cache(tracer, tmp_path):

@@ -97,9 +97,11 @@ def test_invalid_config_exits_one(workspace, capsys):
 @pytest.mark.parametrize("command, body", [
     ("meansquare", "ms = 1e4, 1e4\nks = 1, 2\n"),
     ("voronoi", "voronoi_ms = 1e4, 1e4\n"),
+    ("voronoi", "voronoi_ms = 1e4, 10000.4\n"),
 ])
 def test_repeated_grid_entry_exits_one(workspace, capsys, command, body):
-    # a repeat would write a row twice and weigh it twice in the fits
+    # a repeat would write a row twice and weigh it twice in the fits; two
+    # voronoi scales that round alike would share one k-slope entry
     root, cfg, table = workspace
     path = _short_cache_cfg(root, table, f"repeat_{command}", body)
     assert main([command, "--config", str(path), "--json"]) == 1
@@ -256,6 +258,27 @@ def test_meansquare_artifacts(workspace, capsys):
     assert (row["diagonal_n_exact"], row["diagonal_flagged"]) == (256, 0)
     svg = (out / "meansquare.svg").read_text()
     assert svg.startswith("<svg") and "script" not in svg
+
+
+def test_meansquare_csv_and_json_rows_agree(workspace):
+    # each row's CSV cells and JSON values come from one (column, key,
+    # value) list, in that list's order
+    from cuspsums.cli import _ROW_COLUMNS
+    from cuspsums.reporting import format_value
+
+    root, cfg, table = workspace
+    out = root / "ms_agree"
+    assert main(["meansquare", "--config", str(cfg), "--out", str(out),
+                 "--json"]) == 0
+    header, *csv_rows = (out / "meansquare.csv").read_text().splitlines()
+    json_rows = json.loads((out / "meansquare.json").read_text())["rows"]
+    assert header.split(",") == [column for column, _, _ in _ROW_COLUMNS]
+    assert len(csv_rows) == len(json_rows) == 2
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert set(json_row) == {key for _, key, _ in _ROW_COLUMNS}
+        cells = csv_row.split(",")
+        for (_, key, _), cell in zip(_ROW_COLUMNS, cells, strict=True):
+            assert format_value(json_row[key]) == cell, key
 
 
 def test_meansquare_prints_flagged_rows(workspace, capsys, monkeypatch):

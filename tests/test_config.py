@@ -89,6 +89,18 @@ def test_range_validation(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_voronoi_scales_that_round_alike_are_refused():
+    # the scan truncates at N = round(M) and keys M's k-slope by it, so two
+    # such scales would write one slope for both
+    with pytest.raises(ConfigError, match="10000.0 and 10000.4 both round to 10000"):
+        ExperimentConfig(voronoi_ms=(10000.4, 1e4))
+    # a half rounds to even, as the scan's round does
+    with pytest.raises(ConfigError, match="10001.5 and 10002.4 both round to 10002"):
+        ExperimentConfig(voronoi_ms=(10002.4, 3e4, 10001.5))
+    assert ExperimentConfig(voronoi_ms=(10000.4, 10000.6)).voronoi_ms == (
+        10000.4, 10000.6)
+
+
 def test_grids_are_kept_sorted():
     cfg = ExperimentConfig(ms=(1e5, 1e4), ks=(7, 1, 3), voronoi_ms=(3e4, 2e4),
                            voronoi_ks=(5, 1))

@@ -181,6 +181,26 @@ def test_error_scan_is_the_same_on_any_cpu_count(table_2e4, monkeypatch,
     assert all(np.array_equal(scan, scans[0]) for scan in scans[1:])
 
 
+@pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+def test_error_scan_without_sched_getaffinity(table_2e4, monkeypatch,
+                                              cpu_count, workers):
+    # macOS and Windows have no sched_getaffinity: the scan runs on
+    # os.cpu_count() threads there, one if the count is unknown
+    pt = make_rational_point(2, 7)
+    xs = np.linspace(3000.25, 9000.75, 5)
+    params = [VoronoiParams(pt, 400, phase_shift=0.0), VoronoiParams(pt, 100)]
+    _usable_cpus(monkeypatch, 1)
+    one_cpu = voronoi_error_scan(xs, params, table_2e4)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    pools = []
+    real_pool = voronoi.ThreadPoolExecutor
+    monkeypatch.setattr(voronoi, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or real_pool(n))
+    assert np.array_equal(voronoi_error_scan(xs, params, table_2e4), one_cpu)
+    assert pools == [workers]
+
+
 def test_error_scan_stress_evaluates_each_sample_once(table_2e4, monkeypatch):
     # more workers than cores and a short switch interval: a lost or doubled
     # hand-out of a sample shows in the call counts
