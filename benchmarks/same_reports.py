@@ -7,10 +7,11 @@ against (made with ``git clone`` or ``git archive``) and a 10^6 cache:
         --table .bench_build/perfbench/tau1e6.cache [--pairs N]
 
 Each side runs the command line from its checkout's ``src/`` with
-``--json`` and ``OPENBLAS_NUM_THREADS=1``, 20 runs in all (``commands``):
+``--json`` and ``OPENBLAS_NUM_THREADS=1``, 21 runs in all (``commands``):
 ``coeffs``, each command on the given cache with the defaults and with
 perfbench's configs, two with the row rule's keys moved, one refusal per
-non-zero exit code, so that the messages are compared too, and
+non-zero exit code and one usage error, so that the messages are compared
+too, and
 ``cuspsums --help`` and ``<command> --help`` for every command, so that
 every command, flag and help string is compared as well.
 
@@ -18,7 +19,7 @@ Each run starts in a fresh work directory, which holds the configs of the
 rule and refusal runs, the files that take its stdout and stderr, outside
 its output directory, and the coeffs cache, under one relative name
 because coeffs.json records the path, never at ``--table``. Pair i of
-``--pairs N`` (default 1) runs all 20 in each checkout, the parent first
+``--pairs N`` (default 1) runs all 21 in each checkout, the parent first
 when i is even. Every repeat of every run on both sides must match the
 parent's first repeat in every output file, stdout, stderr and exit code,
 so a run that differs from its own earlier repeat fails too, and so does a
@@ -84,6 +85,7 @@ def commands(checkout: Path, table: Path) -> dict:
     out["verify-lemmas-budget"] = ["verify-lemmas", "--config",
                                    "tiny-budget.cfg", *cached]
     out["omega-io"] = ["omega", "--json", "--table", "missing.cache"]
+    out["omega-usage"] = ["omega", "--bogus"]
     out["help"] = ["--help"]
     for command in ("coeffs", "verify-lemmas", "meansquare", "voronoi", "omega"):
         out[f"{command}-help"] = [command, "--help"]

@@ -2,8 +2,8 @@
 
 Every command reads one flat config file (all keys optional), writes its
 artifacts under the output directory, and prints a short deterministic
-summary.  Exit codes: 0 success, 1 validation failure, 2 numerical
-budget refusal, 3 I/O failure.
+summary.  Exit codes: 0 success, 1 validation or usage failure, 2
+numerical budget refusal, 3 I/O failure.
 
 Each command imports the numerical layers it calls when it runs, and reads
 only the prefix of the coefficient cache that it needs.
@@ -384,7 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and --version, and 2, which is
+        # EXIT_BUDGET here, on a usage error
+        return EXIT_INVALID if exc.code else EXIT_OK
     del args["command"]
     run, emit_json, config = args.pop("run"), args.pop("json"), args.pop("config")
     try:

@@ -291,7 +291,8 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     _slow_brackets' moment series; the three dropped oscillatory pieces are
     bounded by one first-derivative certificate whose minimum phase slope
     grows like √n. Those bounds and the series' truncation bound are summed
-    and returned as slack rather than folded into the value.
+    and returned as slack rather than folded into the value. For M <= 256
+    the tail is empty and the slack is 0.
 
     The n-long chain is built a block at a time into at most two n-long
     arrays, written in place: the tail brackets, which become
@@ -309,9 +310,8 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     # the tail brackets before the weights, so that _slow_brackets' block
     # temporaries never sit beside both n-long arrays; the brackets array
     # then holds each tail summand in turn
-    if n_exact < n_top:
-        xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
-        summand, truncation = _slow_brackets(n_exact + 1, n_top, k, xs, wsx)
+    xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
+    summand, truncation = _slow_brackets(n_exact + 1, n_top, k, xs, wsx)
 
     coeff = np.empty(n_top)
     for rows in _row_blocks(n_top, 1):
@@ -321,24 +321,22 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
         part /= np.arange(rows.start + 1, rows.stop + 1) ** 1.5
     value = float(np.sum(coeff[:n_exact] * exact_vals))
 
-    slack = 0.0
-    if n_exact < n_top:
-        tail_coeff = coeff[n_exact:]
-        summand *= tail_coeff           # coeff·bracket
-        value += float(np.sum(summand))
-        # certify the three dropped oscillatory pieces at the cutoff
-        # frequency; their minimum phase slope scales exactly as sqrt(n), and
-        # only that slope differs between their certificates. The plain one's
-        # is the smallest, since (1 + 1/(2√x))²/(x + √x) > 1/x reduces to
-        # 1/4 > 0 (a shifted radical is steeper), so it bounds every piece
-        per_piece = jm_bound(derivative_certificate(
-            weight, l3_spec(n_exact, n_exact, unit_point(k))))
-        for rows in _row_blocks(summand.size, 1):
-            summand[rows] = np.sqrt(n_exact / np.arange(
-                n_exact + 1 + rows.start, n_exact + 1 + rows.stop,
-                dtype=float)) * tail_coeff[rows]    # coeff·√(n_exact/n)
-        slack = 2.0 * per_piece * float(np.sum(summand))
-        slack += truncation * float(np.sum(tail_coeff))
+    tail_coeff = coeff[n_exact:]
+    summand *= tail_coeff               # coeff·bracket
+    value += float(np.sum(summand))
+    # certify the three dropped oscillatory pieces at the cutoff frequency;
+    # their minimum phase slope scales exactly as sqrt(n), and only that
+    # slope differs between their certificates. The plain one's is the
+    # smallest, since (1 + 1/(2√x))²/(x + √x) > 1/x reduces to 1/4 > 0 (a
+    # shifted radical is steeper), so it bounds every piece
+    per_piece = jm_bound(derivative_certificate(
+        weight, l3_spec(n_exact, n_exact, unit_point(k))))
+    for rows in _row_blocks(summand.size, 1):
+        summand[rows] = np.sqrt(n_exact / np.arange(
+            n_exact + 1 + rows.start, n_exact + 1 + rows.stop,
+            dtype=float)) * tail_coeff[rows]        # coeff·√(n_exact/n)
+    slack = 2.0 * per_piece * float(np.sum(summand))
+    slack += truncation * float(np.sum(tail_coeff))
     return DiagonalTerm(value=value, slack=slack, n_exact=n_exact,
                         flagged=flagged)
 

@@ -32,11 +32,9 @@ def make_rational_point(h: int, k: int) -> RationalPoint:
     if not 0 <= h < k:
         raise ValueError(f"h must satisfy 0 <= h < k, got h={h}, k={k}")
     g = math.gcd(h, k)
-    if g > 1:
-        h //= g
-        k //= g
-    h_bar = 0 if k == 1 else pow(h, -1, k)
-    return RationalPoint(h, k, h_bar)
+    h //= g
+    k //= g
+    return RationalPoint(h, k, pow(h, -1, k))
 
 
 def unit_point(k: int) -> RationalPoint:
@@ -52,10 +50,7 @@ def e_k(a, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got k={k}")
-    a = np.asarray(a)
-    if k == 1:
-        return np.ones(a.shape, dtype=complex)
-    return np.exp((2j * np.pi / k) * np.arange(k))[a % k]
+    return np.exp((2j * np.pi / k) * np.arange(k))[np.asarray(a) % k]
 
 
 def progression_phases(h: int, k: int, count: int) -> np.ndarray:

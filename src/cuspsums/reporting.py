@@ -88,8 +88,6 @@ def _decade_ticks(lo: float, hi: float):
 
 
 def _scale(value: float, lo: float, hi: float, a: float, b: float) -> float:
-    if hi <= lo:
-        return (a + b) / 2.0
     return a + (value - lo) * (b - a) / (hi - lo)
 
 

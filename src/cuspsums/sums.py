@@ -39,8 +39,6 @@ def short_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> comple
     """S(x) = sum_{x <= n <= x + sqrt(x)} a(n) e(n h/k), alpha = h/k, summed pairwise."""
     lo, hi = window_bounds(x)
     table.require(hi, f"short_sum at x={x}")
-    if hi < lo:
-        return 0j
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     return complex(np.sum(table.a[lo - 1: hi] * e_k(ns * alpha.h, alpha.k)))
 
@@ -67,8 +65,6 @@ def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> co
     if lo < 1:
         raise ValueError(f"window must start at m >= 1, got m={m}")
     table.require(hi, f"window sum at m={m}")
-    if hi < lo:
-        return 0j
     return complex(np.sum(table.a[lo - 1: hi]))
 
 
@@ -89,10 +85,7 @@ def breakpoints(m: float, delta: float) -> np.ndarray:
                                    math.floor(window_top(hi)) + 1, dtype=np.int64))
     exits = exits[(exits >= lo) & (exits <= hi)]
     pts = np.sort(np.concatenate([ints, exits]))
-    if pts.size == 0:
-        return pts
-    keep = np.concatenate([[True], np.diff(pts) > _BREAKPOINT_TOL])
-    return pts[keep]
+    return pts[np.diff(pts, prepend=-np.inf) > _BREAKPOINT_TOL]
 
 
 @dataclass(frozen=True)
@@ -143,9 +136,8 @@ def step_series(m: float, delta: float, point: RationalPoint,
         j_cand = np.rint(tops)
         is_exit = np.abs(tops - j_cand) <= _BREAKPOINT_TOL
         for mask, sign, cand in ((is_entry, -1.0, n_cand), (is_exit, +1.0, j_cand)):
-            if mask.any():
-                js = cand[mask].astype(np.int64)
-                deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
+            js = cand[mask].astype(np.int64)
+            deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
         values[start:stop] = np.cumsum(steps)
     return StepSeries(breakpoints=edges, values=values)
 

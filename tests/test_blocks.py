@@ -9,6 +9,7 @@ one-matrix reference bit for bit. tracemalloc then pins the working set
 that the blocks buy.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,11 +92,14 @@ def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
 
 @pytest.mark.parametrize(("block", "m", "delta"), [(None, 1e4, 2e3),
                                                    (777, 1e4, 2e3),
-                                                   (1, 600.0, 200.0)])
+                                                   (1, 600.0, 200.0),
+                                                   (None, 200.0, 50.0)])
 def test_diagonal_term_blocks_match_one_matrix(table_2e4, monkeypatch,
                                                block, m, delta):
     # 10^4 weights and 9744 tail brackets leave a ragged last block of the
-    # default size and of 777; a block of 1 holds one n
+    # default size and of 777; a block of 1 holds one n. At M = 200 every
+    # bracket is exact: diagonal_term runs its empty tail, the reference
+    # skips it
     weight = build_weight(m, delta)
     if block is not None:
         monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
@@ -104,6 +108,8 @@ def test_diagonal_term_blocks_match_one_matrix(table_2e4, monkeypatch,
         ref = diagonal_term_one_matrix(m, delta, k, weight, table_2e4)
         assert (term.value, term.slack) == (ref.value, ref.slack)
         assert (term.n_exact, term.flagged) == (ref.n_exact, ref.flagged)
+        if m <= msq._N_EXACT_FLOOR:
+            assert (term.n_exact, term.slack) == (math.floor(m), 0.0)
 
 
 @pytest.mark.parametrize("anchor_every", [None, 100, 1])

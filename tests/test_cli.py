@@ -94,6 +94,15 @@ def test_invalid_config_exits_one(workspace, capsys):
     assert "invalid:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["omega", "--bogus"], []])
+def test_usage_error_exits_one(argv, capsys):
+    # argparse's own code, 2, is the budget refusal's
+    assert main(argv) == 1
+    assert "cuspsums: error:" in capsys.readouterr().err
+    for ok in (["--help"], ["omega", "--help"], ["--version"]):
+        assert main(ok) == 0
+
+
 @pytest.mark.parametrize("command, body", [
     ("meansquare", "ms = 1e4, 1e4\nks = 1, 2\n"),
     ("voronoi", "voronoi_ms = 1e4, 1e4\n"),

@@ -180,6 +180,9 @@ def test_hecke_checks_catch_corruption(table_2e4):
     bad = table_from_tau(list(table_2e4.tau[:100]))
     bad.tau[59] = bad.tau[59] + 1  # corrupt tau(60) = tau(4)tau(15)
     assert hecke_multiplicativity_check(bad).first_failure == 60
+    bad = table_from_tau(list(table_2e4.tau[:100]))
+    bad.tau[8] = bad.tau[8] + 1  # corrupt tau(9) = tau(3)^2 - 3^11
+    assert hecke_prime_power_check(bad).first_failure == 9
 
 
 @settings(max_examples=120, deadline=None)

@@ -65,27 +65,41 @@ def test_parse_rejects(tmp_path, line, fragment):
         parse_config(path)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"delta_exponent": 0.5},
-    {"delta_exponent": 1.2},
-    {"rise_fraction": 0.0},
-    {"rise_fraction": 0.7},
-    {"seed": -1},
-    {"seed": 2 ** 64},
-    {"ms": ()},
-    {"ks": (0,)},
-    {"n": 0},
-    {"node_budget": 8},
-    {"omega_threshold": 0.0},
-    {"voronoi_samples": 0},
-    {"voronoi_samples": 1, "voronoi_ms": (1e4,), "voronoi_ks": (3,)},
-    {"ms": (1e5, 1e4, 1e4)},
-    {"ks": (1, 3, 1)},
-    {"voronoi_ms": (1e4, 1e4)},
-    {"voronoi_ks": (5, 5)},
-])
-def test_range_validation(kwargs):
-    with pytest.raises(ConfigError):
+# (fields, a fragment of the message of the check they fail); each message
+# is its own check's, so a case cannot pass through another check
+_OUT_OF_RANGE = [
+    ({"delta_exponent": 0.5}, "delta_exponent must lie in"),
+    ({"delta_exponent": 1.2}, "delta_exponent must lie in"),
+    ({"rise_fraction": 0.0}, "rise_fraction must lie in"),
+    ({"rise_fraction": 0.7}, "rise_fraction must lie in"),
+    ({"seed": -1}, "seed must fit in 64 bits"),
+    ({"seed": 2 ** 64}, "seed must fit in 64 bits"),
+    ({"ms": ()}, "ms must be window starts"),
+    ({"ks": (0,)}, "ks must be denominators"),
+    ({"n": 0}, "n must be a positive count"),
+    ({"node_budget": 8}, "node_budget below one quadrature panel"),
+    ({"omega_threshold": 0.0}, "omega_threshold must be > 0"),
+    ({"voronoi_samples": 0}, "voronoi_samples must be >= 1"),
+    ({"voronoi_samples": 1, "voronoi_ms": (1e4,), "voronoi_ks": (3,)},
+     "envelope fit needs at least two samples"),
+    ({"ms": (1e5, 1e4, 1e4)}, "ms repeats an entry"),
+    ({"ks": (1, 3, 1)}, "ks repeats an entry"),
+    ({"voronoi_ms": (1e4, 1e4)}, "voronoi_ms repeats an entry"),
+    ({"voronoi_ks": (5, 5)}, "voronoi_ks repeats an entry"),
+    ({"delta_coeff": 0.0}, "delta_coeff must be > 0"),
+    ({"omega_delta": 0.5}, "omega_delta must be >= 1"),
+    ({"omega_windows": 0}, "omega_windows must be >= 1"),
+    ({"voronoi_ms": ()}, "voronoi_ms must be >= 2"),
+    ({"voronoi_ms": (1.5, 1e4)}, "voronoi_ms must be >= 2"),
+    ({"voronoi_ks": ()}, "voronoi_ks must be >= 1"),
+    ({"voronoi_ks": (0, 3)}, "voronoi_ks must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(("kwargs", "fragment"), [
+    pytest.param(*case, id=f"kwargs{i}") for i, case in enumerate(_OUT_OF_RANGE)])
+def test_range_validation(kwargs, fragment):
+    with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig(**kwargs)
 
 

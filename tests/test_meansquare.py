@@ -16,6 +16,7 @@ from cuspsums import meansquare as msq
 from cuspsums.config import ExperimentConfig, load_config
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, l3_spec
 from cuspsums.rational import make_rational_point
+from cuspsums.sums import step_series, window_bounds
 from cuspsums.weight import build_weight
 
 from oracles import (diag_identity_check, offdiagonal_crosscheck,
@@ -52,6 +53,26 @@ def test_conjugate_twist_invariance(table_2e4, window_1e4):
     i15 = msq.theorem_integral(make_rational_point(1, 5), window_1e4, table_2e4)
     i45 = msq.theorem_integral(make_rational_point(4, 5), window_1e4, table_2e4)
     assert i15 == pytest.approx(i45, rel=1e-9)
+
+
+def test_parseval_over_the_circle(table_2e4, window_1e4):
+    # averaged over every j/L, |S|² keeps only its diagonal n = n' once L
+    # exceeds every gap n - n' inside a window, that is L >= W, the longest
+    # window's length: (1/L) Σ_j I(j/L) = ∫ w Σ_window a(n)²
+    edges = step_series(window_1e4.m, window_1e4.delta, PT01,
+                        table_2e4).breakpoints
+    masses = msq._piece_weight_masses(window_1e4, edges)
+    ends = np.array([window_bounds(0.5 * (lo + hi))
+                     for lo, hi in zip(edges[:-1], edges[1:])])
+    n_points = 127
+    assert int(np.max(ends[:, 1] - ends[:, 0])) + 1 == 110 <= n_points
+    squares = np.concatenate([[0.0], np.cumsum(table_2e4.a ** 2)])
+    diagonal = float(np.sum(masses * (squares[ends[:, 1]]
+                                      - squares[ends[:, 0] - 1])))
+    mean = sum(msq.theorem_integral(make_rational_point(j, n_points),
+                                    window_1e4, table_2e4)
+               for j in range(n_points)) / n_points
+    assert abs(mean - diagonal) <= 1e-12 * diagonal
 
 
 def test_smaller_weight_never_increases(table_2e4, window_1e4):
@@ -152,6 +173,8 @@ def test_diagonal_validation(table_2e4, window_1e4):
         msq.diagonal_term(1e4, 2e3, 1, window_1e4, short)
     with pytest.raises(ValueError):
         msq.diagonal_profile(np.array([0, 3]), 1, window_1e4)
+    vals, flagged = msq.diagonal_profile([], 1, window_1e4)
+    assert vals.shape == (0,) and flagged == ()
 
 
 def test_diag_identity_check():
@@ -272,6 +295,8 @@ def test_exponent_fit_recovers_synthetic_laws():
                           for k in (1, 2)])
     with pytest.raises(ValueError):
         msq.exponent_fit([fake(m, 1, 1.0, m) for m in (1e3, 1e4, 1e5)] * 2)
+    with pytest.raises(ValueError, match="strictly positive integrals"):
+        msq.exponent_fit(sqrt_law[:-1] + [fake(1e5, 2, 1.0, 0.0)])
     collinear = [fake(k ** 2 * 1.0, k, 1.0, k) for k in (10, 40, 70, 100, 130, 160)]
     with pytest.raises(ValueError):
         msq.exponent_fit(collinear)

@@ -76,6 +76,8 @@ def test_jm_bound_closed_forms():
     assert osc.jm_bound(unit) == 1.0
     doubled = osc.BoundCertificate(a0=1.0, a1=1.0, b1=4.0, rho=1.0, length=1.0)
     assert osc.jm_bound(doubled) == osc.jm_bound(unit) / 2.0
+    with pytest.raises(ValueError, match="certificate field rho must be positive"):
+        osc.BoundCertificate(a0=1.0, a1=1.0, b1=2.0, rho=0.0, length=1.0)
 
 
 def test_certificate_fields_and_rejections(window):
@@ -160,6 +162,9 @@ def test_stated_bound_values_and_order_tradeoff():
     for bad in (osc.l4_spec(3, 3, PT1),):
         with pytest.raises(ValueError):
             osc.stated_bound(bad, 1, w)
+    for p in (-1, 1.5):
+        with pytest.raises(ValueError, match="order p must be an integer >= 0"):
+            osc.stated_bound(spec, p, w)
 
 
 def test_lemma5_derivative_check_basic():

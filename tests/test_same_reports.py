@@ -41,7 +41,7 @@ def test_medians_are_each_sides_own(same_reports):
 def test_coeffs_never_writes_the_users_table(same_reports, tmp_path):
     table = tmp_path / "tau1e6.cache"
     runs = same_reports.commands(ROOT, table)
-    assert len(runs) == 20
+    assert len(runs) == 21
     # every coeffs run but the one that prints its help writes a cache
     coeffs = [args for args in runs.values()
               if args[0] == "coeffs" and "--help" not in args]

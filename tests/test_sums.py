@@ -74,6 +74,8 @@ def test_long_sum_values(table_2e4):
     assert long_sum(2.0, K1, table_2e4) == pytest.approx(
         1.0 + table_2e4.a[1], abs=1e-14)
     assert long_sum(0.2, K1, table_2e4) == 0j
+    with pytest.raises(ValueError, match="need finite x"):
+        long_sum(math.nan, K1, table_2e4)
 
 
 def test_long_short_telescoping(table_2e4):
@@ -89,6 +91,12 @@ def test_unweighted_window_values(table_2e4):
         1.0 + table_2e4.a[1], abs=1e-15)
     assert unweighted_window_sum(2.0, 0.0, table_2e4) == pytest.approx(
         table_2e4.a[1], abs=1e-15)
+    # [10.2, 10.7] holds no integer: the empty slice sums to 0j
+    assert unweighted_window_sum(10.2, 0.5, table_2e4) == 0j
+    with pytest.raises(ValueError, match="need delta >= 0"):
+        unweighted_window_sum(2.0, -0.5, table_2e4)
+    with pytest.raises(ValueError, match="window must start at m >= 1"):
+        unweighted_window_sum(0.0, 2.0, table_2e4)
 
 
 def test_breakpoints_example():
@@ -99,6 +107,10 @@ def test_breakpoints_example():
     assert np.min(np.abs(pts - root7)) <= 1e-9
     assert pts.size <= 2 * 2 + 2
     assert np.all(np.diff(pts) > 0)
+    with pytest.raises(ValueError, match="need m >= 2"):
+        breakpoints(1.5, 2.0)
+    with pytest.raises(ValueError, match="need delta >= 0"):
+        breakpoints(4.0, -1.0)
 
 
 def test_breakpoints_count_bound():
