@@ -9,28 +9,40 @@ term
 
 with Φ' the shifted/plain phases carrying the -π/4 offset.
 
-The cosine difference is evaluated in product form,
+The cosine difference has the product form
 cos(A - π/4) - cos(B - π/4) = -2 sin((A+B)/2 - π/4) sin((A-B)/2), with
-A - B = s·g, s = 4π√n/k and g = √(x+√x) - √x computed without
-cancellation as √x / (√(x+√x) + √x). Nothing is subtracted at arguments
-near 4π√(nx)/k, so a grid of Gauss-16 panels holding about three cycles
-of the squared integrand each settles to 1e-9 on its first doubling.
+A = s√(x+√x), B = s√x and s = 4π√n/k. In the variable
+y = √x + √(x+√x) both halves are plain: A + B = s y, and A - B = s g with
+the gap g = √(x+√x) - √x = y/(2y + 1), so the squared difference is
+(1 - sin s y)(1 - cos s g). Each exact bracket is integrated in y on
+Gauss-16 panels uniform in y (weight.window_root_sum_inverse gives x, g
+and dx/dy), which hold about three cycles of the fast factor each and
+settle to 1e-9 on their first doubling. The slow factor 1 - cos s g is a
+fixed number of moments of (g - g₀)^j, because s·g moves by well under one
+radian across a window, and the fast factor's phase s y splits over each
+panel as s·(node in the first panel) + s·(panel offset), so a grid costs
+a few sines per (n, panel) and vector-matrix products instead of
+a transcendental per (n, node).
 
 The diagonal splits each squared difference into one non-oscillatory
 part, 1 - cos(s g), and three oscillatory parts. The oscillatory parts
 are evaluated exactly for small n and certified (not evaluated) past a
 cutoff where their first-derivative-test bounds fall off like n^(-1/2).
-The non-oscillatory part is evaluated for every n from a fixed number of
-moments of w√x (g - g₀)^j, because s·g moves by well under one radian
-across a window; the Taylor remainder of that series joins the slack.
+The non-oscillatory part is evaluated for every n from the same moment
+series, on moments of w√x (g - g₀)^j; the Taylor remainder of that series
+joins the slack, and an exact bracket whose remainder bound passes the
+settle tolerance is refused rather than settled.
 
 Every large grid (the exact brackets, the piece masses, the slow
 brackets, the diagonal's n-long chain of weights and summands) is
 evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, so peak
 memory does not grow with the grid. Each element is computed by the same
 floating-point operations in the same order as on the whole matrix, each
-row keeps its own reduction, and each sum of the diagonal is still one
-np.sum over its whole summand, so the results are bit for bit the same.
+row keeps its own reduction (the exact brackets' matrix products run one
+row at a time: a BLAS product over a block of rows can round a row
+differently with the block's size or the thread count), and each sum of
+the diagonal is still one np.sum over its whole summand, so the results
+are bit for bit the same.
 
 A sweep is built once from the config: sweep_grid gives each (M, k) row
 its point unit_point(k) and its weight window_weight(M, k, cfg), and
@@ -41,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +62,12 @@ from cuspsums.config import NODE_BUDGET, ExperimentConfig
 from cuspsums.oscillatory import derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
-from cuspsums.weight import (WeightProfile, eval_weight, window_gap,
-                             window_roots, window_top, window_weight)
+from cuspsums.weight import (WeightProfile, eval_weight, gauss_panels,
+                             window_gap, window_root_sum,
+                             window_root_sum_inverse, window_top,
+                             window_weight)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_QUARTER_TURN = math.pi / 4.0
 _NODE_BUDGET = NODE_BUDGET      # diagonal_profile's, by a name tests patch
 _N_EXACT_FLOOR = 256            # see diagonal_term
 # terms of the moment series of the slow brackets; for n <= M and Δ <= M,
@@ -157,35 +171,129 @@ def theorem_integral(point: RationalPoint, weight: WeightProfile,
     return float(np.sum(summand))
 
 
-def _root_weighted(weight: WeightProfile, x: np.ndarray, wts: np.ndarray):
-    """Quadrature weights times w(x)·√x at the abscissae x."""
-    return wts * eval_weight(weight, x) * np.sqrt(x)
-
-
 def _weighted_nodes(weight: WeightProfile, panels: int):
     """Gauss-16 abscissae over the support plus w(x)·√x·quadrature weights."""
-    x, wts = weight.gauss_panels(panels)
-    return x, _root_weighted(weight, x, wts)
+    x, wts = gauss_panels(*weight.support, panels)
+    return x, wts * eval_weight(weight, x) * np.sqrt(x)
 
 
-def _phase_columns(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(√(x+√x) + √x)/2 and window_gap(x): _cos_difference's factors of x."""
-    root, top_root = window_roots(xs)
-    return 0.5 * (top_root + root), window_gap(xs)
+def _root_sum_nodes(weight: WeightProfile, panels: int):
+    """Gauss-16 nodes uniform in y = window_root_sum(x) over the support.
 
-
-def _cos_difference(ns: np.ndarray, k: int, columns) -> np.ndarray:
-    """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
-
-    Product form -2 sin((A+B)/2 - π/4) sin(s g / 2) with A = s√(x+√x),
-    B = s√x and s = 4π√n/k: only the rounding of the argument (A+B)/2
-    itself is left, not a difference of two cosines near it. columns is
-    _phase_columns(xs).
+    Returns the nodes y, the weights W = quadrature weight·w(x)·√x·dx/dy,
+    so that Σ W f = ∫ w √x f dx, the gap g at each node and the panel
+    width in y.
     """
-    mean, gap = columns
-    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    return (-2.0 * np.sin(np.outer(scale, mean) - _QUARTER_TURN)
-            * np.sin(np.outer(0.5 * scale, gap)))
+    y_lo, y_hi = (float(window_root_sum(x)) for x in weight.support)
+    y, wts = gauss_panels(y_lo, y_hi, panels)
+    x, jacobian, gap = window_root_sum_inverse(y)
+    wts *= eval_weight(weight, x)
+    wts *= jacobian
+    return y, wts, gap, (y_hi - y_lo) / panels
+
+
+def _moment_columns(weights: np.ndarray, gap: np.ndarray):
+    """The columns W (g - g₀)^j, j < _MOMENT_ORDER, of one grid, with g₀ and reach.
+
+    g₀ is the midpoint of g's range and reach = max|g - g₀|. The columns
+    fill one (nodes, _MOMENT_ORDER) array in place, each the one before
+    times g - g₀.
+    """
+    g0 = 0.5 * (float(gap.min()) + float(gap.max()))
+    offset = gap - g0
+    columns = np.empty((gap.size, _MOMENT_ORDER))
+    columns[:, 0] = weights
+    for j in range(1, _MOMENT_ORDER):
+        np.multiply(columns[:, j - 1], offset, out=columns[:, j])
+    return columns, g0, float(np.max(np.abs(offset)))
+
+
+def _series_bound(reach: float):
+    """reach^J/J!, J = _MOMENT_ORDER: e^(iy)'s Taylor remainder at |y| <= reach."""
+    return reach ** _MOMENT_ORDER / math.factorial(_MOMENT_ORDER)
+
+
+def _moment_series(scale: np.ndarray, moments: np.ndarray, g0: float):
+    """μ_0 - Re e^(i s g₀) Σ_j μ_j (i s)^j/j!, j < _MOMENT_ORDER, at each s of scale.
+
+    With μ_j = Σ_q V_q (g_q - g₀)^j this is Σ_q V_q (1 - cos s g_q) but for
+    the truncation of e^(i s (g - g₀)), at most _series_bound(s·max|g - g₀|)
+    · Σ_q |V_q|. moments is one μ for every s, shape (_MOMENT_ORDER,), or
+    one per s, shape (scale.size, _MOMENT_ORDER).
+
+    The sum splits by the parity of j: Σ_j μ_j (i s)^j/j! = E + i s O with
+    E = Σ μ_2i (-s²)^i/(2i)! and O = Σ μ_2i+1 (-s²)^i/(2i+1)!, each one
+    real Horner in -s², so the value is μ_0 - E cos s g₀ + s O sin s g₀.
+    """
+    minus_square = -(scale * scale)
+    parts = []
+    for js in (range(0, _MOMENT_ORDER, 2), range(1, _MOMENT_ORDER, 2)):
+        total = moments[..., js[-1]] / math.factorial(js[-1])
+        for j in js[-2::-1]:
+            total = total * minus_square + moments[..., j] / math.factorial(j)
+        parts.append(total)
+    even, odd = parts
+    phase = g0 * scale
+    return moments[..., 0] - even * np.cos(phase) + scale * odd * np.sin(phase)
+
+
+class _PhaseGrid(NamedTuple):
+    """One grid of diagonal_profile, Gauss-16 panels uniform in y.
+
+    Node l of panel p lies at first[l] + shifts[p], up to rounding;
+    columns holds _moment_columns' W (g - g₀)^j panel by panel, shape
+    (panels, 16·_MOMENT_ORDER), and moments their sums over the grid.
+    """
+
+    first: np.ndarray
+    shifts: np.ndarray
+    columns: np.ndarray
+    moments: np.ndarray
+    g0: float
+    reach: float
+
+
+def _phase_grid(weight: WeightProfile, panels: int) -> _PhaseGrid:
+    """diagonal_profile's grid of `panels` panels, from _root_sum_nodes."""
+    y, weights, gap, width = _root_sum_nodes(weight, panels)
+    columns, g0, reach = _moment_columns(weights, gap)
+    return _PhaseGrid(first=y[:16], shifts=width * np.arange(panels),
+                      columns=columns.reshape(panels, -1),
+                      moments=columns.sum(axis=0), g0=g0, reach=reach)
+
+
+def _exact_moments(scale: np.ndarray, grid: _PhaseGrid) -> np.ndarray:
+    """μ_j = Σ_q W_q (1 - sin s y_q)(g_q - g₀)^j on one grid, a row per s of scale.
+
+    That is grid.moments_j - T_j with T_j = Σ_q W_q (g_q - g₀)^j sin s y_q.
+    Each node's phase splits as s y = s·first[l] + s·shifts[p], and
+    sin(a + b) = sin a cos b + cos a sin b, so a row takes 2(16 + panels)
+    sines and cosines, one (2, panels)·(panels, 16·J) product and one
+    (1, 32)·(32, J) product, and no transcendental per node. Each row is
+    its own product, so its bits do not depend on the rows beside it or on
+    the BLAS threads.
+    """
+    across = np.multiply.outer(scale, grid.shifts)
+    by_panel = (np.stack([np.cos(across), np.sin(across)], axis=1)
+                @ grid.columns).reshape(scale.size, 32, _MOMENT_ORDER)
+    within = np.multiply.outer(scale, grid.first)
+    by_node = np.concatenate([np.sin(within), np.cos(within)], axis=1)
+    return grid.moments - (by_node[:, None, :] @ by_panel)[:, 0]
+
+
+def _exact_brackets(scale: np.ndarray, moments: np.ndarray, grid: _PhaseGrid,
+                    tol: float) -> np.ndarray:
+    """Σ_q W_q (1 - sin s y_q)(1 - cos s g_q) at each s of scale, or NaN.
+
+    That is ∫ w √x (cos Φ₁' - cos Φ₂')² dx, the squared product form
+    4 sin²(s y/2 - π/4) sin²(s g/2) in y: _moment_series of the rows of
+    _exact_moments. A row whose truncation bound _series_bound(s·reach)·μ_0
+    exceeds tol is NaN.
+    """
+    brackets = _moment_series(scale, moments, grid.g0)
+    bound = _series_bound(scale * grid.reach) * np.abs(moments[:, 0])
+    brackets[bound > tol] = np.nan
+    return brackets
 
 
 def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
@@ -202,83 +310,55 @@ def _first_panels(n_max: int, k: int, weight: WeightProfile) -> int:
 def diagonal_profile(ns, k: int, weight: WeightProfile):
     """Exact per-n brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx, one shared grid.
 
-    The integrand is the squared product form of _cos_difference. The
-    first grid (_first_panels) gives each Gauss-16 panel about three
-    cycles of the squared integrand at the fastest requested frequency.
-    One evaluation covers every n, a block of rows at a time;
-    WeightProfile.refine settles each row to 1e-9 of the first grid's
-    weight mass ∫ w √x. Returns (brackets, flagged) where flagged lists
-    the n whose rows never settled inside _NODE_BUDGET nodes and were
-    replaced by the trivial bound 4 ∫ w √x.
+    Each bracket is integrated in y = √x + √(x + √x), on Gauss-16 panels
+    uniform in y, by _exact_moments and _exact_brackets. The first grid (_first_panels) gives
+    each panel about three cycles of the squared integrand at the fastest
+    requested frequency. One evaluation covers every n, a block of rows at
+    a time; WeightProfile.refine settles each row to 1e-9 of the first
+    grid's weight mass ∫ w √x. A row whose moment series' truncation bound
+    exceeds that tolerance on a grid does not settle there. Returns
+    (brackets, flagged) where flagged lists the n whose rows never settled
+    inside _NODE_BUDGET nodes and were replaced by the trivial bound
+    4 ∫ w √x.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
         return np.zeros(0), ()
     if np.any(ns < 1):
         raise ValueError("frequencies must satisfy n >= 1")
+    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
     panels = _first_panels(int(ns.max()), k, weight)
-    mass = float(np.sum(_weighted_nodes(weight, panels)[1]))
+    mass = float(np.sum(_root_sum_nodes(weight, panels)[1]))
+    tol = 1e-9 * mass
 
-    def squared_differences(xs: np.ndarray, wts: np.ndarray) -> np.ndarray:
-        wsx = _root_weighted(weight, xs, wts)
-        columns = _phase_columns(xs)
-        out = np.empty(ns.size)
-        for rows in _row_blocks(ns.size, xs.size):
-            out[rows] = (_cos_difference(ns[rows], k, columns) ** 2
-                         * wsx).sum(axis=1)
-        return out
+    def brackets(panels: int) -> np.ndarray:
+        grid = _phase_grid(weight, panels)
+        moments = np.empty((ns.size, _MOMENT_ORDER))
+        # a row's widest temporaries: its (2, panels) phases, (2, 16·J) products
+        for rows in _row_blocks(ns.size, 2 * max(panels, 16 * _MOMENT_ORDER)):
+            moments[rows] = _exact_moments(scale[rows], grid)
+        return _exact_brackets(scale, moments, grid, tol)
 
-    values, settled = weight.refine(panels, squared_differences, 1e-9 * mass,
-                                    _NODE_BUDGET)
+    values, settled = weight.refine(panels, brackets, tol, _NODE_BUDGET)
     values[~settled] = 4.0 * mass
     return values, tuple(int(n) for n in ns[~settled])
 
 
-def _slow_brackets(n_lo: int, n_hi: int, k: int, xs: np.ndarray,
-                   wsx: np.ndarray) -> tuple[np.ndarray, float]:
+def _slow_brackets(n_lo: int, n_hi: int, k: int, moments: np.ndarray,
+                   g0: float) -> np.ndarray:
     """Non-oscillatory part ∫ w √x (1 - cos s g) dx for n_lo ≤ n ≤ n_hi.
 
-    With s = 4π√n/k, g = window_gap(x) and g₀ the midpoint of g's range,
-    cos s g = Re e^(i s g₀) Σ_j (i s)^j/j! (g - g₀)^j, so every bracket
-    follows from the _MOMENT_ORDER moments Σ w√x (g - g₀)^j on a
-    weight-resolving grid. The Taylor remainder of e^(iy) bounds each
-    bracket's truncation error by (s_max·max|g - g₀|)^J/J! · Σ|w√x|,
-    J = _MOMENT_ORDER; returns (brackets, that bound).
-
-    The Horner steps series ← m_{j-1} + (i s/j)·series run on the real
-    and imaginary parts, a block of n at a time, and give numpy's complex
-    arithmetic bit for bit: i s/j is (0, t) with t = s·(1.0/j) exactly
-    (Smith's division by (j, 0)), and (0, t)·(re, im) is
-    (0·re - t·im, 0·im + t·re), so with m real the new parts are
-    re = m - t·im and im = t·re + 0.0. The zero products change no nonzero
-    value; the + 0.0 keeps complex addition's +0.0 where t·re is -0.0. The
-    last step, e^(i s g₀)·series, stays one complex product.
+    s = 4π√n/k and g = window_gap(x); moments are _moment_columns' sums
+    Σ w√x (g - g₀)^j on a weight-resolving grid, and each bracket is their
+    _moment_series, a block of n at a time.
     """
-    g = window_gap(xs)
-    g0 = 0.5 * (float(g.min()) + float(g.max()))
-    offset = g - g0
-    moments = [float(np.sum(wsx * offset ** j)) for j in range(_MOMENT_ORDER)]
-    mass = float(np.sum(wsx))
     brackets = np.empty(n_hi - n_lo + 1)
     for rows in _row_blocks(brackets.size, 1):
         scale = np.sqrt(np.arange(n_lo + rows.start, n_lo + rows.stop,
                                   dtype=float))
         scale *= 4.0 * math.pi / k
-        # Horner in i s: series = Σ_j moments[j] (i s)^j / j!
-        re = np.full(scale.size, moments[-1])
-        im = np.zeros(scale.size)
-        for j in range(_MOMENT_ORDER - 1, 0, -1):
-            step = scale * (1.0 / j)
-            re, im = moments[j - 1] - step * im, step * re + 0.0
-        series = np.empty(scale.size, complex)
-        series.real, series.imag = re, im
-        brackets[rows] = mass - (np.exp(1j * g0 * scale) * series).real
-    # s is monotone in n, so n_hi has the largest s
-    s_max = (4.0 * math.pi / k) * math.sqrt(float(n_hi))
-    reach = s_max * float(np.max(np.abs(offset)))
-    bound = (reach ** _MOMENT_ORDER / math.factorial(_MOMENT_ORDER)
-             * float(np.sum(np.abs(wsx))))
-    return brackets, bound
+        brackets[rows] = _moment_series(scale, moments, g0)
+    return brackets
 
 
 def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
@@ -311,7 +391,12 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     # temporaries never sit beside both n-long arrays; the brackets array
     # then holds each tail summand in turn
     xs, wsx = _weighted_nodes(weight, weight.first_panels(0.0))
-    summand, truncation = _slow_brackets(n_exact + 1, n_top, k, xs, wsx)
+    columns, g0, reach = _moment_columns(wsx, window_gap(xs))
+    moments = columns.sum(axis=0)
+    summand = _slow_brackets(n_exact + 1, n_top, k, moments, g0)
+    # s is monotone in n, so n_top has the largest s
+    truncation = _series_bound(
+        (4.0 * math.pi / k) * math.sqrt(float(n_top)) * reach) * abs(moments[0])
 
     coeff = np.empty(n_top)
     for rows in _row_blocks(n_top, 1):

@@ -32,7 +32,8 @@ import numpy as np
 from cuspsums.config import NODE_BUDGET
 from cuspsums.errors import NodeBudgetError
 from cuspsums.rational import RationalPoint
-from cuspsums.weight import RAMP_SLOPE_MAX, WeightProfile, eval_weight, window_top
+from cuspsums.weight import (RAMP_SLOPE_MAX, WeightProfile, eval_weight,
+                             gauss_panels, window_top)
 
 T_PLAIN = "x"
 T_SHIFTED = "x+sqrt(x)"
@@ -143,9 +144,13 @@ def oscillatory_integral(profile: WeightProfile, spec: PhaseSpec,
     peak = float(np.max(np.abs(bp_fun(np.linspace(lo, hi, _SCAN_POINTS)))))
     panels = profile.first_panels(1.25 * peak * (hi - lo))
     if 16 * panels <= node_budget:
-        value, settled = profile.refine(panels, lambda x, wts: complex(np.sum(
-            wts * (eval_weight(profile, x) * np.sqrt(x)
-                   * np.exp(2j * np.pi * b_fun(x))))), _REFINE_TOL, node_budget)
+        def integral(panels: int) -> complex:
+            x, wts = gauss_panels(lo, hi, panels)
+            return complex(np.sum(wts * (eval_weight(profile, x) * np.sqrt(x)
+                                         * np.exp(2j * np.pi * b_fun(x)))))
+
+        value, settled = profile.refine(panels, integral, _REFINE_TOL,
+                                        node_budget)
         if settled:
             return value
     raise NodeBudgetError(

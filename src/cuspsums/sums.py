@@ -60,10 +60,10 @@ def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> co
     """sum_{m <= n <= m + delta} a(n); the alpha = 0 window statistic."""
     if delta < 0:
         raise ValueError(f"need delta >= 0, got {delta}")
+    if not m >= 1.0:
+        raise ValueError(f"window must start at m >= 1, got m={m}")
     lo = math.ceil(m)
     hi = math.floor(m + delta)
-    if lo < 1:
-        raise ValueError(f"window must start at m >= 1, got m={m}")
     table.require(hi, f"window sum at m={m}")
     return complex(np.sum(table.a[lo - 1: hi]))
 
@@ -85,7 +85,9 @@ def breakpoints(m: float, delta: float) -> np.ndarray:
                                    math.floor(window_top(hi)) + 1, dtype=np.int64))
     exits = exits[(exits >= lo) & (exits <= hi)]
     pts = np.sort(np.concatenate([ints, exits]))
-    return pts[np.diff(pts, prepend=-np.inf) > _BREAKPOINT_TOL]
+    keep = np.ones(pts.size, dtype=bool)
+    keep[1:] = np.diff(pts) > _BREAKPOINT_TOL
+    return pts[keep]
 
 
 @dataclass(frozen=True)

@@ -39,19 +39,6 @@ class WeightProfile:
     def support(self) -> tuple[float, float]:
         return (self.m, self.m + self.delta)
 
-    def gauss_panels(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-16 abscissae and quadrature weights on equal panels of the support.
-
-        Both arrays are flat, panel by panel; callers multiply in their own
-        integrand, w(x) included.
-        """
-        lo, hi = self.support
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        x = (mid[:, None] + half[:, None] * _GAUSS16_NODES[None, :]).ravel()
-        return x, (half[:, None] * _GAUSS16_WEIGHTS[None, :]).ravel()
-
     def first_panels(self, cycles: float) -> int:
         """Panels of the first grid of every weighted integral on the window.
 
@@ -61,25 +48,40 @@ class WeightProfile:
         return max(8, math.ceil(cycles), math.ceil(2.0 * self.delta / self.r))
 
     def refine(self, panels: int, evaluate, tol: float, node_budget: int):
-        """Gauss-16 integrals evaluate(x, wts), refined by panel doubling.
+        """Gauss-16 integrals evaluate(panels), refined by panel doubling.
 
-        Evaluates the first grid of `panels` panels, then doubles while the
-        nodes so far plus the next grid fit in node_budget. An entry settles
-        once two successive grids agree to tol, and stays settled; refinement
-        stops when all have. Returns (last-grid values, settled).
+        evaluate lays its own grid of `panels` Gauss-16 panels, with
+        gauss_panels, and returns its integrals. Evaluates the first grid,
+        then doubles while the nodes so far plus the next grid fit in
+        node_budget. An entry settles once two successive grids agree to
+        tol, and stays settled; a NaN entry never settles. Refinement stops
+        when all have settled. Returns (last-grid values, settled).
         """
-        x, wts = self.gauss_panels(panels)
-        values = evaluate(x, wts)
-        nodes_used = x.size
+        values = evaluate(panels)
+        nodes_used = 16 * panels
         settled = np.zeros(np.shape(values), dtype=bool)
         while not settled.all() and nodes_used + 32 * panels <= node_budget:
             panels *= 2
-            x, wts = self.gauss_panels(panels)
-            nodes_used += x.size
-            refined = evaluate(x, wts)
+            nodes_used += 16 * panels
+            refined = evaluate(panels)
             settled |= np.abs(refined - values) <= tol
             values = refined
         return values, settled
+
+
+def gauss_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-16 abscissae and quadrature weights on equal panels of [lo, hi].
+
+    Both arrays are flat, panel by panel, and the first panel's 16 nodes
+    come first; node l of panel p lies at node l of the first panel plus
+    p·(hi - lo)/panels, up to rounding. Callers multiply in their own
+    integrand, w(x) included.
+    """
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + half[:, None] * _GAUSS16_NODES[None, :]).ravel()
+    return x, (half[:, None] * _GAUSS16_WEIGHTS[None, :]).ravel()
 
 
 # sup psi' over the ramp, attained at t = 1/2 (see the module docstring)
@@ -142,6 +144,28 @@ def window_gap(x):
     """√(x + √x) - √x without cancellation, as √x / (√(x + √x) + √x)."""
     root, top_root = window_roots(x)
     return root / (top_root + root)
+
+
+def window_root_sum(x):
+    """y = √x + √(x + √x): the window's phase sum s√(x + √x) + s√x is s y.
+
+    The phase difference s√(x + √x) - s√x is s g, with g = window_gap(x).
+    """
+    root, top_root = window_roots(x)
+    return root + top_root
+
+
+def window_root_sum_inverse(y):
+    """(x, √x·dx/dy, g) at y = window_root_sum(x).
+
+    From (y - √x)² = x + √x: √x = y²/(2y + 1), so the gap is g = √x/y =
+    y/(2y + 1), dx/dy = 2√x·2y(y + 1)/(2y + 1)² and √x·dx/dy =
+    4x·g(y + 1)/(2y + 1).
+    """
+    width = 2.0 * y + 1.0
+    gap = y / width
+    x = (y * gap) ** 2
+    return x, 4.0 * x * gap * (y + 1.0) / width, gap
 
 
 def eval_weight(profile: WeightProfile, x):

@@ -6,13 +6,15 @@ re-computations; tau_pentagonal is the one faster algorithm, an O(n^1.5)
 recurrence that shares no method with the package's FFT kernel either.
 
 The last two sections call package kernels. The check instruments measure
-what no command reports: the truncated dual-sum reconstruction of the mean
-square split into diagonal and off-diagonal, and the dual sum differenced
-across the short window. They are built on _cos_difference,
-WeightProfile.refine and VoronoiParams.dual_coefficients. The one-matrix
-references evaluate a blocked package loop as one whole matrix, through
-the package's own pointwise kernels, so that a test can require the blocks
-to give the same bits as the whole.
+what no command reports: the diagonal's brackets integrated in x, from the
+cosine difference in product form, as a reference independent of the
+package's integration in y; the truncated dual-sum reconstruction of the
+mean square split into diagonal and off-diagonal; and the dual sum
+differenced across the short window. They are built on cos_difference,
+WeightProfile.refine, gauss_panels and VoronoiParams.dual_coefficients.
+The one-matrix references evaluate a blocked package loop as one whole
+matrix, through the package's own pointwise kernels, so that a test can
+require the blocks to give the same bits as the whole.
 """
 
 from __future__ import annotations
@@ -247,10 +249,56 @@ def diag_identity_check(n: int, k: int, xs) -> DiagIdentityCheck:
     )
 
 
-# Check instruments on package kernels: _cos_difference, WeightProfile.refine
-# and VoronoiParams.dual_coefficients. No command reports what they measure.
+# Check instruments on package kernels: cos_difference, WeightProfile.refine,
+# gauss_panels and VoronoiParams.dual_coefficients. No command reports what
+# they measure.
 
 _CROSSCHECK_NODE_BUDGET = 8_000_000
+
+
+def phase_columns(xs):
+    """(√(x+√x) + √x)/2 and window_gap(x): cos_difference's factors of x."""
+    from cuspsums.weight import window_gap, window_roots
+
+    root, top_root = window_roots(xs)
+    return 0.5 * (top_root + root), window_gap(xs)
+
+
+def cos_difference(ns, k: int, columns):
+    """cos Φ₁' - cos Φ₂' at each (n, x); phases carry the -π/4 offset.
+
+    Product form -2 sin((A+B)/2 - π/4) sin(s g / 2) with A = s√(x+√x),
+    B = s√x and s = 4π√n/k: only the rounding of the argument (A+B)/2
+    itself is left, not a difference of two cosines near it. columns is
+    phase_columns(xs).
+    """
+    import numpy as np
+
+    mean, gap = columns
+    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
+    return (-2.0 * np.sin(np.outer(scale, mean) - math.pi / 4.0)
+            * np.sin(np.outer(0.5 * scale, gap)))
+
+
+def profile_on_x_grid(ns, k: int, weight, panels: int):
+    """The brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx on a fixed grid in x.
+
+    Gauss-16 panels uniform in x, the squared cosine difference at every
+    node, a few rows at a time; meansquare.diagonal_profile integrates the
+    same brackets in y = √x + √(x + √x).
+    """
+    import numpy as np
+
+    from cuspsums import meansquare as msq
+
+    ns = np.asarray(ns, dtype=np.int64)
+    xs, wsx = msq._weighted_nodes(weight, panels)
+    columns = phase_columns(xs)
+    out = np.empty(ns.size)
+    for start in range(0, ns.size, 16):
+        rows = slice(start, start + 16)
+        out[rows] = (cos_difference(ns[rows], k, columns) ** 2 * wsx).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,9 +369,10 @@ def offdiagonal_crosscheck(m: float, delta: float, point, weight, table,
         raise ValueError("truncation level needs more nodes than budgeted")
     ns, z = VoronoiParams(point, n_trunc).dual_coefficients(table)
 
-    def pair_integrals(xs, wts):
-        diffs = msq._cos_difference(ns, k, msq._phase_columns(xs))
-        return (diffs * msq._root_weighted(weight, xs, wts)) @ diffs.T
+    def pair_integrals(panels):
+        xs, wsx = msq._weighted_nodes(weight, panels)
+        diffs = cos_difference(ns, k, phase_columns(xs))
+        return (diffs * wsx) @ diffs.T
 
     pairs, settled = weight.refine(panels, pair_integrals, 1e-9 * (hi - lo)
                                    * math.sqrt(hi), _CROSSCHECK_NODE_BUDGET)
@@ -378,12 +427,17 @@ def profile_one_matrix(ns, k: int, weight, node_budget: int = 2_000_000):
     from cuspsums import meansquare as msq
 
     ns = np.asarray(ns, dtype=np.int64)
+    scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
     panels = msq._first_panels(int(ns.max()), k, weight)
-    mass = float(np.sum(msq._weighted_nodes(weight, panels)[1]))
-    values, settled = weight.refine(panels, lambda xs, wts: (
-        msq._cos_difference(ns, k, msq._phase_columns(xs)) ** 2
-        * msq._root_weighted(weight, xs, wts)
-    ).sum(axis=1), 1e-9 * mass, node_budget)
+    mass = float(np.sum(msq._root_sum_nodes(weight, panels)[1]))
+    tol = 1e-9 * mass
+
+    def brackets(panels):
+        grid = msq._phase_grid(weight, panels)
+        return msq._exact_brackets(scale, msq._exact_moments(scale, grid),
+                                   grid, tol)
+
+    values, settled = weight.refine(panels, brackets, tol, node_budget)
     values[~settled] = 4.0 * mass
     return values, tuple(int(n) for n in ns[~settled])
 
@@ -401,27 +455,14 @@ def piece_masses_one_matrix(weight, edges):
     return half * (eval_weight(weight, x) * wts).sum(axis=1)
 
 
-def slow_brackets_one_matrix(ns, k: int, xs, wsx):
-    """meansquare._slow_brackets with the Horner loop over every n at once."""
+def slow_brackets_one_matrix(ns, k: int, moments, g0: float):
+    """meansquare._slow_brackets with the moment series over every n at once."""
     import numpy as np
 
     from cuspsums import meansquare as msq
-    from cuspsums.weight import window_gap
 
-    order = msq._MOMENT_ORDER
-    g = window_gap(xs)
-    g0 = 0.5 * (float(g.min()) + float(g.max()))
-    offset = g - g0
-    moments = [float(np.sum(wsx * offset ** j)) for j in range(order)]
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    series = np.full(ns.size, moments[-1], dtype=complex)
-    for j in range(order - 1, 0, -1):
-        series = moments[j - 1] + (1j * scale / j) * series
-    brackets = float(np.sum(wsx)) - np.real(np.exp(1j * g0 * scale) * series)
-    reach = float(scale.max()) * float(np.max(np.abs(offset)))
-    bound = (reach ** order / math.factorial(order)
-             * float(np.sum(np.abs(wsx))))
-    return brackets, bound
+    return msq._moment_series(scale, moments, g0)
 
 
 def normalized_one_shot(records):
@@ -442,6 +483,7 @@ def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
     from cuspsums.oscillatory import (T_SHIFTED, derivative_certificate,
                                       jm_bound, l3_spec)
     from cuspsums.rational import unit_point
+    from cuspsums.weight import window_gap
 
     msq._check_geometry(m, delta, weight)
     n_top = math.floor(m)
@@ -458,10 +500,14 @@ def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
     slack = 0.0
     if n_exact < n_top:
         xs, wsx = msq._weighted_nodes(weight, weight.first_panels(0.0))
+        columns, g0, reach = msq._moment_columns(wsx, window_gap(xs))
+        moments = columns.sum(axis=0)
         tail_ns = np.arange(n_exact + 1, n_top + 1, dtype=np.int64)
         tail_coeff = coeff[n_exact:]
-        brackets, truncation = msq._slow_brackets(n_exact + 1, n_top, k,
-                                                  xs, wsx)
+        brackets = msq._slow_brackets(n_exact + 1, n_top, k, moments, g0)
+        truncation = msq._series_bound(
+            (4.0 * math.pi / k) * math.sqrt(float(n_top)) * reach) \
+            * abs(moments[0])
         value += float(np.sum(tail_coeff * brackets))
         pt = unit_point(k)
         cert = min(

@@ -19,7 +19,7 @@ from cuspsums import coeffs, sums
 from cuspsums import meansquare as msq
 from cuspsums.coeffs import normalize
 from cuspsums.rational import unit_point
-from cuspsums.weight import build_weight
+from cuspsums.weight import build_weight, window_gap
 from oracles import (diagonal_term_one_matrix, normalized_one_shot,
                      piece_masses_one_matrix, profile_one_matrix,
                      slow_brackets_one_matrix, step_series_one_matrix)
@@ -44,17 +44,19 @@ def _peak_bytes(call) -> int:
 @pytest.mark.parametrize("first_grid_only", [False, True])
 def test_profile_blocks_match_one_matrix(window_1e4, monkeypatch,
                                          rows_per_block, first_grid_only):
-    # 37 rows: blocks of 3 leave a ragged row, and the doubled grid is
-    # wider than the block, so it runs one row per block; 0 rows per
-    # block makes every row wider than the block
+    # 37 rows: blocks of 3 leave a ragged row on the first grid and on its
+    # doubling, whose rows are equally wide: a row's width is twice the
+    # larger of the panels (26, then 52) and the 16 nodes' moment columns
+    # (192). 0 rows per block makes every row wider than the block
     ns = np.arange(1, 38)
-    width = 16 * msq._first_panels(37, 3, window_1e4)
+    panels = msq._first_panels(37, 3, window_1e4)
+    width = 2 * max(panels, 16 * msq._MOMENT_ORDER)
     if rows_per_block is not None:
         monkeypatch.setattr(msq, "_BLOCK_ELEMENTS",
                             rows_per_block * width + 7 if rows_per_block
                             else width // 2)
     if first_grid_only:     # a budget of the first grid alone flags every row
-        monkeypatch.setattr(msq, "_NODE_BUDGET", width)
+        monkeypatch.setattr(msq, "_NODE_BUDGET", 16 * panels)
     values, flagged = msq.diagonal_profile(ns, 3, window_1e4)
     ref_values, ref_flagged = profile_one_matrix(ns, 3, window_1e4,
                                                  msq._NODE_BUDGET)
@@ -80,14 +82,15 @@ def test_piece_masses_blocks_match_one_matrix(window_1e4, monkeypatch, block):
 def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
                                                block, top):
     xs, wsx = msq._weighted_nodes(window_1e4, 8)
+    columns, g0, _ = msq._moment_columns(wsx, window_gap(xs))
+    moments = columns.sum(axis=0)
     ns = np.arange(257, top + 1)
     if block is not None:
         monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
     for k in (1, 7):
-        brackets, bound = msq._slow_brackets(257, top, k, xs, wsx)
-        ref_brackets, ref_bound = slow_brackets_one_matrix(ns, k, xs, wsx)
-        assert np.array_equal(brackets, ref_brackets)
-        assert bound == ref_bound
+        brackets = msq._slow_brackets(257, top, k, moments, g0)
+        assert np.array_equal(brackets,
+                              slow_brackets_one_matrix(ns, k, moments, g0))
 
 
 @pytest.mark.parametrize(("block", "m", "delta"), [(None, 1e4, 2e3),

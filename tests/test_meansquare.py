@@ -239,9 +239,12 @@ def test_majorant_growth_is_at_most_log_squared():
 
 
 def test_omega_unit_window_recovers_first_coefficient(table_2e4):
-    om = msq.omega_statistic([0.5], 1.0, table_2e4)
-    # [0.5, 1.5] holds exactly n = 1 and a(1) = 1
-    assert om.max == pytest.approx(1.0, rel=1e-12)
+    om = msq.omega_statistic([1.0], 0.5, table_2e4)
+    # [1, 1.5] holds exactly n = 1 and a(1) = 1, divided by √Δ; a window
+    # may not start below 1, so [0.5, 1.5] is refused
+    with pytest.raises(ValueError, match="window must start at m >= 1"):
+        msq.omega_statistic([0.5], 1.0, table_2e4)
+    assert om.max * math.sqrt(0.5) == pytest.approx(1.0, rel=1e-12)
     assert om.values[0] == om.max == om.rms
     with pytest.raises(ValueError):
         msq.omega_statistic([], 1.0, table_2e4)

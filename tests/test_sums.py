@@ -95,8 +95,10 @@ def test_unweighted_window_values(table_2e4):
     assert unweighted_window_sum(10.2, 0.5, table_2e4) == 0j
     with pytest.raises(ValueError, match="need delta >= 0"):
         unweighted_window_sum(2.0, -0.5, table_2e4)
-    with pytest.raises(ValueError, match="window must start at m >= 1"):
-        unweighted_window_sum(0.0, 2.0, table_2e4)
+    # m itself is checked, not ceil(m): [0.5, 2.5] starts below 1
+    for start in (0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="window must start at m >= 1"):
+            unweighted_window_sum(start, 2.0, table_2e4)
 
 
 def test_breakpoints_example():

@@ -1,6 +1,7 @@
 """Smooth window weight: exact plateau, symmetry, the closed-form ramp slope;
 and the short window [x, x + sqrt(x)], whose one home is this module."""
 
+import math
 import re
 from pathlib import Path
 
@@ -13,8 +14,9 @@ import cuspsums
 from cuspsums.config import ExperimentConfig
 from cuspsums.sums import _BREAKPOINT_TOL
 from cuspsums.weight import (RAMP_SLOPE_MAX, build_weight, eval_weight,
-                             window_exits, window_roots, window_top,
-                             window_weight)
+                             gauss_panels, window_exits, window_gap,
+                             window_root_sum, window_root_sum_inverse,
+                             window_roots, window_top, window_weight)
 
 
 def test_support_and_plateau_exact():
@@ -114,8 +116,9 @@ def test_first_panels_ramp_floor_reads_stored_delta():
 _SMOOTH = build_weight(100.0, 80.0, 20.0)
 
 
-def _moments(x, wts):
+def _moments(panels):
     # ∫ u^j and ∫ cos(3u) over the support, u = (x - 100)/80 in [0, 1]
+    x, wts = gauss_panels(*_SMOOTH.support, panels)
     u = (x - 100.0) / 80.0
     return np.array([np.sum(wts * u ** 0), np.sum(wts * u ** 25),
                      np.sum(wts * np.cos(3.0 * u))])
@@ -124,14 +127,14 @@ def _moments(x, wts):
 def test_refine_settles_smooth_integrand_on_first_doubling():
     calls = []
 
-    def evaluate(x, wts):
-        calls.append(x.size)
-        return _moments(x, wts)
+    def evaluate(panels):
+        calls.append(panels)
+        return _moments(panels)
 
     values, settled = _SMOOTH.refine(8, evaluate, 1e-10, 10 ** 6)
     assert settled.all()
-    assert calls == [16 * 8, 16 * 16]
-    assert values == pytest.approx(_moments(*_SMOOTH.gauss_panels(256)), abs=1e-12)
+    assert calls == [8, 16]
+    assert values == pytest.approx(_moments(256), abs=1e-12)
 
 
 def test_refine_keeps_settled_entries_settled():
@@ -139,23 +142,50 @@ def test_refine_keeps_settled_entries_settled():
     # the last two; both count as settled at the end
     script = iter([np.array([1.0, 0.0]), np.array([1.0, 5.0]),
                    np.array([9.0, 7.0]), np.array([3.0, 7.0])])
-    values, settled = _SMOOTH.refine(8, lambda x, wts: next(script), 1e-9, 10 ** 6)
+    values, settled = _SMOOTH.refine(8, lambda panels: next(script), 1e-9, 10 ** 6)
     assert settled.tolist() == [True, True]
     assert values.tolist() == [3.0, 7.0]
+
+
+def test_refine_never_settles_a_nan_entry():
+    # entry 1 is NaN on every grid: refinement runs to the budget (8, 16
+    # and 32 panels take 896 nodes, 64 more would need 1024) and leaves it
+    # unsettled, while entry 0 settles
+    calls = []
+
+    def evaluate(panels):
+        calls.append(panels)
+        return np.array([1.0, math.nan])
+
+    values, settled = _SMOOTH.refine(8, evaluate, 1e-9, 16 * (8 + 16 + 32 + 64) - 1)
+    assert calls == [8, 16, 32]
+    assert settled.tolist() == [True, False]
+    assert values[0] == 1.0
 
 
 def test_refine_under_one_doubling_of_budget_settles_nothing():
     calls = []
 
-    def evaluate(x, wts):
-        calls.append(x.size)
-        return _moments(x, wts)
+    def evaluate(panels):
+        calls.append(panels)
+        return _moments(panels)
 
     # the first grid takes 128 nodes; its doubling would need 256 more
     values, settled = _SMOOTH.refine(8, evaluate, 1.0, 128 + 255)
-    assert calls == [128]
+    assert calls == [8]
     assert not settled.any()
-    assert values == pytest.approx(_moments(*_SMOOTH.gauss_panels(8)), abs=0.0)
+    assert values == pytest.approx(_moments(8), abs=0.0)
+
+
+def test_gauss_panels_repeat_the_first_panel():
+    # node l of panel p is node l of the first panel plus p panel widths,
+    # the layout diagonal_profile's phases split on
+    x, wts = gauss_panels(3.0, 11.0, 4)
+    nodes = x.reshape(4, 16)
+    assert np.allclose(nodes - nodes[:1], 2.0 * np.arange(4)[:, None],
+                       rtol=0.0, atol=1e-14)
+    assert np.array_equal(wts.reshape(4, 16), np.tile(wts[:16], (4, 1)))
+    assert float(np.sum(wts)) == pytest.approx(8.0, rel=1e-15)
 
 
 def test_window_exits_invert_the_top():
@@ -174,6 +204,19 @@ def test_window_roots_take_one_root_of_x():
     assert np.array_equal(root, np.sqrt(xs))
     assert np.array_equal(top_root, np.sqrt(xs + np.sqrt(xs)))
     assert window_top(4.0) == 6.0
+
+
+def test_root_sum_inverse_recovers_x():
+    # y = √x + √(x + √x) and back: x, the gap and the Jacobian √x·dx/dy
+    xs = np.geomspace(2.0, 1.2e6, 2001)
+    y = window_root_sum(xs)
+    x, jacobian, gap = window_root_sum_inverse(y)
+    assert np.max(np.abs(x / xs - 1.0)) <= 1e-14
+    assert np.max(np.abs(gap / window_gap(xs) - 1.0)) <= 1e-14
+    h = 1e-6 * y
+    dxdy = (window_root_sum_inverse(y + h)[0]
+            - window_root_sum_inverse(y - h)[0]) / (2.0 * h)
+    assert np.max(np.abs(jacobian / (np.sqrt(xs) * dxdy) - 1.0)) <= 1e-8
 
 
 def test_only_weight_spells_out_the_short_window():
