@@ -316,7 +316,8 @@ def diagonal_profile(ns, k: int, weight: WeightProfile):
     requested frequency. One evaluation covers every n, a block of rows at
     a time; WeightProfile.refine settles each row to 1e-9 of the first
     grid's weight mass ∫ w √x. A row whose moment series' truncation bound
-    exceeds that tolerance on a grid does not settle there. Returns
+    exceeds that tolerance on a grid is NaN there and does not settle, and
+    no grid is doubled for such rows alone. Returns
     (brackets, flagged) where flagged lists the n whose rows never settled
     inside _NODE_BUDGET nodes and were replaced by the trivial bound
     4 ∫ w √x.

@@ -55,12 +55,14 @@ class WeightProfile:
         then doubles while the nodes so far plus the next grid fit in
         node_budget. An entry settles once two successive grids agree to
         tol, and stays settled; a NaN entry never settles. Refinement stops
-        when all have settled. Returns (last-grid values, settled).
+        when every entry has settled or is NaN (or infinite) on the last
+        grid. Returns (last-grid values, settled).
         """
         values = evaluate(panels)
         nodes_used = 16 * panels
         settled = np.zeros(np.shape(values), dtype=bool)
-        while not settled.all() and nodes_used + 32 * panels <= node_budget:
+        while ((np.isfinite(values) & ~settled).any()
+               and nodes_used + 32 * panels <= node_budget):
             panels *= 2
             nodes_used += 16 * panels
             refined = evaluate(panels)

@@ -108,14 +108,22 @@ def test_profile_matches_x_grid_on_sweep_rows(m, k):
 def test_profile_refuses_rows_past_the_series_bound(window_1e4, monkeypatch):
     # with two terms of the moment series, (s·max|g - g₀|)²/2 of the mass
     # exceeds 1e-9 of it at every n: no row may settle, whatever its grids
-    # agree to. A budget of one doubling keeps the run short; with the
-    # full series the same budget settles every row
+    # agree to, so the first grid is the only one evaluated; with the full
+    # series every row settles
     ns = np.array([1, 50, 256])
     panels = msq._first_panels(256, 1, window_1e4)
-    monkeypatch.setattr(msq, "_NODE_BUDGET", 48 * panels)
     assert msq.diagonal_profile(ns, 1, window_1e4)[1] == ()
+    grids = []
+    phase_grid = msq._phase_grid
+
+    def counted(weight, panels):
+        grids.append(panels)
+        return phase_grid(weight, panels)
+
+    monkeypatch.setattr(msq, "_phase_grid", counted)
     monkeypatch.setattr(msq, "_MOMENT_ORDER", 2)
     values, flagged = msq.diagonal_profile(ns, 1, window_1e4)
+    assert grids == [panels]
     assert flagged == (1, 50, 256)
     mass = float(np.sum(msq._root_sum_nodes(window_1e4, panels)[1]))
     assert np.array_equal(values, np.full(3, 4.0 * mass))
