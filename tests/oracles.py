@@ -525,7 +525,13 @@ def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
 
 
 def step_series_one_matrix(m: float, delta: float, point, table):
-    """sums.step_series with every piece's event delta in one array."""
+    """sums.step_series with every piece's event delta in one array.
+
+    Its events come from rounding each edge, and the edge's window top, to
+    the nearest integer within the breakpoint merge tolerance: a rule
+    independent of the package's, which reads them from window_bounds at
+    the piece midpoints.
+    """
     import numpy as np
 
     from cuspsums import sums

@@ -1,10 +1,11 @@
 """Blocked grid evaluations against their one-matrix references.
 
 diagonal_profile, _piece_weight_masses, _slow_brackets, diagonal_term's
-n-long chain, step_series' anchor blocks and normalize evaluate their
-grids a block of rows at a time. With the block constants patched small,
-every loop runs several blocks, a ragged last block, and one row per
-block where a row is wider than the block; each result must equal the
+n-long chain, step_series' anchor blocks, normalize and the kernel's
+rounding evaluate their grids a block of rows at a time, all but the
+anchor blocks from coeffs._row_blocks. With the block constants patched
+small, every loop runs several blocks, a ragged last block, and one row
+per block where a row is wider than the block; each result must equal the
 one-matrix reference bit for bit. tracemalloc then pins the working set
 that the blocks buy.
 """
@@ -52,7 +53,7 @@ def test_profile_blocks_match_one_matrix(window_1e4, monkeypatch,
     panels = msq._first_panels(37, 3, window_1e4)
     width = 2 * max(panels, 16 * msq._MOMENT_ORDER)
     if rows_per_block is not None:
-        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS",
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS",
                             rows_per_block * width + 7 if rows_per_block
                             else width // 2)
     if first_grid_only:     # a budget of the first grid alone flags every row
@@ -72,7 +73,7 @@ def test_piece_masses_blocks_match_one_matrix(window_1e4, monkeypatch, block):
     edges = np.concatenate(([1e4], np.sort(rng.uniform(1e4, 1.2e4, 1001)),
                             [1.2e4]))
     if block is not None:
-        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", block)
     masses = msq._piece_weight_masses(window_1e4, edges)
     assert np.array_equal(masses, piece_masses_one_matrix(window_1e4, edges))
 
@@ -86,7 +87,7 @@ def test_slow_brackets_blocks_match_one_matrix(window_1e4, monkeypatch,
     moments = columns.sum(axis=0)
     ns = np.arange(257, top + 1)
     if block is not None:
-        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", block)
     for k in (1, 7):
         brackets = msq._slow_brackets(257, top, k, moments, g0)
         assert np.array_equal(brackets,
@@ -105,7 +106,7 @@ def test_diagonal_term_blocks_match_one_matrix(table_2e4, monkeypatch,
     # skips it
     weight = build_weight(m, delta)
     if block is not None:
-        monkeypatch.setattr(msq, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", block)
     for k in (1, 7):
         term = msq.diagonal_term(m, delta, k, weight, table_2e4)
         ref = diagonal_term_one_matrix(m, delta, k, weight, table_2e4)
@@ -133,9 +134,16 @@ def test_step_series_blocks_match_one_matrix(table_2e4, monkeypatch,
                                           (1, 500)])
 def test_normalize_blocks_match_one_shot(table_2e4, monkeypatch, block, n):
     if block is not None:
-        monkeypatch.setattr(coeffs, "_NORMALIZE_BLOCK", block)
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", block)
     records = table_2e4.records[:n]
     assert np.array_equal(normalize(records), normalized_one_shot(records))
+
+
+def test_kernel_rounding_blocks_match(table_2e4, monkeypatch):
+    # each inverse FFT of 20,000 values rounds in blocks of 777, the last
+    # ragged, to the same records as in the default blocks
+    monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", 777)
+    assert np.array_equal(coeffs.tau_sequence(20_000), table_2e4.records)
 
 
 def test_diagonal_term_working_set(table_1e5):

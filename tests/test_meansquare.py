@@ -16,8 +16,8 @@ from cuspsums import meansquare as msq
 from cuspsums.config import ExperimentConfig, load_config
 from cuspsums.oscillatory import T_SHIFTED, derivative_certificate, l3_spec
 from cuspsums.rational import make_rational_point
-from cuspsums.sums import step_series, window_bounds
-from cuspsums.weight import build_weight
+from cuspsums.sums import step_series
+from cuspsums.weight import build_weight, window_bounds
 
 from oracles import (diag_identity_check, offdiagonal_crosscheck,
                      offdiagonal_majorant, riemann_mean_square,
@@ -62,13 +62,11 @@ def test_parseval_over_the_circle(table_2e4, window_1e4):
     edges = step_series(window_1e4.m, window_1e4.delta, PT01,
                         table_2e4).breakpoints
     masses = msq._piece_weight_masses(window_1e4, edges)
-    ends = np.array([window_bounds(0.5 * (lo + hi))
-                     for lo, hi in zip(edges[:-1], edges[1:])])
+    first, last = window_bounds(0.5 * (edges[:-1] + edges[1:]))
     n_points = 127
-    assert int(np.max(ends[:, 1] - ends[:, 0])) + 1 == 110 <= n_points
+    assert int(np.max(last - first)) + 1 == 110 <= n_points
     squares = np.concatenate([[0.0], np.cumsum(table_2e4.a ** 2)])
-    diagonal = float(np.sum(masses * (squares[ends[:, 1]]
-                                      - squares[ends[:, 0] - 1])))
+    diagonal = float(np.sum(masses * (squares[last] - squares[first - 1])))
     mean = sum(msq.theorem_integral(make_rational_point(j, n_points),
                                     window_1e4, table_2e4)
                for j in range(n_points)) / n_points

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cuspsums import sums
 from cuspsums.rational import make_rational_point
 from cuspsums.sums import (
     breakpoints,
@@ -14,8 +15,8 @@ from cuspsums.sums import (
     short_sum,
     step_series,
     unweighted_window_sum,
-    window_bounds,
 )
+from cuspsums.weight import window_bounds
 
 from oracles import step_edges_by_loop, window_sum_by_rescan
 
@@ -176,6 +177,40 @@ def test_step_series_covers_square_collision(table_2e4):
     for i, x in enumerate(mids):
         direct = short_sum(float(x), make_rational_point(1, 4), table_2e4)
         assert abs(series.values[i] - direct) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=2.0, max_value=15_000.0),
+       st.floats(min_value=0.0, max_value=300.0))
+def test_window_ends_step_by_at_most_one(table_2e4, m, delta):
+    # step_series reads its events from window_bounds at the piece
+    # midpoints: across every inner edge each end moves up by 0 or 1, and
+    # at least one of them moves
+    edges = step_series(m, delta, K1, table_2e4).breakpoints
+    first, last = window_bounds(0.5 * (edges[:-1] + edges[1:]))
+    moves = np.stack([np.diff(first), np.diff(last)])
+    assert np.isin(moves, (0, 1)).all()
+    assert (moves.sum(axis=0) >= 1).all()
+
+
+@pytest.mark.parametrize("anchor_every", [None, 7, 1])
+def test_step_events_across_anchor_blocks(table_2e4, monkeypatch,
+                                          anchor_every):
+    # [5035, 5047] holds 71^2 = 5041, where 5041 leaves and 5112 joins at
+    # one edge; anchor blocks of 7 leave a ragged last block of 3 pieces
+    if anchor_every is not None:
+        monkeypatch.setattr(sums, "_ANCHOR_EVERY", anchor_every)
+    point = make_rational_point(1, 4)
+    series = step_series(5035.0, 12.0, point, table_2e4)
+    mids = 0.5 * (series.breakpoints[:-1] + series.breakpoints[1:])
+    assert mids.size == 24
+    first, last = window_bounds(mids)
+    collision = np.flatnonzero(series.breakpoints[1:-1] == 5041.0)
+    assert collision.size == 1
+    assert (first[collision + 1] - first[collision]).tolist() == [1]
+    assert (last[collision + 1] - last[collision]).tolist() == [1]
+    for value, x in zip(series.values, mids):
+        assert abs(value - short_sum(float(x), point, table_2e4)) <= 1e-10
 
 
 @pytest.mark.parametrize("m, delta", [

@@ -14,9 +14,10 @@ import cuspsums
 from cuspsums.config import ExperimentConfig
 from cuspsums.sums import _BREAKPOINT_TOL
 from cuspsums.weight import (RAMP_SLOPE_MAX, build_weight, eval_weight,
-                             gauss_panels, window_exits, window_gap,
-                             window_root_sum, window_root_sum_inverse,
-                             window_roots, window_top, window_weight)
+                             gauss_panels, window_bounds, window_exits,
+                             window_gap, window_root_sum,
+                             window_root_sum_inverse, window_roots, window_top,
+                             window_weight)
 
 
 def test_support_and_plateau_exact():
@@ -205,6 +206,20 @@ def test_window_roots_take_one_root_of_x():
     assert np.array_equal(root, np.sqrt(xs))
     assert np.array_equal(top_root, np.sqrt(xs + np.sqrt(xs)))
     assert window_top(4.0) == 6.0
+
+
+def test_window_bounds_take_arrays():
+    # one array call equals the scalar calls elementwise, integer ends and
+    # a square collision included; one bad x anywhere refuses the array
+    xs = np.concatenate([[1.0, 4.0, 4.5, 5041.0 - 1e-9, 5041.0],
+                         np.geomspace(1.0, 1.2e6, 995)])
+    first, last = window_bounds(xs)
+    assert first.dtype == last.dtype == np.int64
+    assert list(zip(first.tolist(), last.tolist())) == [
+        window_bounds(float(x)) for x in xs]
+    for bad in (0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="window position must satisfy"):
+            window_bounds(np.array([4.0, bad, 9.0]))
 
 
 def test_root_sum_inverse_recovers_x():
