@@ -23,9 +23,11 @@ because coeffs.json records the path, never at ``--table``. Pair i of
 when i is even. Every repeat of every run on both sides must match the
 parent's first repeat in every output file, stdout, stderr and exit code,
 so a run that differs from its own earlier repeat fails too, and so does a
-new numpy warning. The script prints each difference, with at most ten
-differing CSV data rows counted from 1 after the header, and exits 1 if
-there is one, 0 otherwise.
+new numpy warning. The script prints each difference and exits 1 if there
+is one, 0 otherwise. A differing CSV file names at most ten differing data
+rows, counted from 1 after the header; a differing JSON file names at most
+ten differing leaves, by JSON Pointer (RFC 6901), and the largest relative
+difference among the numeric ones.
 
 Each run is reaped with ``os.wait4`` for its own minor page faults
 (``ru_minflt``), peak RSS (``ru_maxrss``, KiB on Linux) and user plus
@@ -36,6 +38,8 @@ Unlike wall time, the first two repeat almost exactly on a shared host.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import statistics
 import subprocess
@@ -146,6 +150,47 @@ def differing_rows(old: bytes, new: bytes) -> str:
             f"{', '.join(map(str, rows[:ROWS_SHOWN]))}{more}")
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def json_leaves(value, pointer: str = "") -> dict:
+    """JSON Pointer -> value of every leaf of a parsed JSON document; an
+    empty object or array is a leaf."""
+    if isinstance(value, dict) and value:
+        children = value.items()
+    elif isinstance(value, list) and value:
+        children = enumerate(value)
+    else:
+        return {pointer: value}
+    return {leaf: item for key, child in children
+            for leaf, item in json_leaves(child, f"{pointer}/{key}").items()}
+
+
+def differing_leaves(old: bytes, new: bytes) -> str:
+    """The pointers of the JSON leaves that differ, and the largest relative
+    difference among those that are numbers on both sides."""
+    leaves0, leaves1 = json_leaves(json.loads(old)), json_leaves(json.loads(new))
+    # in document order, the added leaves last; repr holds 1 and 1.0 apart
+    # and NaN equal to NaN
+    pointers = [p for p in [*leaves0, *(p for p in leaves1 if p not in leaves0)]
+                if p not in leaves0 or p not in leaves1
+                or repr(leaves0[p]) != repr(leaves1[p])]
+    more = ", ..." if len(pointers) > ROWS_SHOWN else ""
+    out = (f"{len(pointers)} leaves differ: "
+           f"{', '.join(pointers[:ROWS_SHOWN])}{more}")
+    pairs = [(leaves0.get(p), leaves1.get(p)) for p in pointers]
+    relative = [abs(a - b) / max(abs(a), abs(b)) for a, b in pairs
+                if _finite_number(a) and _finite_number(b) and (a or b)]
+    if relative:
+        out += f"; largest relative difference {max(relative):.2g}"
+    return out
+
+
+DIFFERING_PARTS = {".csv": differing_rows, ".json": differing_leaves}
+
+
 def run_differences(ref: Run, run: Run) -> list[str]:
     """One line per exit code, stdout, stderr or output file that differs."""
     out = [f"exit code {ref.code} -> {run.code}"] if ref.code != run.code else []
@@ -155,9 +200,9 @@ def run_differences(ref: Run, run: Run) -> list[str]:
         if ref.files.get(path) == run.files.get(path):
             continue
         if path in ref.files and path in run.files:
-            rows = (f" ({differing_rows(ref.files[path], run.files[path])})"
-                    if path.endswith(".csv") else "")
-            out.append(f"{path} differs{rows}")
+            part = DIFFERING_PARTS.get(Path(path).suffix)
+            detail = f" ({part(ref.files[path], run.files[path])})" if part else ""
+            out.append(f"{path} differs{detail}")
         else:
             out.append(f"{path} {'missing' if path in ref.files else 'added'}")
     return out

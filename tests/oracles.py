@@ -5,6 +5,10 @@ package internals beyond data types. Most references are direct
 re-computations; tau_pentagonal is the one faster algorithm, an O(n^1.5)
 recurrence that shares no method with the package's FFT kernel either.
 
+One reference there is not naive: short_sum, the direct S(x) of one
+window, reads the package's window_bounds and e_k, the rules every short
+sum shares, and window_sum_by_rescan beside it checks it without them.
+
 The last two sections call package kernels. The check instruments measure
 what no command reports: the diagonal's brackets integrated in x, from the
 cosine difference in product form, as a reference independent of the
@@ -14,7 +18,8 @@ differenced across the short window. They are built on cos_difference,
 WeightProfile.refine, gauss_panels and VoronoiParams.dual_coefficients.
 The one-matrix references evaluate a blocked package loop as one whole
 matrix, through the package's own pointwise kernels, so that a test can
-require the blocks to give the same bits as the whole.
+require the blocks to give the same bits as the whole; the step series'
+reference sums its events instead, and is held to a tolerance.
 """
 
 from __future__ import annotations
@@ -119,6 +124,19 @@ def window_sum_by_rescan(x: float, h: int, k: int, a_values) -> complex:
             total += a_values[n - 1] * cmath.exp(2j * cmath.pi * float(frac))
         n += 1
     return total
+
+
+def short_sum(x: float, alpha, table) -> complex:
+    """S(x) = sum_{x <= n <= x + sqrt(x)} a(n) e(n h/k), alpha = h/k, summed pairwise."""
+    import numpy as np
+
+    from cuspsums.rational import e_k
+    from cuspsums.weight import window_bounds
+
+    lo, hi = window_bounds(x)
+    table.require(hi, f"short_sum at x={x}")
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    return complex(np.sum(table.a[lo - 1: hi] * e_k(ns * alpha.h, alpha.k)))
 
 
 def step_edges_by_loop(m: float, delta: float, inner) -> list[float]:
@@ -525,12 +543,13 @@ def diagonal_term_one_matrix(m: float, delta: float, k: int, weight, table):
 
 
 def step_series_one_matrix(m: float, delta: float, point, table):
-    """sums.step_series with every piece's event delta in one array.
+    """sums.step_series as one cumulative sum of every piece's event delta.
 
-    Its events come from rounding each edge, and the edge's window top, to
-    the nearest integer within the breakpoint merge tolerance: a rule
-    independent of the package's, which reads them from window_bounds at
-    the piece midpoints.
+    It starts from short_sum at the first piece's midpoint. Its events come
+    from rounding each edge, and the edge's window top, to the nearest
+    integer within the breakpoint merge tolerance: a rule independent of
+    the package's, which reads each piece's whole window from window_bounds
+    at its midpoint.
     """
     import numpy as np
 
@@ -561,13 +580,5 @@ def step_series_one_matrix(m: float, delta: float, point, table):
                 deltas[mask] += sign * table.a[js - 1] * e_k(js * point.h, point.k)
         piece_delta[1:] = deltas
 
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    values = np.empty(n_piece, dtype=complex)
-    start = 0
-    while start < n_piece:
-        stop = min(start + sums._ANCHOR_EVERY, n_piece)
-        anchor = sums.short_sum(float(mids[start]), point, table)
-        block = np.concatenate([[anchor], piece_delta[start + 1: stop]])
-        values[start:stop] = np.cumsum(block)
-        start = stop
-    return sums.StepSeries(breakpoints=edges, values=values)
+    piece_delta[0] = short_sum(0.5 * (edges[0] + edges[1]), point, table)
+    return sums.StepSeries(breakpoints=edges, values=np.cumsum(piece_delta))

@@ -1,13 +1,15 @@
 """Blocked grid evaluations against their one-matrix references.
 
 diagonal_profile, _piece_weight_masses, _slow_brackets, diagonal_term's
-n-long chain, step_series' anchor blocks, normalize and the kernel's
-rounding evaluate their grids a block of rows at a time, all but the
-anchor blocks from coeffs._row_blocks. With the block constants patched
-small, every loop runs several blocks, a ragged last block, and one row
-per block where a row is wider than the block; each result must equal the
-one-matrix reference bit for bit. tracemalloc then pins the working set
-that the blocks buy.
+n-long chain, step_series' prefix differences, normalize and the kernel's
+rounding evaluate their grids a block of rows at a time, from
+coeffs._row_blocks. With the block constants patched small, every loop
+runs several blocks, a ragged last block, and one row per block where a
+row is wider than the block; each result must equal the one-matrix
+reference bit for bit. step_series' reference sums its events instead of
+differencing a prefix, so it is held to a tolerance, and the blocks to the
+default block's bits. tracemalloc then pins the working set that the
+blocks buy.
 """
 
 import math
@@ -116,18 +118,22 @@ def test_diagonal_term_blocks_match_one_matrix(table_2e4, monkeypatch,
             assert (term.n_exact, term.slack) == (math.floor(m), 0.0)
 
 
-@pytest.mark.parametrize("anchor_every", [None, 100, 1])
-def test_step_series_blocks_match_one_matrix(table_2e4, monkeypatch,
-                                             anchor_every):
-    # about 4000 pieces: anchor blocks of 1024 and of 100 leave a ragged
-    # last block; a block of 1 anchors every piece
-    if anchor_every is not None:
-        monkeypatch.setattr(sums, "_ANCHOR_EVERY", anchor_every)
+@pytest.mark.parametrize("block", [None, 100, 1])
+def test_step_series_blocks_match_one_matrix(table_2e4, monkeypatch, block):
+    # about 4000 pieces of two doubles: one default block of 4096 pieces
+    # holds them all, blocks of 50 leave a ragged last block, and a block
+    # of 1 holds one piece
+    whole = {k: sums.step_series(1e4, 2e3, unit_point(k), table_2e4)
+             for k in (1, 7)}
+    if block is not None:
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", block)
     for k in (1, 7):
         series = sums.step_series(1e4, 2e3, unit_point(k), table_2e4)
         ref = step_series_one_matrix(1e4, 2e3, unit_point(k), table_2e4)
+        assert np.array_equal(series.values, whole[k].values)
         assert np.array_equal(series.breakpoints, ref.breakpoints)
-        assert np.array_equal(series.values, ref.values)
+        rms = math.sqrt(np.mean(np.abs(ref.values) ** 2))
+        assert np.max(np.abs(series.values - ref.values)) <= 1e-13 * rms
 
 
 @pytest.mark.parametrize(("block", "n"), [(None, 20_000), (777, 20_000),

@@ -1,8 +1,10 @@
-"""benchmarks/same_reports.py: the repeat rule, the medians, the coeffs cache.
+"""benchmarks/same_reports.py: the repeat rule, the medians, the coeffs
+cache and the JSON leaves.
 
 Every repeat on either side is held against the parent's first repeat,
-the printed medians are those of each side's own runs, and no run hands
-the user's coefficient cache to ``coeffs``, which would overwrite it.
+the printed medians are those of each side's own runs, no run hands the
+user's coefficient cache to ``coeffs``, which would overwrite it, and a
+differing JSON report names the leaves that differ.
 """
 
 import os
@@ -61,3 +63,15 @@ def test_run_once_keeps_streams_apart_and_counts(same_reports):
     assert b"missing.cache" in run.stderr
     assert run.files == {}
     assert run.counters["minflt"] > 0 and run.counters["maxrss_kib"] > 0
+
+
+def test_a_json_report_names_its_differing_leaves(same_reports):
+    # one integral changed in its last digit, as a rounding change moves it
+    old = (b'{"rows": [{"integral": 2300.9900420177532, "k": 1},\n'
+           b'          {"integral": 25096.21956073311, "k": 2}]}\n')
+    new = old.replace(b"25096.21956073311", b"25096.219560733114")
+    ref = same_reports.Run(0, b"", b"", {"meansquare.json": old}, {})
+    run = same_reports.Run(0, b"", b"", {"meansquare.json": new}, {})
+    assert same_reports.run_differences(ref, run) == [
+        "meansquare.json differs (1 leaves differ: /rows/1/integral; "
+        "largest relative difference 1.4e-16)"]

@@ -7,18 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspsums import sums
-from cuspsums.rational import make_rational_point
-from cuspsums.sums import (
-    breakpoints,
-    long_sum,
-    short_sum,
-    step_series,
-    unweighted_window_sum,
-)
+from cuspsums import coeffs
+from cuspsums.rational import make_rational_point, unit_point
+from cuspsums.sums import breakpoints, long_sum, step_series, unweighted_window_sum
 from cuspsums.weight import window_bounds
 
-from oracles import step_edges_by_loop, window_sum_by_rescan
+from oracles import short_sum, step_edges_by_loop, window_sum_by_rescan
 
 K1 = make_rational_point(0, 1)
 
@@ -97,9 +91,12 @@ def test_unweighted_window_values(table_2e4):
     with pytest.raises(ValueError, match="need delta >= 0"):
         unweighted_window_sum(2.0, -0.5, table_2e4)
     # m itself is checked, not ceil(m): [0.5, 2.5] starts below 1
-    for start in (0.0, 0.5, math.nan):
+    for start in (0.0, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="window must start at m >= 1"):
             unweighted_window_sum(start, 2.0, table_2e4)
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="need delta >= 0"):
+            unweighted_window_sum(2.0, length, table_2e4)
 
 
 def test_breakpoints_example():
@@ -110,10 +107,12 @@ def test_breakpoints_example():
     assert np.min(np.abs(pts - root7)) <= 1e-9
     assert pts.size <= 2 * 2 + 2
     assert np.all(np.diff(pts) > 0)
-    with pytest.raises(ValueError, match="need m >= 2"):
-        breakpoints(1.5, 2.0)
-    with pytest.raises(ValueError, match="need delta >= 0"):
-        breakpoints(4.0, -1.0)
+    for start in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need m >= 2"):
+            breakpoints(start, 2.0)
+    for length in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need delta >= 0"):
+            breakpoints(4.0, length)
 
 
 def test_breakpoints_count_bound():
@@ -193,13 +192,14 @@ def test_window_ends_step_by_at_most_one(table_2e4, m, delta):
     assert (moves.sum(axis=0) >= 1).all()
 
 
-@pytest.mark.parametrize("anchor_every", [None, 7, 1])
+@pytest.mark.parametrize("block_pieces", [None, 7, 1])
 def test_step_events_across_anchor_blocks(table_2e4, monkeypatch,
-                                          anchor_every):
+                                          block_pieces):
     # [5035, 5047] holds 71^2 = 5041, where 5041 leaves and 5112 joins at
-    # one edge; anchor blocks of 7 leave a ragged last block of 3 pieces
-    if anchor_every is not None:
-        monkeypatch.setattr(sums, "_ANCHOR_EVERY", anchor_every)
+    # one edge; step_series' blocks of 7 pieces (two doubles each) leave a
+    # ragged last block of 3 pieces
+    if block_pieces is not None:
+        monkeypatch.setattr(coeffs, "_BLOCK_ELEMENTS", 2 * block_pieces)
     point = make_rational_point(1, 4)
     series = step_series(5035.0, 12.0, point, table_2e4)
     mids = 0.5 * (series.breakpoints[:-1] + series.breakpoints[1:])
@@ -211,6 +211,21 @@ def test_step_events_across_anchor_blocks(table_2e4, monkeypatch,
     assert (last[collision + 1] - last[collision]).tolist() == [1]
     for value, x in zip(series.values, mids):
         assert abs(value - short_sum(float(x), point, table_2e4)) <= 1e-10
+
+
+def test_step_series_prefix_on_a_wide_range(table_1e5):
+    # 3·10^4 pieces from one cumulative sum over 1.5·10^4 + 308 terms: the
+    # subtraction's rounding grows with the prefix, and must stay far below S
+    m, delta = 8e4, 1.5e4
+    for k in (1, 7):
+        point = unit_point(k)
+        series = step_series(m, delta, point, table_1e5)
+        rms = math.sqrt(np.mean(np.abs(series.values) ** 2))
+        mids = 0.5 * (series.breakpoints[:-1] + series.breakpoints[1:])
+        assert mids.size == 30_000
+        for i in range(0, mids.size, mids.size // 300):
+            direct = short_sum(float(mids[i]), point, table_1e5)
+            assert abs(series.values[i] - direct) <= 1e-13 * rms, (k, i)
 
 
 @pytest.mark.parametrize("m, delta", [

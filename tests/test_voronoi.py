@@ -28,7 +28,7 @@ import pytest
 from cuspsums import voronoi
 from cuspsums.coeffs import generate_tau
 from cuspsums.rational import make_rational_point, unit_point
-from cuspsums.sums import long_sum, short_sum
+from cuspsums.sums import long_sum
 from cuspsums.voronoi import (
     EnvelopeFit,
     VoronoiParams,
@@ -37,7 +37,7 @@ from cuspsums.voronoi import (
     voronoi_main_term,
 )
 
-from oracles import j_bessel_12, short_sum_main_term, table_from_tau
+from oracles import j_bessel_12, short_sum, short_sum_main_term, table_from_tau
 
 K1 = make_rational_point(0, 1)
 
