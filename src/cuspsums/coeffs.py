@@ -32,13 +32,12 @@ double of hi 2^64 + lo with integer ops alone (the guard/round/sticky
 argument of Goldberg, "What every computer scientist should know about
 floating-point arithmetic", 1991, 1.4; long double is avoided because its
 width differs by platform), so a(n) is bit for bit float(tau(n)) / n^{11/2}.
-Loading the 10^6 cache takes 0.12 s, and a load-only process peaks at
-51 MB (2-core Xeon, median of 9 fresh processes). load_cache(path, n) reads
-and normalizes only the first n records: the 2 10^5 of the default voronoi
-scan take 0.026 s and 36 MB, the 1.2 10^5 of the benchmark's sweep 0.015 s.
-tau as Python ints, which only the Hecke checks read, is decoded from the
-records on first use. Normalized values are recomputed whenever a table
-is built, never stored.
+A table normalizes on the first read of a(n), and normalize(records, ns)
+converts only the rows a reader names. Loading the 10^6 cache takes 0.011 s
+and a load-only process peaks at 42.6 MB; the first read of a(n) adds
+0.054 s and 9 MB (2-core Xeon, medians of 9 fresh processes). The 2 10^5
+records of the default voronoi scan, load_cache(path, n), load in 0.002 s
+and normalize in 0.012 s.
 """
 
 from __future__ import annotations
@@ -77,24 +76,26 @@ _LIMB = 1 << _LIMB_BITS
 _MAX_RESIDUAL = 0.25    # distance of an inverse FFT value from its integer
 
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientTable:
     """Exact tau(1..n_max) as cache records, plus normalized double a(n).
 
     `records[n - 1]` holds tau(n) in the cache's own (lo <u8, hi <i8)
     layout, so a table is loaded and saved without a Python int per
-    coefficient: 16 MB at n_max = 10^6. n_max is their count, and a is
-    normalize(records), filled as the table is built. `tau`, the same
-    values as Python ints, is decoded from the records on first read and
-    kept; at 10^6 the list takes another 45.8 MiB, and the decode 0.26 s.
-    Treat as immutable once built; every consumer shares it read-only.
+    coefficient: 16 MB at n_max = 10^6. n_max is their count. a, that is
+    normalize(records), and `tau`, the same values as Python ints, are made
+    on first read and kept (two concurrent first reads make equal values);
+    at 10^6 the list takes another 45.8 MiB, and the decode 0.26 s. Tables
+    compare and hash by identity. Treat as immutable once built; every
+    consumer shares it read-only.
     """
 
     records: np.ndarray = field(repr=False)
-    a: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.a = normalize(self.records)
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """a(1..n_max) = tau(n) / n^{11/2}, normalized on first read."""
+        return normalize(self.records)
 
     @property
     def n_max(self) -> int:
@@ -248,7 +249,7 @@ def tau_sequence(n_max: int) -> np.ndarray:
 
 
 def generate_tau(n_max: int) -> CoefficientTable:
-    """Generate and normalize a table of the first n_max coefficients.
+    """Generate a table of the first n_max coefficients.
 
     Coefficients outside the signed 128-bit record range raise
     CoefficientOverflowError naming the first offending n.
@@ -259,46 +260,43 @@ def generate_tau(n_max: int) -> CoefficientTable:
 def _record_doubles(records: np.ndarray) -> np.ndarray:
     """The correctly rounded double of hi 2^64 + lo for every record.
 
-    With s the bit length of the magnitude's high word, the magnitude's
-    top 64 bits go into one uint64, and its bit 0 is ORed with a sticky
-    bit for the s bits shifted out below them. That word has at least 55
-    significant bits, so bit 0 lies below the rounding position of its
-    conversion to a 53-bit double: the sticky bit only tells an exact tie
-    from a value above it, and the one uint64 -> double conversion rounds
-    as the whole integer would. Records whose magnitude fits in the low
-    word convert directly.
+    XOR with sign, all ones where a record is negative, and subtracting it
+    negate the low word, which carries into the high word where it is 0.
+    s, the high word's bit length in [0, 64], is read from the exponent
+    bits of its int64 -> double conversion (-2^127's high word 2^63 reads
+    as -2^63; the sign bit is masked off); where that rounds up a binade,
+    s is one more and top keeps 63 significant bits. top is the magnitude
+    shifted right by s (numpy shifts by 64 to 0), its bit 0 ORed with a
+    sticky bit for the bits shifted out. With s > 0 top has at least 55
+    significant bits, so bit 0 lies below the rounding position of its one
+    uint64 -> double conversion: the sticky bit only tells a tie from a
+    value above it (Goldberg's guard/round/sticky argument), and it rounds
+    as the whole integer would; with s = 0 top is the magnitude. Adding s
+    to the exponent bits scales by 2^s, and ORing in the sign bit negates.
     """
     lo, hi = records["lo"], records["hi"]
-    negative = hi < 0
-    # two's-complement magnitude of both words; -2^127 gives 2^63 high
-    mag_lo = np.where(negative, -lo, lo)
-    mag_hi = hi.view(np.uint64)
-    mag_hi = np.where(negative, ~mag_hi + (lo == 0), mag_hi)
-    # s from frexp, in [1, 64]: where the high word rounds up a binade as
-    # a float, s is one more than its bit length and the word keeps 63
-    # significant bits, still enough; s = 1 stands in for a zero high word
-    s = np.maximum(np.frexp(mag_hi.astype(float))[1], 1).astype(np.uint64)
-    top = (mag_hi << (64 - s)) | (mag_lo >> (s - 1) >> 1)
+    sign = (hi >> 63).view(np.uint64)
+    mag_lo = (lo ^ sign) - sign
+    mag_hi = (hi.view(np.uint64) ^ sign) + (mag_lo < (sign & 1))
+    exp = (mag_hi.view(np.int64).astype(float).view(np.uint64) >> 52) & 0x7ff
+    s = np.maximum(exp, 1022) - 1022
+    top = (mag_hi << (64 - s)) | (mag_lo >> s)
     top |= (mag_lo << (64 - s)) != 0
-    magnitude = np.where(mag_hi == 0, mag_lo.astype(float),
-                         np.ldexp(top.astype(float), s.astype(np.int64)))
-    return np.where(negative, -magnitude, magnitude)
+    return ((top.astype(float).view(np.uint64) + (s << 52)) | (sign << 63)).view(float)
 
 
-def normalize(records: np.ndarray) -> np.ndarray:
+def normalize(records: np.ndarray, ns: np.ndarray | None = None) -> np.ndarray:
     """a(n) = tau(n) / n^{11/2} in double precision for the records of
-    tau(1..n).
-
-    Each entry is one correctly rounded integer-to-double conversion, one
-    power, and one division: well under the 4-ulp contract, and bit for
-    bit float(tau(n)) / n^{11/2}. The conversion and the division run one
-    _row_blocks block of records at a time, so no n-long temporary is made.
+    tau(ns), by default tau(1..records.size): per entry one correctly
+    rounded integer-to-double conversion, one power and one division, well
+    under the 4-ulp contract and bit for bit float(tau(n)) / n^{11/2}. All
+    three run one _row_blocks block at a time: no n-long temporary.
     """
     exponent = (_WEIGHT - 1) / 2.0
     a = np.empty(records.size)
     for rows in _row_blocks(records.size, 1):
-        a[rows] = (_record_doubles(records[rows])
-                   / np.arange(rows.start + 1, rows.stop + 1, dtype=float) ** exponent)
+        n = np.arange(rows.start + 1, rows.stop + 1) if ns is None else ns[rows]
+        a[rows] = _record_doubles(records[rows]) / n.astype(float) ** exponent
     return a
 
 
@@ -409,10 +407,10 @@ def save_cache(table: CoefficientTable, path) -> None:
 
 
 def load_cache(path, n: int | None = None) -> CoefficientTable:
-    """Read a cache written by save_cache and recompute the normalized a(n).
+    """Read a cache written by save_cache; a(n) is normalized on first read.
 
-    With n given, only the header and the first min(n, N) records are read
-    and normalized; the header and whole-file size checks are the same
+    With n given, only the header and the first min(n, N) records are
+    read; the header and whole-file size checks are the same
     either way, so a truncated file is refused whatever n asks for.
     """
     with open(path, "rb") as handle:

@@ -426,9 +426,7 @@ def omega_statistic(ms, delta: float, table: CoefficientTable) -> OmegaStatistic
     ms = np.asarray(ms, dtype=float)
     if ms.size == 0:
         raise ValueError("need at least one window start")
-    values = np.array([
-        abs(unweighted_window_sum(float(start), delta, table)) for start in ms
-    ]) / math.sqrt(delta)
+    values = np.abs(unweighted_window_sum(ms, delta, table)) / math.sqrt(delta)
     return OmegaStatistic(ms=ms, values=values, max=float(values.max()),
                           rms=float(np.sqrt(np.mean(values ** 2))))
 

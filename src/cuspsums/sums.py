@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cuspsums.coeffs import CoefficientTable, _row_blocks
+from cuspsums.coeffs import CoefficientTable, _row_blocks, normalize
 from cuspsums.rational import RationalPoint, e_k, progression_phases
 from cuspsums.weight import window_bounds, window_exits, window_top
 
@@ -41,16 +41,30 @@ def long_sum(x: float, alpha: RationalPoint, table: CoefficientTable) -> complex
     return complex(np.sum(terms))
 
 
-def unweighted_window_sum(m: float, delta: float, table: CoefficientTable) -> complex:
-    """sum_{m <= n <= m + delta} a(n); the alpha = 0 window statistic."""
+def unweighted_window_sum(m, delta: float, table: CoefficientTable):
+    """sum_{m <= n <= m + delta} a(n), the alpha = 0 window statistic, for
+    one start m (a complex) or an array of starts (an array). The rows any
+    window reads are normalized in one call; each window is np.sum over its
+    slice of them, the terms and order of table.a's."""
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"need delta >= 0, got {delta}")
-    if not math.isfinite(m) or m < 1.0:
-        raise ValueError(f"window must start at m >= 1, got m={m}")
-    lo = math.ceil(m)
-    hi = math.floor(m + delta)
-    table.require(hi, f"window sum at m={m}")
-    return complex(np.sum(table.a[lo - 1: hi]))
+    m = np.asarray(m, dtype=float)
+    valid = np.isfinite(m) & (m >= 1.0)
+    if not valid.all():
+        raise ValueError(f"window must start at m >= 1, got m={m[~valid][0]}")
+    lo, hi = np.ceil(m).astype(np.int64), np.floor(m + delta).astype(np.int64)
+    if m.size:
+        table.require(int(hi.max()), f"window sum at m={m.flat[np.argmax(hi)]}")
+    firsts, lasts = lo.ravel().tolist(), hi.ravel().tolist()
+    read = np.zeros(table.n_max + 1, dtype=bool)
+    for first, last in zip(firsts, lasts):
+        read[first: last + 1] = True
+    ns = np.flatnonzero(read)
+    a = normalize(table.records[ns - 1], ns)
+    sums = np.array([np.sum(a[start: start + last - first + 1]) for start, first, last
+                     in zip(np.searchsorted(ns, firsts).tolist(), firsts, lasts)],
+                    dtype=complex).reshape(m.shape)
+    return complex(sums) if m.ndim == 0 else sums
 
 
 def breakpoints(m: float, delta: float) -> np.ndarray:

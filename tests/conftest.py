@@ -1,6 +1,6 @@
-"""Shared fixtures: session-scoped coefficient tables, the benchmark's
-tracer module, benchmarks/same_reports.py and benchmarks/record.py, and
-acceptance reporting."""
+"""Shared fixtures: session-scoped coefficient tables, a count of the
+normalize calls, the benchmark's tracer module, benchmarks/same_reports.py
+and benchmarks/record.py, and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -31,6 +31,24 @@ def table_2e4():
 @pytest.fixture(scope="session")
 def table_1e5():
     return generate_tau(100_000)
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """The record count of every coeffs.normalize call, wherever it is
+    looked up (coeffs and sums), while the test runs."""
+    from cuspsums import coeffs, sums
+
+    calls = []
+    normalize = coeffs.normalize
+
+    def counted(records, ns=None):
+        calls.append(records.size)
+        return normalize(records, ns)
+
+    monkeypatch.setattr(coeffs, "normalize", counted)
+    monkeypatch.setattr(sums, "normalize", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -100,7 +100,7 @@ def test_traced_voronoi_sums_each_sample_once(tracer, tmp_path):
     assert metrics["cli.voronoi_s"] > 0
 
 
-def test_traced_load_normalizes_inside_load_cache(tracer, tmp_path):
+def test_traced_table_normalizes_on_first_read(tracer, tmp_path):
     from cuspsums import coeffs
 
     cache = tmp_path / "tau.cache"
@@ -108,14 +108,18 @@ def test_traced_load_normalizes_inside_load_cache(tracer, tmp_path):
     traced = tracer.Tracer()
     traced.install()
     try:
-        coeffs.load_cache(cache)  # looked up after install: the wrapper
+        table = coeffs.load_cache(cache)  # looked up after install: the wrapper
+        loaded = len(traced.spans)
+        table.a
     finally:
         traced.remove()
     assert traced.hook_errors == []
-    (load,) = [s for s in traced.spans if s["name"] == "coeffs.load_cache"]
-    (norm,) = [s for s in traced.spans if s["name"] == "coeffs.normalize"]
-    # a load that bypassed normalize would read 0 in coeffs.normalize_s
-    assert norm["parent"] == load["id"]
+    names = [s["name"] for s in traced.spans]
+    # the load reads and checks the records, and the first read of a(n)
+    # normalizes them through the module's normalize: a table that bypassed
+    # it would read 0 in coeffs.normalize_s
+    assert names[:loaded] == ["coeffs.load_cache"]
+    assert names[loaded:] == ["coeffs.normalize"]
     metrics = tracer.layer_metrics(traced.spans, traced.counts, {})
     assert metrics["coeffs.normalize_s"] > 0
     assert metrics["coeffs.cache_bytes_read"] == cache.stat().st_size

@@ -153,6 +153,7 @@ def test_kernel_rounding_blocks_match(table_2e4, monkeypatch):
 
 
 def test_diagonal_term_working_set(table_1e5):
+    table_1e5.a  # a(n) is made on first read, before tracing
     for m, delta, r, limit in (
             # the exact brackets' grid is 256 rows by thousands of nodes,
             # whose temporaries reach 19 MB as one matrix
@@ -170,6 +171,7 @@ def test_theorem_integral_working_set(table_1e5):
     # about 6·10^4 pieces: the breakpoints, the values and the masses, with
     # |S|²·mass formed in one more pieces-long array
     weight = build_weight(5e4, 3e4)
+    table_1e5.a  # a(n) is made on first read, before tracing
     peak = _peak_bytes(lambda: msq.theorem_integral(unit_point(7), weight,
                                                     table_1e5))
     assert peak < 4 * 2**20

@@ -242,6 +242,36 @@ def test_loaded_tau_is_decoded_on_first_read(tmp_path, table_2e4):
     assert "tau" in vars(back)
 
 
+def test_table_normalizes_on_first_read_only(tmp_path, table_2e4, normalize_calls):
+    path = tmp_path / "t20000.cusp"
+    save_cache(table_2e4, path)
+    tables = [load_cache(path), load_cache(path, 777), generate_tau(500)]
+    assert normalize_calls == []
+    for table in tables:
+        first = table.a
+        assert normalize_calls == [table.n_max]
+        assert table.a is first
+        normalize_calls.clear()
+    assert tables[0].a.tobytes() == table_2e4.a.tobytes()
+
+
+def test_normalize_gathered_rows(table_2e4):
+    rng = np.random.default_rng(11)
+    # unaligned rows, across a block edge and at both ends, plus a sample
+    ns = np.unique(np.concatenate([[1, 2, 8192, 8193, 8194, 19_999, 20_000],
+                                   rng.choice(np.arange(3, 19_999), 300)]))
+    records = table_2e4.records
+    gathered = coeffs.normalize(records[ns - 1], ns)
+    assert gathered.tobytes() == coeffs.normalize(records)[ns - 1].tobytes()
+
+
+def test_tables_compare_and_hash_by_identity():
+    table = generate_tau(100)
+    assert table == table
+    assert table != generate_tau(100)
+    assert table in {table}
+
+
 @st.composite
 def _int128(draw):
     """A signed 128-bit integer of any bit width; above 54 bits, often an

@@ -248,6 +248,12 @@ def test_omega_unit_window_recovers_first_coefficient(table_2e4):
         msq.omega_statistic([], 1.0, table_2e4)
 
 
+def test_omega_normalizes_its_windows_in_one_call(table_1e5, normalize_calls):
+    grid = np.random.default_rng(5).uniform(1e3, 9.8e4, 20)
+    msq.omega_statistic(grid, 1e2, table_1e5)
+    assert len(normalize_calls) == 1 and normalize_calls[0] <= 20 * 101
+
+
 def test_omega_band_over_random_windows(table_1e5):
     rng = np.random.default_rng(20260815)
     grid = rng.uniform(1e3, 9.8e4, 100)

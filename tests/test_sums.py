@@ -99,6 +99,28 @@ def test_unweighted_window_values(table_2e4):
             unweighted_window_sum(2.0, length, table_2e4)
 
 
+def test_unweighted_window_sums_of_many_starts(table_2e4):
+    # overlapping windows, a window holding no integer, and one ending at
+    # the table's last n
+    starts = np.array([[3.5, 10.2], [3.0, 19_990.5]])
+    delta = 9.5
+    got = unweighted_window_sum(starts, delta, table_2e4)
+    assert got.shape == starts.shape and got.dtype == complex
+    for start, value in zip(starts.ravel(), got.ravel()):
+        one = unweighted_window_sum(float(start), delta, table_2e4)
+        assert isinstance(one, complex)
+        direct = np.sum(table_2e4.a[math.ceil(start) - 1: math.floor(start + delta)])
+        assert np.array([value, one, direct]).tobytes() == \
+            np.array([one, one, one]).tobytes()
+    assert unweighted_window_sum(np.array([10.2]), 0.5, table_2e4).tolist() == [0j]
+    empty = unweighted_window_sum(np.array([]), 1.0, table_2e4)
+    assert empty.shape == (0,) and empty.dtype == complex
+    with pytest.raises(ValueError, match=r"got m=0\.5$"):
+        unweighted_window_sum(np.array([5.0, 0.5, math.nan]), 1.0, table_2e4)
+    with pytest.raises(ValueError, match="window sum at m=19995"):
+        unweighted_window_sum(np.array([5.0, 19_995.0]), 10.0, table_2e4)
+
+
 def test_breakpoints_example():
     pts = breakpoints(4.0, 2.0)
     for v in (4.0, 5.0, 6.0):

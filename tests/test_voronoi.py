@@ -284,6 +284,7 @@ def test_error_scan_working_set(monkeypatch):
     params = [VoronoiParams(pt, 100_000, phase_shift=0.0)] + [
         VoronoiParams(pt, 100_000 // d) for d in (1, 4, 16)]
     _usable_cpus(monkeypatch, 2)
+    table.a  # a(n) is made on first read, before tracing
     tracemalloc.start()
     try:
         voronoi_error_scan(xs, params, table)
