@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .calibrated import STATED_RATIO_MAX
-from .coeffs import generate_tau, load_cache, save_cache
+from .coeffs import CoefficientTable, generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
 from .errors import CoefficientOverflowError, NodeBudgetError
 from .rational import unit_point
@@ -95,8 +95,8 @@ def cmd_coeffs(cfg: ExperimentConfig, out_dir: Path, emit_json: bool) -> int:
     save_cache(table, cfg.table)
     size = Path(cfg.table).stat().st_size
     digest = sha256_file(cfg.table)
-    lo, hi = table.records[-1].item()       # tau(n); the rest stays undecoded
-    tau_last = lo + (hi << 64)
+    # tau(n) decoded by coeffs from a one-record table; the rest stays undecoded
+    tau_last = CoefficientTable(table.records[-1:]).tau[0]
     print(f"coefficients: {cfg.n}")
     print(f"cache: {cfg.table}")
     print(f"bytes: {size}")
@@ -128,16 +128,14 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path,
         weight = window_weight(m_scale, k, cfg)
         point = unit_point(k)
         for m, n in _LEMMA_PAIRS:
-            specs = (("L3", l3_spec(m, n, point)),
-                     ("L4", l4_spec(m, n, point)),
-                     ("L5", l5_spec(m, n, point)))
-            for family, spec in specs:
+            for spec in (l3_spec(m, n, point), l4_spec(m, n, point),
+                         l5_spec(m, n, point)):
                 value = abs(oscillatory_integral(
                     weight, spec, node_budget=cfg.node_budget))
                 for p in (1, 2):
                     bound = stated_bound(spec, p, weight)
                     bound_rows.append({
-                        "family": family, "m_frequency_index": m,
+                        "family": spec.family, "m_frequency_index": m,
                         "n_frequency_index": n, "k_denominator": k,
                         "p_derivative_order": p, "integral_abs_dimensionless": value,
                         "stated_bound_dimensionless": bound,

@@ -15,23 +15,25 @@ A = s√(x+√x), B = s√x and s = 4π√n/k. In the variable
 y = √x + √(x+√x) both halves are plain: A + B = s y, and A - B = s g with
 the gap g = √(x+√x) - √x = y/(2y + 1), so the squared difference is
 (1 - sin s y)(1 - cos s g). Each exact bracket is integrated in y on
-Gauss-16 panels uniform in y (weight.window_root_sum_inverse gives x, g
-and dx/dy), which hold about three cycles of the fast factor each and
-settle to 1e-9 on their first doubling. The slow factor 1 - cos s g is a
-fixed number of moments of (g - g₀)^j, because s·g moves by well under one
-radian across a window, and the fast factor's phase s y splits over each
-panel as s·(node in the first panel) + s·(panel offset), so a grid costs
-a few sines per (n, panel) and vector-matrix products instead of
-a transcendental per (n, node).
+Gauss-16 panels uniform in y, each grid built once by _phase_grid
+(weight.window_root_sum_inverse gives x, g and dx/dy); the panels hold
+about three cycles of the fast factor each and settle to 1e-9 on their
+first doubling. The slow factor 1 - cos s g is a fixed number of moments
+of (g - g₀)^j, because s·g moves by well under one radian across a window,
+and the fast factor's phase s y splits over each panel as s·(node in the
+first panel) + s·(panel offset), so a grid costs a few sines per
+(n, panel) and vector-matrix products instead of a transcendental per
+(n, node).
 
 The diagonal splits each squared difference into one non-oscillatory
 part, 1 - cos(s g), and three oscillatory parts. The oscillatory parts
 are evaluated exactly for small n and certified (not evaluated) past a
 cutoff where their first-derivative-test bounds fall off like n^(-1/2).
 The non-oscillatory part is evaluated for every n from the same moment
-series, on moments of w√x (g - g₀)^j; the Taylor remainder of that series
-joins the slack, and an exact bracket whose remainder bound passes the
-settle tolerance is refused rather than settled.
+series, on moments of w√x (g - g₀)^j over panels in x, not in y (see
+_slow_brackets); the Taylor remainder of that series joins the slack,
+and an exact bracket whose remainder bound passes the settle tolerance
+is refused rather than settled.
 
 Every large grid (the exact brackets, the piece masses, the slow
 brackets, the diagonal's n-long chain of weights and summands) is
@@ -63,9 +65,8 @@ from cuspsums.oscillatory import derivative_certificate, jm_bound, l3_spec
 from cuspsums.rational import RationalPoint, unit_point
 from cuspsums.sums import step_series, unweighted_window_sum
 from cuspsums.weight import (WeightProfile, eval_weight, gauss_panels,
-                             window_gap, window_root_sum,
-                             window_root_sum_inverse, window_top,
-                             window_weight)
+                             window_bounds, window_gap, window_root_sum,
+                             window_root_sum_inverse, window_weight)
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _NODE_BUDGET = NODE_BUDGET      # diagonal_profile's, by a name tests patch
@@ -161,21 +162,6 @@ def _weighted_nodes(weight: WeightProfile, panels: int):
     return x, wts * eval_weight(weight, x) * np.sqrt(x)
 
 
-def _root_sum_nodes(weight: WeightProfile, panels: int):
-    """Gauss-16 nodes uniform in y = window_root_sum(x) over the support.
-
-    Returns the nodes y, the weights W = quadrature weight·w(x)·√x·dx/dy,
-    so that Σ W f = ∫ w √x f dx, the gap g at each node and the panel
-    width in y.
-    """
-    y_lo, y_hi = (float(window_root_sum(x)) for x in weight.support)
-    y, wts = gauss_panels(y_lo, y_hi, panels)
-    x, jacobian, gap = window_root_sum_inverse(y)
-    wts *= eval_weight(weight, x)
-    wts *= jacobian
-    return y, wts, gap, (y_hi - y_lo) / panels
-
-
 def _moment_columns(weights: np.ndarray, gap: np.ndarray):
     """The columns W (g - g₀)^j, j < _MOMENT_ORDER, of one grid, with g₀ and reach.
 
@@ -226,24 +212,33 @@ class _PhaseGrid(NamedTuple):
 
     Node l of panel p lies at first[l] + shifts[p], up to rounding;
     columns holds _moment_columns' W (g - g₀)^j panel by panel, shape
-    (panels, 16·_MOMENT_ORDER), and moments their sums over the grid.
+    (panels, 16·_MOMENT_ORDER), moments their sums over the grid, and mass
+    Σ W = ∫ w √x.
     """
 
     first: np.ndarray
     shifts: np.ndarray
     columns: np.ndarray
     moments: np.ndarray
+    mass: float
     g0: float
     reach: float
 
 
 def _phase_grid(weight: WeightProfile, panels: int) -> _PhaseGrid:
-    """diagonal_profile's grid of `panels` panels, from _root_sum_nodes."""
-    y, weights, gap, width = _root_sum_nodes(weight, panels)
+    """diagonal_profile's grid, Gauss-16 panels uniform in y = window_root_sum(x).
+
+    Node weights W = quadrature weight·w(x)·√x·dx/dy give Σ W f = ∫ w √x f dx.
+    """
+    y_lo, y_hi = (float(window_root_sum(x)) for x in weight.support)
+    y, weights = gauss_panels(y_lo, y_hi, panels)
+    x, jacobian, gap = window_root_sum_inverse(y)
+    weights *= eval_weight(weight, x)
+    weights *= jacobian
     columns, g0, reach = _moment_columns(weights, gap)
-    return _PhaseGrid(first=y[:16], shifts=width * np.arange(panels),
-                      columns=columns.reshape(panels, -1),
-                      moments=columns.sum(axis=0), g0=g0, reach=reach)
+    return _PhaseGrid(first=y[:16], shifts=(y_hi - y_lo) / panels * np.arange(panels),
+                      columns=columns.reshape(panels, -1), moments=columns.sum(axis=0),
+                      mass=float(np.sum(weights)), g0=g0, reach=reach)
 
 
 def _exact_moments(scale: np.ndarray, grid: _PhaseGrid) -> np.ndarray:
@@ -295,37 +290,39 @@ def diagonal_profile(ns, k: int, weight: WeightProfile):
     """Exact per-n brackets ∫ w √x (cos Φ₁' - cos Φ₂')² dx, one shared grid.
 
     Each bracket is integrated in y = √x + √(x + √x), on Gauss-16 panels
-    uniform in y, by _exact_moments and _exact_brackets. The first grid (_first_panels) gives
-    each panel about three cycles of the squared integrand at the fastest
-    requested frequency. One evaluation covers every n, a block of rows at
-    a time; WeightProfile.refine settles each row to 1e-9 of the first
-    grid's weight mass ∫ w √x. A row whose moment series' truncation bound
-    exceeds that tolerance on a grid is NaN there and does not settle, and
-    no grid is doubled for such rows alone. Returns
-    (brackets, flagged) where flagged lists the n whose rows never settled
-    inside _NODE_BUDGET nodes and were replaced by the trivial bound
-    4 ∫ w √x.
+    uniform in y, by _exact_moments and _exact_brackets. The first grid
+    (_first_panels) gives each panel about three cycles of the squared
+    integrand at the fastest requested frequency; it is built once, and its
+    weight mass ∫ w √x sets the tolerance, serves the first evaluation and
+    gives the trivial bound. One evaluation covers every n, a block of rows
+    at a time; WeightProfile.refine settles each row to 1e-9 of that mass.
+    A row whose moment series' truncation bound exceeds that tolerance on a
+    grid is NaN there and does not settle, and no grid is doubled for such
+    rows alone. Returns (brackets, flagged) where flagged lists the n whose
+    rows never settled inside _NODE_BUDGET nodes and were replaced by the
+    trivial bound 4 ∫ w √x. k < 1 is refused.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
         return np.zeros(0), ()
     if np.any(ns < 1):
         raise ValueError("frequencies must satisfy n >= 1")
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
-    panels = _first_panels(int(ns.max()), k, weight)
-    mass = float(np.sum(_root_sum_nodes(weight, panels)[1]))
-    tol = 1e-9 * mass
+    first = _phase_grid(weight, _first_panels(int(ns.max()), k, weight))
+    tol = 1e-9 * first.mass
 
     def brackets(panels: int) -> np.ndarray:
-        grid = _phase_grid(weight, panels)
+        grid = first if panels == first.shifts.size else _phase_grid(weight, panels)
         moments = np.empty((ns.size, _MOMENT_ORDER))
         # a row's widest temporaries: its (2, panels) phases, (2, 16·J) products
         for rows in _row_blocks(ns.size, 2 * max(panels, 16 * _MOMENT_ORDER)):
             moments[rows] = _exact_moments(scale[rows], grid)
         return _exact_brackets(scale, moments, grid, tol)
 
-    values, settled = weight.refine(panels, brackets, tol, _NODE_BUDGET)
-    values[~settled] = 4.0 * mass
+    values, settled = weight.refine(first.shifts.size, brackets, tol, _NODE_BUDGET)
+    values[~settled] = 4.0 * first.mass
     return values, tuple(int(n) for n in ns[~settled])
 
 
@@ -335,7 +332,11 @@ def _slow_brackets(n_lo: int, n_hi: int, k: int, moments: np.ndarray,
 
     s = 4π√n/k and g = window_gap(x); moments are _moment_columns' sums
     Σ w√x (g - g₀)^j on a weight-resolving grid, and each bracket is their
-    _moment_series, a block of n at a time.
+    _moment_series, a block of n at a time. diagonal_term lays that grid in
+    x: on narrow windows _phase_grid's y-grid put the tail sum up to 4.4e-10
+    of itself off, the x-grid 4.3e-15, likely because the x-grid's ⌈2Δ/r⌉
+    panels put edges on the ramp ends M + r and M + Δ - r, where w is not
+    analytic, and panels uniform in y do not.
     """
     brackets = np.empty(n_hi - n_lo + 1)
     for rows in _row_blocks(brackets.size, 1):
@@ -363,8 +364,6 @@ def diagonal_term(m: float, delta: float, k: int, weight: WeightProfile,
     arrays, written in place: the tail brackets, which become
     coeff·bracket and then coeff·√(n_exact/n), and the weights themselves.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     _check_geometry(m, delta, weight)
     n_top = math.floor(m)
     table.require(n_top, "diagonal_term")
@@ -426,6 +425,8 @@ def omega_statistic(ms, delta: float, table: CoefficientTable) -> OmegaStatistic
     ms = np.asarray(ms, dtype=float)
     if ms.size == 0:
         raise ValueError("need at least one window start")
+    if not delta > 0.0:
+        raise ValueError(f"need delta > 0, got {delta}")
     values = np.abs(unweighted_window_sum(ms, delta, table)) / math.sqrt(delta)
     return OmegaStatistic(ms=ms, values=values, max=float(values.max()),
                           rms=float(np.sqrt(np.mean(values ** 2))))
@@ -480,12 +481,12 @@ def sweep_grid(cfg: ExperimentConfig) -> list[tuple[RationalPoint, WeightProfile
 def sweep_reach(grid) -> int:
     """The largest n a sweep over sweep_grid's rows reads.
 
-    That is floor(top + √top), top the largest top of a weight's support:
-    the reach of the last window's step_series. An empty grid reads
-    nothing and gives 0.
+    That is the largest window_bounds top over the tops of the weights'
+    supports: the reach of the last window's step_series. An empty grid
+    reads nothing and gives 0.
     """
-    top = max((weight.support[1] for _, weight in grid), default=0.0)
-    return math.floor(window_top(top))
+    return max((int(window_bounds(weight.support[1])[1]) for _, weight in grid),
+               default=0)
 
 
 def run_sweep(table: CoefficientTable, grid) -> list[MeanSquareResult]:

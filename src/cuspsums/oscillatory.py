@@ -236,14 +236,14 @@ def lemma5_derivative_check(spec: PhaseSpec, grid) -> float:
     >= 1 certifies the lower bound |B'| >= 3|sqrt m - sqrt n|/(4 k sqrt x)
     on the grid. Only the n > m case is meaningful (the m > n phase is a
     plain same-T difference), so anything else is rejected, as is an empty
-    grid or one with x < 1.
+    grid or one with a non-finite x or x < 1.
     """
     if spec.family != "L5":
         raise ValueError("derivative check applies to family L5")
     if spec.n <= spec.m:
         raise ValueError(f"need n > m, got m={spec.m}, n={spec.n}")
     xs = np.asarray(grid, dtype=float)
-    if xs.size == 0 or np.any(xs < 1.0):
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs >= 1.0)):
         raise ValueError("need a non-empty grid with x >= 1")
     _, bp_fun = build_phase(spec)
     gap = abs(math.sqrt(spec.m) - math.sqrt(spec.n))

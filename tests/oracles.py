@@ -447,7 +447,7 @@ def profile_one_matrix(ns, k: int, weight, node_budget: int = 2_000_000):
     ns = np.asarray(ns, dtype=np.int64)
     scale = (4.0 * math.pi / k) * np.sqrt(ns.astype(float))
     panels = msq._first_panels(int(ns.max()), k, weight)
-    mass = float(np.sum(msq._root_sum_nodes(weight, panels)[1]))
+    mass = msq._phase_grid(weight, panels).mass
     tol = 1e-9 * mass
 
     def brackets(panels):

@@ -125,5 +125,20 @@ def test_profile_refuses_rows_past_the_series_bound(window_1e4, monkeypatch):
     values, flagged = msq.diagonal_profile(ns, 1, window_1e4)
     assert grids == [panels]
     assert flagged == (1, 50, 256)
-    mass = float(np.sum(msq._root_sum_nodes(window_1e4, panels)[1]))
+    mass = msq._phase_grid(window_1e4, panels).mass
     assert np.array_equal(values, np.full(3, 4.0 * mass))
+
+
+def test_profile_lays_each_grid_once(window_1e4, monkeypatch):
+    # the first grid gives the tolerance, the first evaluation and the
+    # trivial bound: one Gauss grid per distinct panel count (200 and 400)
+    grids = []
+    gauss_panels = msq.gauss_panels
+
+    def counted(lo, hi, panels):
+        grids.append(panels)
+        return gauss_panels(lo, hi, panels)
+
+    monkeypatch.setattr(msq, "gauss_panels", counted)
+    msq.diagonal_profile(np.array([1, 50, 256]), 1, window_1e4)
+    assert grids == [200, 400]

@@ -171,6 +171,10 @@ def test_diagonal_validation(table_2e4, window_1e4):
         msq.diagonal_term(1e4, 2e3, 1, window_1e4, short)
     with pytest.raises(ValueError):
         msq.diagonal_profile(np.array([0, 3]), 1, window_1e4)
+    # k = 0 divided by zero and k = -1 flipped the sign of s
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            msq.diagonal_profile(np.array([1, 3]), k, window_1e4)
     vals, flagged = msq.diagonal_profile([], 1, window_1e4)
     assert vals.shape == (0,) and flagged == ()
 
@@ -246,6 +250,10 @@ def test_omega_unit_window_recovers_first_coefficient(table_2e4):
     assert om.values[0] == om.max == om.rms
     with pytest.raises(ValueError):
         msq.omega_statistic([], 1.0, table_2e4)
+    # the statistic divides by √Δ
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need delta > 0"):
+            msq.omega_statistic([1.0], delta, table_2e4)
 
 
 def test_omega_normalizes_its_windows_in_one_call(table_1e5, normalize_calls):
@@ -342,6 +350,17 @@ def test_run_sweep_small(table_2e4):
         assert res.diagonal.slack > 0.0
         assert res.diagonal.value == pytest.approx(res.integral, rel=0.10)
         assert res.ratio == res.integral / (res.delta * math.sqrt(res.m))
+
+
+@pytest.mark.parametrize("keys", [{}, {"ms": (1e4, 1e5), "ks": (1, 3, 7)}],
+                         ids=["default", "sweep"])
+def test_sweep_reach_is_the_largest_window_top(keys):
+    grid = _grid(**keys)
+    reach = max(int(window_bounds(weight.support[1])[1]) for _, weight in grid)
+    assert msq.sweep_reach(grid) == reach
+    top = max(weight.support[1] for _, weight in grid)
+    assert reach <= top + math.sqrt(top) < reach + 1
+    assert msq.sweep_reach([]) == 0
 
 
 def test_run_sweep_refuses_before_the_first_row(table_2e4, monkeypatch):

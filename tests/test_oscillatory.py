@@ -212,6 +212,9 @@ def test_lemma5_rejections():
         osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), np.array([]))
     with pytest.raises(ValueError):
         osc.lemma5_derivative_check(osc.l5_spec(1, 4, PT1), np.array([0.5, 2e3]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x >= 1"):
+            osc.lemma5_derivative_check(osc.l5_spec(1, 2, PT1), np.array([1e3, bad]))
 
 
 def test_budget_refusals(window):
