@@ -3,7 +3,8 @@
 Every command reads one flat config file (all keys optional), writes its
 artifacts under the output directory, and prints a short deterministic
 summary.  Exit codes: 0 success, 1 validation or usage failure, 2
-numerical budget refusal, 3 I/O failure.
+numerical budget refusal (a node budget, or a squaring the coefficient
+kernel cannot prove exact), 3 I/O failure.
 
 Each command imports the numerical layers it calls when it runs, and reads
 only the prefix of the coefficient cache that it needs.
@@ -23,7 +24,8 @@ from . import __version__
 from .calibrated import STATED_RATIO_MAX
 from .coeffs import CoefficientTable, generate_tau, load_cache, save_cache
 from .config import ExperimentConfig, config_lines, load_config
-from .errors import CoefficientOverflowError, NodeBudgetError
+from .errors import (CoefficientOverflowError, InexactConvolutionError,
+                     NodeBudgetError)
 from .rational import unit_point
 from .reporting import (sha256_file, sha256_text, svg_line_plot, write_csv,
                         write_json, write_svg)
@@ -394,7 +396,7 @@ def main(argv=None) -> int:
         # every option left is a config key: table, out, seed and coeffs' n
         cfg = load_config(config, **args)
         return run(cfg, Path(cfg.out), emit_json)
-    except NodeBudgetError as exc:
+    except (NodeBudgetError, InexactConvolutionError) as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, CoefficientOverflowError) as exc:

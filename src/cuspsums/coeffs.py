@@ -13,17 +13,19 @@ E = prod(1 - q^n) is the sparse series
     E^3 = sum_{j >= 0} (-1)^j (2j + 1) q^{j(j+1)/2},
 
 so tau(n) = [q^{n-1}] (E^3)^8. The kernel squares E^3 exactly in int64,
-then twice more in exact integer arithmetic on balanced 10-bit limbs
-(Knuth, TAOCP vol. 2, 4.3.3): the limb products whose indices add up to g
-form group g, one inverse FFT, and a carry pass in int64 turns the exact
-groups into the next limbs and at last into the cache records. Exactness
-rests on exact limb products, on a guard that refuses a squaring unless
-limb count x length x max|limb|^2, a bound on every group, is below 2^52,
-where doubles lie at most 1/2 apart, and on every inverse transform
-landing within 0.25 of integers (Percival, Math. Comp. 72, 2003, bounds
-that error a priori). At n_max = 10^6: 25 transforms, about 2 s on one
-Xeon core. Tests pin exactness against a schoolbook truncated product and
-an independent pentagonal recurrence.
+then twice more in exact integer arithmetic on balanced limbs (Knuth,
+TAOCP vol. 2, 4.3.3): the limb products whose indices add up to g form
+group g, one inverse FFT, and a carry pass in int64 turns the exact groups
+into the next limbs and at last into the cache records. Exactness rests on
+exact limb products, on a guard that refuses a squaring unless limb count
+x length x max|limb|^2, a bound on every group, is below 2^52, where
+doubles lie at most 1/2 apart, and on every inverse transform landing
+within 0.25 of integers (Percival, Math. Comp. 72, 2003, bounds that error
+a priori). Limbs are 15 bits wide up to n_max = 3,355,443 and 10 bits
+above (_limb_bits); the guard still checks every squaring. At n_max = 10^6:
+16 transforms, E^6 on 2 limbs and E^12 on 4, the largest residual 4.4e-4,
+about 1.2 s on one Xeon core. Tests pin exactness against a schoolbook
+truncated product and an independent pentagonal recurrence.
 
 A table holds tau as the 16-byte records of its cache file (see
 save_cache), so load_cache reads one numpy array and builds no Python int
@@ -42,6 +44,7 @@ and normalize in 0.012 s.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -51,7 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cuspsums.errors import CacheFormatError, CoefficientOverflowError
+from cuspsums.errors import (CacheFormatError, CoefficientOverflowError,
+                             InexactConvolutionError)
 
 CACHE_MAGIC = b"CUSP"
 CACHE_VERSION = 1
@@ -71,8 +75,13 @@ _RECORD_BITS = 128      # signed width of tau(n) in one record
 # arrays as long as the grid are written in place
 _BLOCK_ELEMENTS = 1 << 13
 
-_LIMB_BITS = 10         # balanced limbs lie in [-2^9, 2^9)
-_LIMB = 1 << _LIMB_BITS
+# the largest n_max squared on 15-bit limbs, which lie in [-2^14, 2^14) and
+# fit int16. E^12 stays below 2^62 up to the record ceiling (61.7 bits at
+# n = 6,588,601), so it takes at most 5 such limbs, and its squaring passes
+# the guard while 5 n_max 2^28 < 2^52. Above, limbs are 10 bits wide, as
+# the guard admits up to the ceiling. Rounding residuals measured at 15
+# bits: 4.4e-4 at 10^6 and 1.2e-3 at 3,355,443, under the 0.25 gate
+_WIDE_LIMBS_N_MAX = ((1 << 52) - 1) // (5 << 28)     # 3,355,443
 _MAX_RESIDUAL = 0.25    # distance of an inverse FFT value from its integer
 
 
@@ -128,7 +137,7 @@ def _rounded(values: np.ndarray) -> np.ndarray:
     near = np.rint(values)
     residual = float(np.max(np.abs(values - near), initial=0.0))
     if residual >= _MAX_RESIDUAL:
-        raise ArithmeticError(
+        raise InexactConvolutionError(
             f"FFT rounding residual {residual:.3g} >= {_MAX_RESIDUAL}; "
             "the convolution is not exact")
     return near.astype(np.int64)
@@ -148,17 +157,19 @@ def _eta_sixth(length: int) -> np.ndarray:
 
 
 def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Exact groups of the truncated square of sum_i limbs[i] 2^(10 i),
-    lowest first: group g sums the convolutions limbs[i] * limbs[j] over
-    i + j = g, as one inverse FFT checked by _rounded. Raises ArithmeticError
-    before any transform unless count * length * max|limb|^2, which bounds
-    every group, is below 2^52. Consumes limbs.
+    """Exact groups of the truncated square of sum_i limbs[i] 2^(b i), for
+    any limb width b, lowest first: group g sums the convolutions
+    limbs[i] * limbs[j] over i + j = g, as one inverse FFT checked by
+    _rounded. Raises InexactConvolutionError before any transform unless
+    count * length * max|limb|^2, which bounds every group, is below 2^52.
+    Consumes limbs.
     """
     count, length = len(limbs), limbs[0].size
     peak = max(int(np.max(np.abs(limb))) for limb in limbs)
     if count * length * peak**2 >= 2**52:    # doubles there lie <= 1/2 apart
-        raise ArithmeticError(f"{count} limbs of length {length} up to {peak} "
-                              "can reach 2^52; the convolution would not be exact")
+        raise InexactConvolutionError(
+            f"{count} limbs of length {length} up to {peak} can reach 2^52; "
+            "the convolution would not be exact")
     # m 2^a >= 2 length - 1, so no wrap below length; small odd m give fast
     # FFT sizes (2,048,000 rather than 2^21 at length 10^6)
     size = min(m << ((2 * length - 2) // m).bit_length()
@@ -183,16 +194,17 @@ def _square_limbs(limbs: list[np.ndarray]) -> Iterator[np.ndarray]:
         yield group
 
 
-def _carried_limbs(groups: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """Balanced limbs in [-2^9, 2^9) of sum_g groups[g] 2^(10 g), as int16.
-    One carry runs through the groups and on until it vanishes; with every
-    group below 2^52 in magnitude it stays below 2^43, inside int64."""
+def _carried_limbs(groups: Iterable[np.ndarray], bits: int) -> list[np.ndarray]:
+    """Balanced limbs in [-2^(bits-1), 2^(bits-1)) of sum_g groups[g]
+    2^(bits g), as int16 (bits <= 16). One carry runs through the groups
+    and on until it vanishes; with every group below 2^52 in magnitude it
+    stays below 2^(53 - bits), inside int64."""
     groups = iter(groups)
-    carry, limbs = next(groups).copy(), []
+    carry, limbs, half = next(groups).copy(), [], 1 << (bits - 1)
     while True:
-        limb = ((carry + _LIMB // 2) & (_LIMB - 1)) - _LIMB // 2
+        limb = ((carry + half) & (2 * half - 1)) - half
         carry -= limb
-        carry >>= _LIMB_BITS
+        carry >>= bits
         limbs.append(limb.astype(np.int16))
         try:
             carry += next(groups)
@@ -201,13 +213,15 @@ def _carried_limbs(groups: Iterable[np.ndarray]) -> list[np.ndarray]:
                 return limbs
 
 
-def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
-    """Cache records of sum_g groups[g] 2^(10 g), which must fit in max_bits.
+def _records(groups: Iterable[np.ndarray], bits: int,
+             max_bits: int) -> np.ndarray:
+    """Cache records of sum_g groups[g] 2^(bits g), which must fit in
+    max_bits; bits divides 60.
 
-    A carry turns the groups into the value's two's complement, ten bits at
-    a time into 60-bit words (at least three); what it leaves is the sign
-    if the value fits, that is if every bit from max_bits - 1 up repeats
-    it. Raises CoefficientOverflowError naming the first n that does not.
+    A carry turns the groups into the value's two's complement, bits at a
+    time into 60-bit words (at least three); what it leaves is the sign if
+    the value fits, that is if every bit from max_bits - 1 up repeats it.
+    Raises CoefficientOverflowError naming the first n that does not.
     """
     groups = iter(groups)
     carry, words, position = next(groups).copy(), [], 0
@@ -216,9 +230,9 @@ def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
     while True:
         if position % 60 == 0:
             words.append(np.zeros(carry.size, dtype=np.uint64))
-        words[-1] |= (carry & (_LIMB - 1)).view(np.uint64) << position % 60
-        carry >>= _LIMB_BITS
-        position += _LIMB_BITS
+        words[-1] |= (carry & ((1 << bits) - 1)).view(np.uint64) << position % 60
+        carry >>= bits
+        position += bits
         try:
             carry += next(groups)
         except StopIteration:
@@ -236,16 +250,24 @@ def _records(groups: Iterable[np.ndarray], max_bits: int) -> np.ndarray:
                     axis=1).view(_RECORD)[:, 0]
 
 
+def _limb_bits(n_max: int) -> int:
+    """Limb width of the kernel at n_max: 15 up to _WIDE_LIMBS_N_MAX, else 10."""
+    return 15 if n_max <= _WIDE_LIMBS_N_MAX else 10
+
+
 def tau_sequence(n_max: int) -> np.ndarray:
     """Exact tau(1..n_max) as cache records (see save_cache). Raises
     CoefficientOverflowError at the first n whose tau(n) falls outside the
-    signed _RECORD_BITS range of a record, and ArithmeticError if a
-    transform is not exact to rounding; nothing ever wraps.
+    signed _RECORD_BITS range of a record, and InexactConvolutionError if a
+    squaring could not be exact or a transform is not exact to rounding;
+    nothing ever wraps.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    twelfth = _carried_limbs(_square_limbs(_carried_limbs([_eta_sixth(n_max)])))
-    return _records(_square_limbs(twelfth), _RECORD_BITS)
+    bits = _limb_bits(n_max)
+    sixth = _carried_limbs([_eta_sixth(n_max)], bits)
+    twelfth = _carried_limbs(_square_limbs(sixth), bits)
+    return _records(_square_limbs(twelfth), bits, _RECORD_BITS)
 
 
 def generate_tau(n_max: int) -> CoefficientTable:
@@ -399,11 +421,23 @@ def hecke_prime_power_check(table: CoefficientTable) -> HeckeReport:
 
 
 def save_cache(table: CoefficientTable, path) -> None:
-    """Write magic | version u32 | weight u32 | N u64 | N 16-byte records."""
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, _WEIGHT,
-                                  table.n_max))
-        handle.write(table.records)
+    """Write magic | version u32 | weight u32 | N u64 | N 16-byte records.
+
+    The file is written beside path under a temporary name and renamed over
+    path when complete, so a write that fails leaves the previous cache
+    whole; it removes the temporary file and raises an OSError naming path.
+    """
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, _WEIGHT,
+                                      table.n_max))
+            handle.write(table.records)
+        os.replace(temp, path)
+    except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise OSError(f"coefficient cache {str(path)!r} not written: {exc}") from exc
 
 
 def load_cache(path, n: int | None = None) -> CoefficientTable:

@@ -16,6 +16,15 @@ class CoefficientOverflowError(OverflowError):
         )
 
 
+class InexactConvolutionError(ArithmeticError):
+    """The coefficient kernel refused a squaring it cannot prove exact.
+
+    Raised before any transform when a group could reach 2^52, and after an
+    inverse transform that does not land near integers; tau is never
+    returned from an inexact convolution.
+    """
+
+
 class CacheFormatError(ValueError):
     """Coefficient cache file is malformed, truncated, or of the wrong kind."""
 

@@ -177,6 +177,15 @@ def test_theorem_integral_working_set(table_1e5):
     assert peak < 4 * 2**20
 
 
+def test_kernel_working_set():
+    # 130 bytes a coefficient at 10^5 on 15-bit limbs, 146 on 10-bit limbs:
+    # the squaring of E^12 holds one 16-byte spectrum entry a coefficient
+    # per limb, and E^12 takes 4 limbs of 15 bits or 5 of 10
+    n = 100_000
+    peak = _peak_bytes(lambda: coeffs.tau_sequence(n))
+    assert peak < 135 * n
+
+
 def test_normalize_working_set(table_1e5):
     # beyond a(n) itself, 8 bytes a record, only block-sized temporaries
     records = table_1e5.records

@@ -143,6 +143,33 @@ def test_node_budget_refusal_exits_two(workspace, capsys):
     assert "budget refused:" in capsys.readouterr().err
 
 
+def test_kernel_refusal_exits_two(workspace, monkeypatch, capsys):
+    # a transform off its integers by 0.5 trips the kernel's own 0.25 gate;
+    # the refusal is one line and leaves no cache behind
+    from cuspsums import coeffs
+
+    root, cfg, table = workspace
+    rounded = coeffs._rounded
+    monkeypatch.setattr(coeffs, "_rounded", lambda values: rounded(values + 0.5))
+    cache = root / "refused.cache"
+    assert main(["coeffs", "--n", "100", "--table", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused: FFT rounding residual")
+    assert err.count("\n") == 1
+    assert not cache.exists()
+    # an unrelated ArithmeticError is no refusal: it stays a traceback
+    monkeypatch.setattr(coeffs, "_rounded", lambda values: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["coeffs", "--n", "100", "--table", str(cache)])
+
+
+def test_unwritable_cache_exits_three(workspace, capsys):
+    root, cfg, table = workspace
+    target = root / "no_such_dir" / "t100.cache"
+    assert main(["coeffs", "--n", "100", "--table", str(target)]) == 3
+    assert f"i/o: coefficient cache {str(target)!r} not written" in capsys.readouterr().err
+
+
 def _short_cache_cfg(root, table, name, body):
     path = root / f"{name}.cfg"
     path.write_text(f"table = {table}\nout = {root / (name + '_out')}\n"

@@ -2,8 +2,12 @@
 oracles, Hecke relations, normalization, the divisor bound, overflow
 handling, cache I/O."""
 
+import errno
+import io
 import math
+import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from cuspsums.coeffs import (
     smallest_prime_factors,
     tau_sequence,
 )
-from cuspsums.errors import CacheFormatError, CoefficientOverflowError
+from cuspsums.errors import (CacheFormatError, CoefficientOverflowError,
+                             InexactConvolutionError)
 
 from oracles import table_from_tau, tau_pentagonal, tau_truncated_product
 
@@ -87,6 +92,44 @@ def test_overflow_names_first_bad_index(monkeypatch):
     assert max(abs(t) for t in tail) < 2**63
 
 
+def _count_transforms(monkeypatch):
+    """Counts of np.fft.rfft and np.fft.irfft calls from here on."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _call=getattr(np.fft, name), **kw):
+            counts[_name] += 1
+            return _call(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_wide_limbs_take_fewer_transforms(monkeypatch):
+    # 15-bit limbs: E^6 on 2 and E^12 on 4, so 2 + 4 forward and 3 + 7
+    # inverse transforms; on 10-bit limbs, 3 + 5 and 5 + 9
+    assert coeffs._limb_bits(100_000) == 15
+    counts = _count_transforms(monkeypatch)
+    tau_sequence(100_000)
+    assert counts == {"rfft": 6, "irfft": 10}
+
+
+def test_limb_width_rule():
+    # 5 limbs of 15 bits pass the guard, 5 n 2^28 < 2^52, up to 3,355,443
+    assert coeffs._WIDE_LIMBS_N_MAX == 3_355_443
+    assert 5 * 3_355_443 * 2**28 < 2**52 <= 5 * 3_355_444 * 2**28
+    assert [coeffs._limb_bits(n) for n in (1, 3_355_443, 3_355_444, 6_588_601)] \
+        == [15, 15, 10, 10]
+
+
+def test_narrow_limbs_give_the_same_records(monkeypatch, table_2e4):
+    # the path above the crossover, forced at 20,000
+    monkeypatch.setattr(coeffs, "_WIDE_LIMBS_N_MAX", 19_999)
+    assert coeffs._limb_bits(20_000) == 10
+    counts = _count_transforms(monkeypatch)
+    records = tau_sequence(20_000)
+    assert counts == {"rfft": 7, "irfft": 12}    # 5 and 8 on 15-bit limbs
+    assert records.tobytes() == table_2e4.records.tobytes()
+
+
 def test_sparse_sixth_power_matches_dense_convolution():
     for n in (1, 2, 7, 100, 1000):
         euler = np.zeros(n, dtype=np.int64)
@@ -110,22 +153,20 @@ def _one_spike_limbs(count, peak):
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_magnitude_guard_refuses_before_any_transform(monkeypatch, count):
     # 4096 (2^20)^2 is exactly 2^52
-    transforms = []
-    forward = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft",
-                        lambda *args, **kw: transforms.append(1) or forward(*args, **kw))
-    with pytest.raises(ArithmeticError, match="2\\^52"):
+    transforms = _count_transforms(monkeypatch)
+    with pytest.raises(InexactConvolutionError, match="2\\^52"):
         next(coeffs._square_limbs(_one_spike_limbs(count, 2**20)))
-    assert transforms == []
+    assert transforms == {"rfft": 0, "irfft": 0}
     groups = list(coeffs._square_limbs(_one_spike_limbs(count, 2**20 - 1)))
-    assert len(transforms) == count and len(groups) == 2 * count - 1
+    assert transforms == {"rfft": count, "irfft": 2 * count - 1}
+    assert len(groups) == 2 * count - 1
     assert groups[0][0] == (2**20 - 1) ** 2
     assert not any(g.any() for g in groups[1:]) and not groups[0][1:].any()
 
 
 def test_inexact_transform_raises():
     assert coeffs._rounded(np.array([2.0, -3.24, 7.1])).tolist() == [2, -3, 7]
-    with pytest.raises(ArithmeticError, match="residual"):
+    with pytest.raises(InexactConvolutionError, match="residual"):
         coeffs._rounded(np.array([2.0, 1.25]))
 
 
@@ -204,6 +245,34 @@ def test_cache_roundtrip(tmp_path, table_2e4):
     assert back.tau == table_2e4.tau
     assert back.n_max == 20_000
     assert back.a.tobytes() == table_2e4.a.tobytes()  # recomputed, same doubles
+
+
+def test_failed_save_keeps_the_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "t.cusp"
+    save_cache(generate_tau(100), path)
+    before = path.read_bytes()
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            if self.tell():     # the header is in: part of the records fits
+                super().write(bytes(data)[:100])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    monkeypatch.setattr(coeffs, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match=re.escape(f"cache {str(path)!r} not")) as exc:
+        save_cache(generate_tau(200), path)
+    assert exc.value.__cause__.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.cusp"]
+
+
+def test_save_replaces_the_previous_cache(tmp_path, table_2e4):
+    path = tmp_path / "t.cusp"
+    save_cache(generate_tau(100), path)
+    save_cache(table_2e4, path)
+    assert load_cache(path).records.tobytes() == table_2e4.records.tobytes()
+    assert os.listdir(tmp_path) == ["t.cusp"]
 
 
 def test_prefix_load_matches_full_load(tmp_path, table_2e4):
@@ -311,78 +380,96 @@ def test_record_conversion_rounds_like_float(values):
 
 
 _INT128_EDGES = [-2**127, 2**127 - 1, 0, -1, 2**64, -2**64]
+# both limb widths of the kernel (coeffs._limb_bits)
+_LIMB_WIDTHS = (10, 15)
 
 
-def _split(values, count, rng):
-    """count exact signed groups G_g, |G_g| < 2^52, with sum_g G_g 2^(10 g)
-    equal to each value (count >= 9 for 129-bit values). From the top down,
-    each group takes the rest's share at its 10-bit position plus a random
-    offset of up to 2^40, so the carries cross every limb and word
-    boundary."""
+def _groups_spanning(span, bits):
+    """Fewest groups whose positions, bits apart, reach bit span."""
+    return 1 + -(-span // bits)
+
+
+def _split(values, count, bits, rng):
+    """count exact signed groups G_g, |G_g| < 2^52, with sum_g G_g 2^(bits g)
+    equal to each value (count >= _groups_spanning(80, bits) for 129-bit
+    values). From the top down, each group takes the rest's share at its
+    position plus a random offset of up to 2^(50 - bits), so the carries
+    cross every limb and word boundary."""
     columns = []
     for value in values:
         rest, column = value, [0] * count
         for g in range(count - 1, 0, -1):
-            column[g] = (rest >> 10 * g) + rng.randint(-2**40, 2**40)
-            rest -= column[g] << 10 * g
+            column[g] = (rest >> bits * g) + rng.randint(-2**(50 - bits),
+                                                         2**(50 - bits))
+            rest -= column[g] << bits * g
         column[0] = rest
         columns.append(column)
     return [np.array(groups, dtype=np.int64) for groups in zip(*columns)]
 
 
 @st.composite
-def _groups_of(draw, values):
-    return _split(values, draw(st.integers(9, 16)),
+def _groups_of(draw, values, bits):
+    least = _groups_spanning(80, bits)
+    return _split(values, draw(st.integers(least, least + 7)), bits,
                   random.Random(draw(st.integers(0, 2**32))))
 
 
-def _assert_carry_pass_exact(values, groups):
-    packed = coeffs._records(groups, 128)
+def _assert_carry_pass_exact(values, groups, bits):
+    packed = coeffs._records(groups, bits, 128)
     assert packed.tobytes() == table_from_tau(values).records.tobytes()
-    limbs = coeffs._carried_limbs(groups)
-    assert all(-512 <= limb.min() and limb.max() < 512 for limb in limbs)
-    assert [sum(int(limb[i]) << 10 * k for k, limb in enumerate(limbs))
+    limbs = coeffs._carried_limbs(groups, bits)
+    half = 1 << (bits - 1)
+    assert all(-half <= limb.min() and limb.max() < half for limb in limbs)
+    assert [sum(int(limb[i]) << bits * k for k, limb in enumerate(limbs))
             for i in range(len(values))] == values
 
 
 def test_carry_pass_edge_values():
-    for seed, count in enumerate(range(9, 17)):
-        _assert_carry_pass_exact(
-            _INT128_EDGES, _split(_INT128_EDGES, count, random.Random(seed)))
+    for bits in _LIMB_WIDTHS:
+        least = _groups_spanning(80, bits)
+        for seed, count in enumerate(range(least, least + 8)):
+            _assert_carry_pass_exact(
+                _INT128_EDGES,
+                _split(_INT128_EDGES, count, bits, random.Random(seed)), bits)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.lists(st.one_of(st.sampled_from(_INT128_EDGES),
-                                     st.integers(-2**127, 2**127 - 1)),
-                           min_size=1, max_size=32))
-def test_carry_pass_packs_groups_like_from_tau(data, values):
-    _assert_carry_pass_exact(values, data.draw(_groups_of(values)))
+@given(st.data(), st.sampled_from(_LIMB_WIDTHS),
+       st.lists(st.one_of(st.sampled_from(_INT128_EDGES),
+                          st.integers(-2**127, 2**127 - 1)),
+                min_size=1, max_size=32))
+def test_carry_pass_packs_groups_like_from_tau(data, bits, values):
+    _assert_carry_pass_exact(values, data.draw(_groups_of(values, bits)), bits)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), st.integers(16, 128))
-def test_carry_pass_overflow_names_first_bad_index(data, bits):
-    limit = 1 << (bits - 1)
+@given(st.data(), st.sampled_from(_LIMB_WIDTHS), st.integers(16, 128))
+def test_carry_pass_overflow_names_first_bad_index(data, bits, max_bits):
+    limit = 1 << (max_bits - 1)
     inside = st.integers(-limit, limit - 1)
     values = data.draw(st.lists(inside, min_size=1, max_size=16))
-    assert (coeffs._records(data.draw(_groups_of(values)), bits).tobytes()
+    assert (coeffs._records(data.draw(_groups_of(values, bits)), bits,
+                            max_bits).tobytes()
             == table_from_tau(values).records.tobytes())
     first = data.draw(st.integers(0, len(values)))
     values[first:first] = [data.draw(st.sampled_from((limit, -limit - 1)))]
     values += data.draw(st.lists(st.sampled_from((limit, -limit - 1)), max_size=2))
     with pytest.raises(CoefficientOverflowError) as exc:
-        coeffs._records(data.draw(_groups_of(values)), bits)
-    assert exc.value.n == first + 1 and exc.value.bits == bits
+        coeffs._records(data.draw(_groups_of(values, bits)), bits, max_bits)
+    assert exc.value.n == first + 1 and exc.value.bits == max_bits
 
 
 def test_carry_pass_overflow_past_the_record_words():
     # 2^180 and -2^180 - 1 leave the three words a clean sign run and only
     # the carry wrong; 2^190 and -2^190 reach a fourth word
-    for value, count in ((2**180, 14), (-2**180 - 1, 18), (2**190, 20),
-                         (-2**190, 24)):
-        with pytest.raises(CoefficientOverflowError) as exc:
-            coeffs._records(_split([-1, value, 0], count, random.Random(count)), 128)
-        assert exc.value.n == 2
+    for bits in _LIMB_WIDTHS:
+        for value, span in ((2**180, 130), (-2**180 - 1, 170), (2**190, 190),
+                            (-2**190, 230)):
+            count = _groups_spanning(span, bits)
+            with pytest.raises(CoefficientOverflowError) as exc:
+                coeffs._records(_split([-1, value, 0], count, bits,
+                                       random.Random(count)), bits, 128)
+            assert exc.value.n == 2
 
 
 def test_cache_file_size_example(tmp_path):
